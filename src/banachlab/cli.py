@@ -24,7 +24,7 @@ from .core_model import (
     measure_from_dict,
 )
 from .d_norm import DNormContext, d_norm, dirac_dual_norm, dual_norm, seminorm
-from .errors import BanachLabError, CertificateFailure, WitnessNotFoundError
+from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
 from .neighborhood_base import parse_base_spec
 from .nested_sum_space import (
     ExponentSchedule,
@@ -134,16 +134,31 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parse_schedule(spec: str) -> ExponentSchedule:
     head, _, rest = spec.partition(":")
-    if head == "geometric":
-        kw = dict(part.split("=") for part in rest.split(",") if part)
-        return ExponentSchedule.geometric(
-            base=float(kw.get("base", 2)),
-            start=float(kw.get("start", 4)),
-            count=int(kw.get("count", 12)),
-        )
-    if head == "list":
-        return ExponentSchedule(tuple(float(v) for v in rest.split(",")))
+    try:
+        if head == "geometric":
+            kw = dict(part.split("=") for part in rest.split(",") if part)
+            return ExponentSchedule.geometric(
+                base=float(kw.get("base", 2)),
+                start=float(kw.get("start", 4)),
+                count=int(kw.get("count", 12)),
+            )
+        if head == "list":
+            return ExponentSchedule(tuple(float(v) for v in rest.split(",")))
+    except ValueError as exc:  # malformed numbers, and DomainError from the schedule
+        raise ConfigError(f"bad schedule spec {spec!r}: {exc}") from None
     raise BanachLabError(f"unknown schedule spec {spec!r}")
+
+
+def _parse_vec(text: str | None) -> np.ndarray:
+    if text is None:
+        raise ConfigError("nested --op norm needs --vec")
+    try:
+        vec = np.asarray(json.loads(text), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"--vec must be a JSON array of numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError("--vec entries must be finite")
+    return vec
 
 
 def _slice_from_args(ctx, m: Measure, eps: float, budget: int, seed: int) -> SliceSpec:
@@ -302,8 +317,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "nested":
         sched = _parse_schedule(args.p)
         if args.op == "norm":
-            vec = json.loads(args.vec)
-            res = {"norm": nested_norm(sched, vec)}
+            res = {"norm": nested_norm(sched, _parse_vec(args.vec))}
         elif args.op == "product":
             prod, holds = product_condition(sched)
             res = {"product": prod, "holds": holds}
@@ -347,7 +361,11 @@ def dispatch(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = payload if fmt == "csv" else reports.canonical_json(payload)
-    reports.emit_report(text, args.out)
+    try:
+        reports.emit_report(text, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"[{args.cmd}] done in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 

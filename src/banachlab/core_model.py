@@ -10,6 +10,7 @@ downstream certificates rely on that.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,13 +179,42 @@ def lin_comb(a: float, f: PLFunction, b: float, g: PLFunction) -> PLFunction:
     return PLFunction(bx, by)
 
 
-def _abs_piece_integral(x0, x1, y0, y1):
-    """Exact integral of |linear| over [x0, x1]."""
-    if y0 * y1 >= 0.0:
-        return abs(y0 + y1) * (x1 - x0) / 2.0
-    # one interior sign change
-    xc = x0 + (x1 - x0) * y0 / (y0 - y1)
-    return (abs(y0) * (xc - x0) + abs(y1) * (x1 - xc)) / 2.0
+def _left_to_right_sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sum of x[first[k]:first[k+1]] per segment (the last runs to the end).
+
+    Each segment is added left to right, as a scalar ``+=`` loop would, so
+    results are bit-identical to one; ``np.cumsum`` keeps that order where
+    ``np.sum`` and ``np.add.reduceat`` sum pairwise.  Loops over whichever
+    is fewer: segments, or positions within the longest segment.
+    """
+    counts = np.diff(np.append(first, x.size))
+    longest = int(counts.max())
+    if first.size < longest:
+        return np.array([np.cumsum(x[a : a + n])[-1] for a, n in zip(first, counts)])
+    out = x[first]
+    for j in range(1, longest):
+        live = np.nonzero(counts > j)[0]
+        out[live] += x[first[live] + j]
+    return out
+
+
+def abs_integral_cells(f: PLFunction, edges: np.ndarray) -> np.ndarray:
+    """Exact ∫|f| over every cell [edges[k], edges[k+1]].
+
+    ``edges`` is strictly increasing inside [0,1].  A piece of f that
+    changes sign splits at its zero crossing; each cell adds its pieces left
+    to right, exactly as ``abs_integral`` on that cell does.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    cuts = np.union1d(f.breakpoints, edges)
+    cuts = cuts[(cuts >= edges[0]) & (cuts <= edges[-1])]
+    vals = pl_eval(f.breakpoints, f.values, cuts)
+    x0, x1, y0, y1 = cuts[:-1], cuts[1:], vals[:-1], vals[1:]
+    piece = np.abs(y0 + y1) * (x1 - x0) / 2.0
+    s = np.nonzero(y0 * y1 < 0.0)[0]  # one interior sign change
+    xc = x0[s] + (x1[s] - x0[s]) * y0[s] / (y0[s] - y1[s])
+    piece[s] = (np.abs(y0[s]) * (xc - x0[s]) + np.abs(y1[s]) * (x1[s] - xc)) / 2.0
+    return _left_to_right_sums(piece, np.searchsorted(cuts, edges[:-1]))
 
 
 def abs_integral(f: PLFunction, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -193,13 +223,7 @@ def abs_integral(f: PLFunction, lo: float = 0.0, hi: float = 1.0) -> float:
         raise DomainError("integration range must sit inside [0,1]")
     if lo == hi:
         return 0.0
-    cuts = np.union1d(f.breakpoints, np.array([lo, hi]))
-    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-    vals = pl_eval(f.breakpoints, f.values, cuts)
-    total = 0.0
-    for k in range(cuts.size - 1):
-        total += _abs_piece_integral(cuts[k], cuts[k + 1], vals[k], vals[k + 1])
-    return total
+    return float(abs_integral_cells(f, np.array([lo, hi]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,9 +243,11 @@ class Measure:
         locs = [t for t, _ in atoms]
         if len(set(locs)) != len(locs):
             raise DomainError("atom locations must be pairwise distinct")
-        for t, _ in atoms:
-            if not 0.0 <= t <= 1.0:
+        for t, w in atoms:
+            if not 0.0 <= t <= 1.0:  # also refuses nan and inf locations
                 raise DomainError("atom location outside [0,1]")
+            if not math.isfinite(w):
+                raise DomainError("atom weights must be finite")
         object.__setattr__(self, "atoms", atoms)
 
     # -- constructors -------------------------------------------------
@@ -301,11 +327,11 @@ def integrate(f: PLFunction, m: Measure, lo: float = 0.0, hi: float = 1.0) -> fl
         cuts = cuts[(cuts >= lo) & (cuts <= hi)]
         fv = pl_eval(f.breakpoints, f.values, cuts)
         rv = pl_eval(rho.breakpoints, rho.values, cuts)
-        for k in range(cuts.size - 1):
-            x0, x1 = cuts[k], cuts[k + 1]
-            xm = 0.5 * (x0 + x1)
-            pm = f.eval(xm) * rho.eval(xm)
-            total += (x1 - x0) / 6.0 * (fv[k] * rv[k] + 4.0 * pm + fv[k + 1] * rv[k + 1])
+        xm = 0.5 * (cuts[:-1] + cuts[1:])
+        pm = pl_eval(f.breakpoints, f.values, xm) * pl_eval(rho.breakpoints, rho.values, xm)
+        terms = np.diff(cuts) / 6.0 * (fv[:-1] * rv[:-1] + 4.0 * pm + fv[1:] * rv[1:])
+        # np.cumsum adds left to right, the order of the atom sum before it
+        total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
     return total
 
 

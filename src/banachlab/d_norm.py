@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .core_model import Enclosure, Measure, PLFunction, abs_integral, integrate
+from .core_model import Enclosure, Measure, PLFunction, abs_integral_cells, integrate
 from .errors import CertificateFailure, DomainError, HypothesisError, IndexRangeError
 from .neighborhood_base import NeighborhoodBase
 
@@ -57,9 +57,15 @@ class DNormContext:
     # -- weight landscape (piecewise constant in t) ----------------------
 
     @cached_property
-    def _weight_probes(self) -> tuple[np.ndarray, np.ndarray]:
+    def _cell_edges(self) -> np.ndarray:
+        """0, 1 and every stored endpoint: the weight is constant between them."""
         lo, hi = self.base.clamped_bounds
-        pts = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+        return np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+
+    @cached_property
+    def _weight_probes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell edges and midpoints with the (lo) weight at each: the landscape."""
+        pts = self._cell_edges
         mids = 0.5 * (pts[:-1] + pts[1:])
         probes = np.unique(np.concatenate([pts, mids]))
         wlo = np.array([self.base.weight(float(t)).lo for t in probes])
@@ -71,12 +77,14 @@ class DNormContext:
         return float(wlo[k]), float(probes[k])
 
     def weight_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Consecutive cells [p_k, p_k+1] with the (lo) weight on each interior."""
-        lo, hi = self.base.clamped_bounds
-        pts = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        wlo = np.array([self.base.weight(float(t)).lo for t in mids])
-        return pts, wlo
+        """Consecutive cells [p_k, p_k+1] with the (lo) weight on each interior.
+
+        Every cell midpoint is a probe, so the weights are read from the
+        landscape rather than recomputed.
+        """
+        pts = self._cell_edges
+        probes, wlo = self._weight_probes
+        return pts, wlo[np.searchsorted(probes, 0.5 * (pts[:-1] + pts[1:]))]
 
 
 def seminorm(ctx: DNormContext, f: PLFunction, n: int) -> float:
@@ -159,12 +167,11 @@ def weighted_tv_upper(ctx: DNormContext, m: Measure) -> float:
         total += abs(w) / np.sqrt(wt)
     if m.density is not None:
         pts, wlo = ctx.weight_cells()
-        for k in range(pts.size - 1):
-            if wlo[k] <= 0.0:
-                raise DomainError("uncovered cell in the stored base")
-            total += abs_integral(m.density, float(pts[k]), float(pts[k + 1])) / np.sqrt(
-                wlo[k]
-            )
+        if np.any(wlo <= 0.0):
+            raise DomainError("uncovered cell in the stored base")
+        terms = abs_integral_cells(m.density, pts) / np.sqrt(wlo)
+        # np.cumsum adds left to right, continuing the atom sum
+        total = np.cumsum(np.concatenate(([total], terms)))[-1]
     return float(total)
 
 
@@ -206,6 +213,10 @@ def dual_norm(
     """
     if m.is_zero():
         raise DomainError("dual norm of the zero measure")
+    with np.errstate(over="ignore"):  # huge weights overflow to inf, refused here
+        upper = min(weighted_tv_upper(ctx, m), _crude_upper(ctx, m))
+    if not np.isfinite(upper):
+        raise DomainError(f"dual norm upper bound is not finite ({upper})")
     from .gridsearch import GridContext, maximize_linear_functional
 
     gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=_measure_nodes(m))
@@ -223,7 +234,6 @@ def dual_norm(
     if hi > 1.0:
         witness = witness.scaled(1.0 / (hi * RESCALE_SAFETY))
     lower = integrate(witness, m)
-    upper = min(weighted_tv_upper(ctx, m), _crude_upper(ctx, m))
     if lower > upper + 1e-12:
         raise CertificateFailure(
             f"feasible value {lower} exceeds certified upper bound {upper}",

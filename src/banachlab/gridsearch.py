@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core_model import Measure, PLFunction
+from .core_model import Measure, PLFunction, pl_eval
 from .d_norm import RESCALE_SAFETY, DNormContext
 from .errors import DomainError
 from . import _kernels
@@ -97,20 +97,21 @@ class GridContext:
             c[k + 1] += w * th
         rho = m.density
         if rho is not None:
-            for k in range(g.size - 1):
-                x0, x1 = g[k], g[k + 1]
-                cuts = rho.breakpoints[(rho.breakpoints > x0) & (rho.breakpoints < x1)]
-                pieces = np.concatenate([[x0], cuts, [x1]])
-                h = x1 - x0
-                for j in range(pieces.size - 1):
-                    a, b = pieces[j], pieces[j + 1]
-                    mid = 0.5 * (a + b)
-                    for t_eval, simpson_w in ((a, 1.0), (mid, 4.0), (b, 1.0)):
-                        rv = rho.eval(float(t_eval))
-                        s = (t_eval - x0) / h
-                        scale = (b - a) / 6.0 * simpson_w * rv
-                        c[k] += scale * (1.0 - s)
-                        c[k + 1] += scale * s
+            # Simpson's rule on every piece between consecutive grid nodes and
+            # density breakpoints; each piece sends its a, mid, b terms to
+            # its cell's two nodes, added in that order by np.add.at
+            edges = np.union1d(g, rho.breakpoints)
+            a, b = edges[:-1], edges[1:]
+            k = np.searchsorted(g, a, side="right") - 1
+            x0 = g[k][:, None]
+            h = g[k + 1][:, None] - x0
+            t = np.stack([a, 0.5 * (a + b), b], axis=1)
+            rv = pl_eval(rho.breakpoints, rho.values, t)
+            s = (t - x0) / h
+            scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
+            kk = np.broadcast_to(k[:, None], t.shape)
+            idx = np.stack([kk, kk + 1], axis=2)
+            np.add.at(c, idx.ravel(), np.stack([scale * (1.0 - s), scale * s], axis=2).ravel())
         return c
 
     # -- candidate generators ----------------------------------------------

@@ -352,7 +352,13 @@ def parse_base_spec(spec: str) -> NeighborhoodBase:
         kw: dict[str, float] = {}
         for part in filter(None, (p.strip() for p in rest.split(","))):
             key, _, val = part.partition("=")
-            kw[key.strip()] = float(val)
+            try:
+                kw[key.strip()] = float(val)
+            except ValueError:
+                raise ConfigError(f"base spec {spec!r}: {key.strip()} needs a number") from None
+        for key in ("i", "levels"):
+            if key in kw and not kw[key].is_integer():
+                raise ConfigError(f"base spec {spec!r}: {key} must be a whole number")
         sched = EpsilonSchedule(
             eps1=kw.get("eps1", 2.0 ** -6), ratio=kw.get("ratio", 0.25)
         )

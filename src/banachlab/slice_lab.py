@@ -608,7 +608,9 @@ def subslice(
     last = None
     for _ in range(max_iter):
         mixed = measure_combine(1.0 - lam, m_hat, lam, g)
-        fn = Enclosure(max(integrate(x, mixed) / xe.hi, 1e-12), 1.0)
+        # both parts have dual norm ≤ 1, so 1.0 is certified; the ratio can
+        # round above it when x is nearly normed, and the clamp stays sound
+        fn = Enclosure(min(max(integrate(x, mixed) / xe.hi, 1e-12), 1.0), 1.0)
         Snew = SliceSpec(mixed, fn, delta)
         contains_x = Snew.value(x) > 1.0 - delta
         inclusion_ok = contains_x and _verify_inclusion(

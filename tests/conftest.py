@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from banachlab import _kernels
 from banachlab.core_model import PLFunction
@@ -29,6 +30,34 @@ def random_pl(rng, n_interior=12, amplitude=1.0):
     xs = np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n_interior)]))
     ys = amplitude * rng.uniform(-1.0, 1.0, xs.size)
     return PLFunction(xs, ys)
+
+
+@st.composite
+def pl_densities(draw, grid_cells=64):
+    """Signed PL functions; some breakpoints sit on the k/grid_cells nodes."""
+    on_grid = draw(st.lists(st.integers(1, grid_cells - 1), max_size=6))
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6))
+    bx = np.unique(np.concatenate([[0.0, 1.0], np.array(on_grid) / grid_cells, free]))
+    ys = draw(st.lists(st.floats(-2.0, 2.0), min_size=bx.size, max_size=bx.size))
+    return PLFunction(bx, np.array(ys))
+
+
+def _ref_abs_piece_integral(x0, x1, y0, y1):
+    if y0 * y1 >= 0.0:
+        return abs(y0 + y1) * (x1 - x0) / 2.0
+    xc = x0 + (x1 - x0) * y0 / (y0 - y1)
+    return (abs(y0) * (xc - x0) + abs(y1) * (x1 - xc)) / 2.0
+
+
+def ref_abs_integral(f, lo, hi):
+    """The scalar per-piece loop that abs_integral used to run."""
+    cuts = np.union1d(f.breakpoints, np.array([lo, hi]))
+    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    vals = f.eval(cuts)
+    total = 0.0
+    for k in range(cuts.size - 1):
+        total += _ref_abs_piece_integral(cuts[k], cuts[k + 1], vals[k], vals[k + 1])
+    return total
 
 
 def smooth_positive_pl(rng, coarse=8, low=0.3, high=1.0):

@@ -62,6 +62,34 @@ class TestBasics:
         assert code == 1
 
 
+class TestBadInputs:
+    """Inputs that must end in a one-line ``error:`` and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--base", "leveled:i=abc", "nested", "--op", "product"],
+            ["--base", "leveled:i=1.5", "nested", "--op", "product"],
+            ["nested", "--op", "norm"],
+            ["nested", "--op", "norm", "--vec", '[1,"a"]'],
+            ["nested", "--op", "norm", "--vec", "[1e999]"],
+            ["nested", "--p", "geometric:base=x", "--op", "product"],
+            ["--out", "/nonexistent-banachlab-dir/r.json", "nested", "--op", "product"],
+        ],
+    )
+    def test_one_line_error(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_dual_norm(self, tmp_path, capsys):
+        m = tmp_path / "huge.json"
+        dump_measure(Measure(atoms=((0.0, 1e308), (1.0, 1e308))), str(m))
+        assert run(["--seed", "1", "dual-norm", "--measure", str(m)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestWitnessAndReports:
     def test_witness_report(self, files, tmp_path):
         out = tmp_path / "w.json"

@@ -11,6 +11,7 @@ from banachlab.core_model import (
     Measure,
     PLFunction,
     abs_integral,
+    abs_integral_cells,
     function_from_dict,
     function_to_dict,
     integrate,
@@ -22,7 +23,7 @@ from banachlab.core_model import (
 )
 from banachlab.errors import DomainError
 
-from conftest import random_pl
+from conftest import pl_densities, random_pl, ref_abs_integral
 
 
 class TestEval:
@@ -175,6 +176,11 @@ class TestMeasure:
         f = PLFunction(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 1.0, -1.0]))
         assert abs_integral(f) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("atom", [(0.5, np.inf), (0.5, -np.inf), (0.5, np.nan), (np.nan, 1.0)])
+    def test_non_finite_atoms_rejected(self, atom):
+        with pytest.raises(DomainError):
+            Measure(atoms=(atom,))
+
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(DomainError):
             Measure(atoms=((0.5, 1.0), (0.5, 2.0)))
@@ -226,3 +232,63 @@ def test_lin_comb_pointwise_property(a, b, t, seed):
     f, g = random_pl(rng, 6), random_pl(rng, 6)
     h = lin_comb(a, f, b, g)
     assert h.eval(t) == pytest.approx(a * f.eval(t) + b * g.eval(t), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# whole-array paths against the scalar loops they replaced: same operations
+# in the same order, so results must be equal, not merely close
+# ---------------------------------------------------------------------------
+
+
+def ref_integrate(f, m, lo=0.0, hi=1.0):
+    """The scalar per-piece Simpson loop that integrate used to run."""
+    full = lo == 0.0 and hi == 1.0
+    total = 0.0
+    for t, w in m.atoms:
+        if (lo <= t <= hi) if full else (lo < t < hi):
+            total += w * f.eval(t)
+    rho = m.density
+    if rho is not None and lo < hi:
+        cuts = np.union1d(np.union1d(f.breakpoints, rho.breakpoints), np.array([lo, hi]))
+        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+        fv, rv = f.eval(cuts), rho.eval(cuts)
+        for k in range(cuts.size - 1):
+            x0, x1 = cuts[k], cuts[k + 1]
+            xm = 0.5 * (x0 + x1)
+            pm = f.eval(xm) * rho.eval(xm)
+            total += (x1 - x0) / 6.0 * (fv[k] * rv[k] + 4.0 * pm + fv[k + 1] * rv[k + 1])
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=pl_densities(), extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_abs_integral_cells_bit_identical(rho, extra):
+    edges = np.union1d(np.linspace(0.0, 1.0, 65), extra)
+    cells = abs_integral_cells(rho, edges)
+    ref = [ref_abs_integral(rho, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert cells.tolist() == ref
+    assert [abs_integral(rho, a, b) for a, b in zip(edges[:-1], edges[1:])] == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=pl_densities(), lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0))
+def test_abs_integral_bit_identical(rho, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert abs_integral(rho) == ref_abs_integral(rho, 0.0, 1.0)
+    if lo < hi:
+        assert abs_integral(rho, lo, hi) == ref_abs_integral(rho, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=pl_densities(),
+    rho=pl_densities(),
+    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=3),
+    lo=st.floats(0.0, 1.0),
+    hi=st.floats(0.0, 1.0),
+)
+def test_integrate_bit_identical(f, rho, atoms, lo, hi):
+    m = Measure(tuple(atoms.items()), rho)
+    lo, hi = min(lo, hi), max(lo, hi)
+    assert integrate(f, m) == ref_integrate(f, m)
+    assert integrate(f, m, lo, hi) == ref_integrate(f, m, lo, hi)

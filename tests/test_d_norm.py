@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from banachlab.core_model import Interval, Measure, PLFunction, lin_comb
 from banachlab.d_norm import (
@@ -18,7 +19,9 @@ from banachlab.d_norm import (
 from banachlab.errors import DomainError, HypothesisError, IndexRangeError
 from banachlab.neighborhood_base import EpsilonSchedule, build_custom, build_leveled
 
-from conftest import random_pl
+from banachlab.gridsearch import GridContext
+
+from conftest import pl_densities, random_pl, ref_abs_integral
 
 SCHED = EpsilonSchedule()
 
@@ -154,6 +157,12 @@ class TestDualNorm:
         for m in (Measure.lebesgue(), Measure(atoms=((0.5, 1.0),), density=PLFunction.tent())):
             assert weighted_tv_upper(ctx8, m) <= m.total_variation() / b_lo + 1e-12
 
+    def test_non_finite_upper_refused(self, ctx8):
+        # each weight is finite, but the bound overflows to inf
+        m = Measure(atoms=((0.0, 1e308), (1.0, 1e308)))
+        with pytest.raises(DomainError, match="not finite"):
+            dual_norm(ctx8, m, budget=50, seed=0)
+
     def test_witness_certified_feasible(self, ctx8):
         br = dual_norm(ctx8, Measure.lebesgue(), budget=300, seed=4)
         assert d_norm(ctx8, br.witness).hi <= 1.0 + 1e-12
@@ -165,3 +174,89 @@ def test_conservative_value_directions():
     enc = Enclosure(2.0, 4.0)
     assert conservative_value(4.0, enc) == 1.0
     assert conservative_value(-4.0, enc) == -2.0
+
+
+# ---------------------------------------------------------------------------
+# the density path against the scalar loops it replaced: same operations in
+# the same order, so results must be equal, not merely close
+# ---------------------------------------------------------------------------
+
+
+def ref_weight_cells(ctx):
+    """One base.weight call per cell midpoint, as weight_cells used to do."""
+    lo, hi = ctx.base.clamped_bounds
+    pts = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    return pts, np.array([ctx.base.weight(float(t)).lo for t in mids])
+
+
+def ref_weighted_tv_upper(ctx, cells, m):
+    pts, wlo = cells
+    total = 0.0
+    for t, w in m.atoms:
+        total += abs(w) / np.sqrt(ctx.base.weight(t).lo)
+    for k in range(pts.size - 1):
+        total += ref_abs_integral(m.density, float(pts[k]), float(pts[k + 1])) / np.sqrt(wlo[k])
+    return float(total)
+
+
+def ref_functional_coeffs(gc, m):
+    """The per-cell, per-piece, per-point loop functional_coeffs used to run."""
+    g = gc.nodes
+    c = np.zeros(g.size)
+    for t, w in m.atoms:
+        k = int(np.clip(np.searchsorted(g, t, side="right") - 1, 0, g.size - 2))
+        th = (t - g[k]) / (g[k + 1] - g[k])
+        c[k] += w * (1.0 - th)
+        c[k + 1] += w * th
+    rho = m.density
+    for k in range(g.size - 1):
+        x0, x1 = g[k], g[k + 1]
+        cuts = rho.breakpoints[(rho.breakpoints > x0) & (rho.breakpoints < x1)]
+        pieces = np.concatenate([[x0], cuts, [x1]])
+        h = x1 - x0
+        for j in range(pieces.size - 1):
+            a, b = pieces[j], pieces[j + 1]
+            mid = 0.5 * (a + b)
+            for t_eval, simpson_w in ((a, 1.0), (mid, 4.0), (b, 1.0)):
+                rv = rho.eval(float(t_eval))
+                s = (t_eval - x0) / h
+                scale = (b - a) / 6.0 * simpson_w * rv
+                c[k] += scale * (1.0 - s)
+                c[k + 1] += scale * s
+    return c
+
+
+@pytest.mark.parametrize("i,levels", [(1, 8), (2, 8), (3, 8), (4, 8), (1, 9), (1, 12)])
+def test_weight_cells_bit_identical(i, levels):
+    ctx = DNormContext(build_leveled(i, levels=levels))
+    pts, wlo = ctx.weight_cells()
+    ref_pts, ref_wlo = ref_weight_cells(ctx)
+    assert pts.tolist() == ref_pts.tolist()
+    assert wlo.tolist() == ref_wlo.tolist()
+
+
+@pytest.fixture(scope="module")
+def cells8(ctx8):
+    return ref_weight_cells(ctx8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=pl_densities())
+def test_weighted_tv_upper_bit_identical(ctx8, cells8, rho):
+    for m in (Measure(density=rho), Measure(((0.25, -1.5), (0.5, 0.75)), rho)):
+        assert weighted_tv_upper(ctx8, m) == ref_weighted_tv_upper(ctx8, cells8, m)
+
+
+@pytest.fixture(scope="module")
+def grid64(ctx8):
+    return GridContext(ctx8, grid_cells=64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=pl_densities())
+def test_functional_coeffs_bit_identical(ctx8, grid64, rho):
+    m = Measure(((0.3, 2.0), (0.5, -1.0)), rho)
+    # density breakpoints inside grid cells, and on the nodes as dual_norm builds it
+    for gc in (grid64, GridContext(ctx8, grid_cells=64, extra_nodes=rho.breakpoints)):
+        assert gc.functional_coeffs(m).tolist() == ref_functional_coeffs(gc, m).tolist()

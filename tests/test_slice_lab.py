@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banachlab.core_model import Measure, PLFunction, integrate, lin_comb
-from banachlab.d_norm import DNormContext, d_norm, dirac_dual_norm, dual_norm
+from banachlab.core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
+from banachlab.d_norm import RESCALE_SAFETY, DNormContext, d_norm, dirac_dual_norm, dual_norm
 from banachlab.errors import CertificateFailure, DomainError, ParameterError
 from banachlab.neighborhood_base import build_leveled
 from banachlab.slice_lab import (
@@ -184,6 +184,18 @@ class TestSubslice:
     def test_delta_must_be_smaller(self, ctx8, lam_slice):
         with pytest.raises(DomainError):
             subslice(ctx8, lam_slice, PLFunction.constant(1.0), delta=0.6)
+
+    def test_extremal_member(self, ctx8):
+        # x nearly norms the mixed functional, so integrate(x, mixed)/‖x‖.hi
+        # rounded to 1.0000000000000002, above the bracket's certified 1.0
+        w = 1.394929375243456
+        enc = dirac_dual_norm(ctx8, 0.125)
+        S = SliceSpec(Measure.dirac(0.125, w), Enclosure(w * enc.lo, w * enc.hi), 0.3)
+        bump = norming_bump(ctx8, 0.125)
+        x = bump.scaled(1.0 / (d_norm(ctx8, bump).hi * RESCALE_SAFETY))
+        Ssub = subslice(ctx8, S, x, delta=0.1)
+        assert Ssub.functional_norm == Enclosure(1.0, 1.0)
+        assert Ssub.value(x) > 0.9
 
     def test_boundary_member_rejected(self, ctx8):
         # a function whose slice value sits exactly at the boundary is not a

@@ -23,7 +23,7 @@ from .core_model import (
     load_measure,
     measure_from_dict,
 )
-from .d_norm import DNormContext, d_norm, dirac_dual_norm, dual_norm, seminorm
+from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket, seminorm
 from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
 from .neighborhood_base import parse_base_spec
 from .nested_sum_space import (
@@ -161,16 +161,7 @@ def _parse_vec(text: str | None) -> np.ndarray:
     return vec
 
 
-def _slice_from_args(ctx, m: Measure, eps: float, budget: int, seed: int) -> SliceSpec:
-    if len(m.atoms) == 1 and m.density is None:
-        t, w = m.atoms[0]
-        enc = dirac_dual_norm(ctx, t)
-        return SliceSpec(m, Enclosure(abs(w) * enc.lo, abs(w) * enc.hi), eps)
-    br = dual_norm(ctx, m, budget=budget, seed=seed)
-    return SliceSpec(m, br.as_enclosure(), eps)
-
-
-def _set_from_json(ctx, path: str, budget: int, seed: int):
+def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
     with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
     kind = spec.get("kind", "slice")
@@ -180,7 +171,7 @@ def _set_from_json(ctx, path: str, budget: int, seed: int):
         if "norm_lo" in d:
             enc = Enclosure(d["norm_lo"], d["norm_hi"])
             return SliceSpec(m, enc, d["eps"])
-        return _slice_from_args(ctx, m, d["eps"], budget, seed)
+        return SliceSpec(m, functional_bracket(ctx, m, budget, seed, grid_cells), d["eps"])
 
     if kind == "ball":
         return BallSet()
@@ -222,7 +213,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "slice-witness":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_from_args(ctx, m, args.eps, args.budget, seed)
+        S = SliceSpec(m, functional_bracket(ctx, m, args.budget, seed, args.grid), args.eps)
         cert = tent_flip_witness(ctx, S, x, args.delta, eta=args.eta)
         res = {
             "N": cert.N,
@@ -236,7 +227,7 @@ def _run(args) -> tuple[dict | str, str]:
             "functional_norm": S.functional_norm,
         }
     elif args.cmd == "diam":
-        sp = _set_from_json(ctx, args.set_spec, args.budget, seed)
+        sp = _set_from_json(ctx, args.set_spec, args.budget, seed, args.grid)
         est = diameter_lower_bound(ctx, sp, args.budget, seed, grid_cells=args.grid)
         if args.format == "csv":
             rows = [[i, v] for i, v in enumerate(est.pair_distances)]
@@ -264,7 +255,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "subslice":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_from_args(ctx, m, args.eps, args.budget, seed)
+        S = SliceSpec(m, functional_bracket(ctx, m, args.budget, seed, args.grid), args.eps)
         Snew = subslice(ctx, S, x, args.delta, seed=seed)
         res = {
             "functional": Snew.functional,

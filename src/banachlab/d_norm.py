@@ -4,7 +4,8 @@ For a base (D_n) the seminorms are ‖f‖_n = sup_{D_n} |f| and the norm is
 (Σ 2^-n ‖f‖_n²)^(1/2).  Truncation is handled by enclosures: every unseen
 seminorm is bounded by ‖f‖_∞, giving a tail of width 2^-N.  Dual norms of
 measures come either from the closed dirac formula 1/sqrt(w(t)) or from a
-seeded projected-ascent lower bound paired with a certified upper bound.
+seeded projected-ascent lower bound paired with a certified upper bound;
+`functional_bracket` picks between the two.
 """
 
 from __future__ import annotations
@@ -219,21 +220,24 @@ def dual_norm(
         raise DomainError(f"dual norm upper bound is not finite ({upper})")
     from .gridsearch import GridContext, maximize_linear_functional
 
-    gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=_measure_nodes(m))
+    gc = GridContext(ctx, m, grid_cells=grid_cells)
     coeffs = gc.functional_coeffs(m)
     # the pointwise bound |x(t)| <= ‖x‖/sqrt(w(t)) is tight at the optimum,
     # so the sign-matched inverse-sqrt-weight profile is a strong start
     wp = np.maximum(gc.weight_profile(), 1e-30)
     profile = np.where(coeffs >= 0.0, 1.0, -1.0) / np.sqrt(wp)
-    value, v_best, used = maximize_linear_functional(
-        gc, coeffs, budget, seed, extra_inits=(profile,)
-    )
-    witness = gc.to_plfunction(v_best)
-    # re-certify on the exact path: rescale so the exact hi is inside the ball
-    hi = d_norm(ctx, witness).hi
-    if hi > 1.0:
-        witness = witness.scaled(1.0 / (hi * RESCALE_SAFETY))
-    lower = integrate(witness, m)
+    with np.errstate(over="ignore"):  # overflow ends in a non-finite lower, refused below
+        value, v_best, used = maximize_linear_functional(
+            gc, coeffs, budget, seed, extra_inits=(profile,)
+        )
+        witness = gc.to_plfunction(v_best)
+        # re-certify on the exact path: rescale so the exact hi is inside the ball
+        hi = d_norm(ctx, witness).hi
+        if hi > 1.0:
+            witness = witness.scaled(1.0 / (hi * RESCALE_SAFETY))
+        lower = integrate(witness, m)
+    if not np.isfinite(lower):
+        raise DomainError(f"overflow while pairing the witness (lower bound {lower})")
     if lower > upper + 1e-12:
         raise CertificateFailure(
             f"feasible value {lower} exceeds certified upper bound {upper}",
@@ -247,8 +251,17 @@ def _crude_upper(ctx: DNormContext, m: Measure) -> float:
     return m.total_variation() / b_lo
 
 
-def _measure_nodes(m: Measure) -> np.ndarray:
-    pts = [t for t, _ in m.atoms]
-    if m.density is not None:
-        pts.extend(m.density.breakpoints.tolist())
-    return np.asarray(pts, dtype=np.float64)
+def functional_bracket(
+    ctx: DNormContext, m: Measure, budget: int, seed: int, grid_cells: int = 512
+) -> Enclosure:
+    """Certified bracket for ‖m‖*: |w| times the dirac formula for one
+    isolated atom, the dual_norm bracket for anything else."""
+    if len(m.atoms) == 1 and m.density is None:
+        t, w = m.atoms[0]
+        try:
+            enc = dirac_dual_norm(ctx, t)
+        except HypothesisError:
+            pass
+        else:
+            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi)
+    return dual_norm(ctx, m, budget=budget, seed=seed, grid_cells=grid_cells).as_enclosure()

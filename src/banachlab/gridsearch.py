@@ -18,30 +18,41 @@ from . import _kernels
 
 
 class GridContext:
-    """Precomputed seminorm geometry of a base against a node grid."""
+    """Precomputed seminorm geometry of a base against a node grid.
 
-    def __init__(
-        self,
-        ctx: DNormContext,
-        grid_cells: int = 512,
-        extra_nodes: np.ndarray | None = None,
-    ):
+    The uniform grid is refined by the breakpoints of every object passed: a
+    PLFunction's breakpoints, a Measure's atoms and density breakpoints.
+    """
+
+    def __init__(self, ctx: DNormContext, *objects, grid_cells: int = 512):
+        if grid_cells < 1:
+            raise DomainError("grid_cells must be >= 1")
         self.ctx = ctx
-        nodes = np.linspace(0.0, 1.0, grid_cells + 1)
-        if extra_nodes is not None and len(extra_nodes):
-            extra = np.asarray(extra_nodes, dtype=np.float64)
-            extra = extra[(extra >= 0.0) & (extra <= 1.0)]
-            nodes = np.union1d(nodes, extra)
-        self.nodes = nodes
-        g = nodes.size
-        lo, hi = ctx.interval_bounds
-        self.starts = np.searchsorted(nodes, lo, side="left")
-        self.ends = np.searchsorted(nodes, hi, side="right")
-        self._ka, self._ta = self._endpoint_data(lo)
-        self._kb, self._tb = self._endpoint_data(hi)
+        points = []
+        for obj in objects:
+            if isinstance(obj, Measure):
+                points.extend(t for t, _ in obj.atoms)
+                if obj.density is not None:
+                    points.extend(obj.density.breakpoints.tolist())
+            else:
+                points.extend(obj.breakpoints.tolist())
+        self.nodes = np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), points)
+        self.starts, self.ends, self._ka, self._ta, self._kb, self._tb = (
+            self.interval_geometry(*ctx.interval_bounds)
+        )
         self.weights = ctx.weights
         self.tail_weight = ctx.tail_weight
-        self.size = g
+        self.size = self.nodes.size
+
+    def interval_geometry(self, lo: np.ndarray, hi: np.ndarray):
+        """Node ranges and endpoint cells of the intervals [lo, hi]: nodes
+        ``starts:ends`` lie inside, and each end sits in cell ``ka``/``kb``
+        at fraction ``ta``/``tb``."""
+        starts = np.searchsorted(self.nodes, lo, side="left")
+        ends = np.searchsorted(self.nodes, hi, side="right")
+        ka, ta = self._endpoint_data(lo)
+        kb, tb = self._endpoint_data(hi)
+        return starts, ends, ka, ta, kb, tb
 
     def _endpoint_data(self, t: np.ndarray):
         k = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, self.nodes.size - 2)
@@ -90,11 +101,12 @@ class GridContext:
         """Coefficient vector c with c·v = ∫ v dm exactly for grid PL v."""
         g = self.nodes
         c = np.zeros(g.size)
-        for t, w in m.atoms:
-            k = int(np.clip(np.searchsorted(g, t, side="right") - 1, 0, g.size - 2))
-            th = (t - g[k]) / (g[k + 1] - g[k])
-            c[k] += w * (1.0 - th)
-            c[k + 1] += w * th
+        if m.atoms:
+            # interleaved k0, k0+1, k1, k1+1, ...: each atom in turn, as a loop adds
+            t, w = np.array(m.atoms).T
+            k, th = self._endpoint_data(t)
+            np.add.at(c, np.stack([k, k + 1], axis=1).ravel(),
+                      np.stack([w * (1.0 - th), w * th], axis=1).ravel())
         rho = m.density
         if rho is not None:
             # Simpson's rule on every piece between consecutive grid nodes and

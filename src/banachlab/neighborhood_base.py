@@ -24,6 +24,10 @@ from .errors import ConfigError, DomainError, ResolutionError
 #: long as enclosure tails are anchored at the skip point.
 MAX_EFFECTIVE_INDEX = 1074
 
+#: most intervals a leveled base may hold; levels=14 from i=1 (32,766) fits,
+#: and levels=40 (about 2^41) is refused before anything is allocated
+MAX_LEVELED_INTERVALS = 1 << 16
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
@@ -304,6 +308,13 @@ def build_leveled(
     """
     if i < 1 or levels < 1:
         raise ConfigError("i and levels must be positive")
+    # 2^(i+levels) - 2^i intervals, at least 2^(i+levels-1): the first test
+    # spares computing a huge power
+    n = i + levels
+    if n > MAX_LEVELED_INTERVALS.bit_length() or 2**n - 2**i > MAX_LEVELED_INTERVALS:
+        raise ConfigError(
+            f"leveled base i={i}, levels={levels} exceeds {MAX_LEVELED_INTERVALS} intervals"
+        )
     sched = schedule or EpsilonSchedule()
     intervals: list[Interval] = []
     level_of: list[int] = []

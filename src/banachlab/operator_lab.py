@@ -9,19 +9,18 @@ sequence model provides the exact control where the equation fails.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import DNormContext, d_norm, dirac_dual_norm, dual_norm
-from .errors import ConstructionError, DomainError
+from .d_norm import DNormContext, d_norm, functional_bracket
+from .errors import ConstructionError, DomainError, WitnessNotFoundError
 from .gridsearch import GridContext
 from .slice_lab import (
     SliceSpec,
     _slice_member_matrix,
-    norming_bump,
+    dirac_anchor,
     tent_flip_witness,
 )
 
@@ -46,20 +45,8 @@ class Rank1Projection:
     def norm_bracket(self, ctx: DNormContext, budget: int = 1500, seed: int = 0) -> Enclosure:
         """[‖u‖.lo·‖m‖*.lower, ‖u‖.hi·‖m‖*.upper]; rank-1 norms factor."""
         ue = d_norm(ctx, self.direction)
-        mb = _functional_bracket(ctx, self.functional, budget, seed)
+        mb = functional_bracket(ctx, self.functional, budget, seed)
         return Enclosure(ue.lo * mb.lo, ue.hi * mb.hi)
-
-
-def _functional_bracket(ctx, m: Measure, budget: int, seed: int) -> Enclosure:
-    if len(m.atoms) == 1 and m.density is None:
-        t, w = m.atoms[0]
-        try:
-            enc = dirac_dual_norm(ctx, t)
-            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi)
-        except Exception:
-            pass
-    br = dual_norm(ctx, m, budget=budget, seed=seed)
-    return br.as_enclosure()
 
 
 @dataclass(frozen=True)
@@ -104,13 +91,8 @@ def operator_norm_lower(
     Maximizes ‖Tx‖.lo/‖x‖.hi over grid candidates; the best witness is
     re-evaluated through the exact norm path before being reported.
     """
-    extra_nodes = []
-    if T.projection is not None:
-        extra_nodes.extend(T.projection.direction.breakpoints.tolist())
-        extra_nodes.extend(t for t, _ in T.projection.functional.atoms)
-    for f in extra_inits:
-        extra_nodes.extend(f.breakpoints.tolist())
-    gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=np.asarray(extra_nodes))
+    proj = () if T.projection is None else (T.projection.direction, T.projection.functional)
+    gc = GridContext(ctx, *proj, *extra_inits, grid_cells=grid_cells)
     coeffs = (
         gc.functional_coeffs(T.projection.functional)
         if T.projection is not None
@@ -178,7 +160,7 @@ def ld2p_plus_projection_check(
     """
     pe = P.norm_bracket(ctx, seed=seed)
     seeds: list[PLFunction] = []
-    mb = _functional_bracket(ctx, P.functional, 1000, seed)
+    mb = functional_bracket(ctx, P.functional, 1000, seed)
     S = SliceSpec(P.functional, mb, seed_epsilon)
     try:
         u = P.direction
@@ -190,7 +172,7 @@ def ld2p_plus_projection_check(
                 ctx, S, anchor, delta_target=seed_epsilon / 2.0, eta=margin / 2.0
             )
             seeds.append(cert.y)
-    except Exception:
+    except (DomainError, WitnessNotFoundError):
         pass
     res = operator_norm_lower(
         ctx, identity_minus(P), budget, seed, extra_inits=tuple(seeds)
@@ -223,20 +205,9 @@ def daugavet_slice_test(
     xe = d_norm(ctx, x)
     if max(xe.lo - 1.0, 1.0 - xe.hi, 0.0) > 0.05:
         raise DomainError("x must sit near the unit sphere")
-    extra = list(x.breakpoints)
-    extra.extend(t for t, _ in S.functional.atoms)
-    if S.functional.density is not None:
-        extra.extend(S.functional.density.breakpoints.tolist())
-    gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=np.asarray(extra))
-    anchor = None
-    if len(S.functional.atoms) == 1 and S.functional.density is None:
-        t0, w0 = S.functional.atoms[0]
-        try:
-            anchor = gc.sample_function(
-                norming_bump(ctx, t0).scaled(math.copysign(1.0, w0))
-            )
-        except DomainError:
-            anchor = None
+    gc = GridContext(ctx, x, S.functional, grid_cells=grid_cells)
+    bump = dirac_anchor(ctx, S.functional)
+    anchor = None if bump is None else gc.sample_function(bump)
     count = max(16, min(128, budget // 8))
     rows, evals = _slice_member_matrix(ctx, gc, S, count, seed, anchor_v=anchor)
     vx = gc.sample_function(x)

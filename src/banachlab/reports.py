@@ -8,6 +8,7 @@ never into the payload).
 
 from __future__ import annotations
 
+import json
 import sys
 from typing import Any
 
@@ -50,7 +51,7 @@ def _dump(obj: Any, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):

@@ -20,6 +20,11 @@ from .d_norm import DNormContext, d_norm, seminorms_all
 from .errors import DomainError, PremiseError, WitnessNotFoundError
 from .gridsearch import GridContext
 
+#: scan samples built and screened at once: on a grid of a few hundred nodes
+#: a block stays under the 4 MiB from which numpy asks for huge pages, which
+#: made the scan's peak memory jump ~4 MB from run to run
+SCAN_BLOCK_ROWS = 256
+
 
 def _require_unit(ctx: DNormContext, x: PLFunction, tol: float = 0.05):
     enc = d_norm(ctx, x)
@@ -120,17 +125,13 @@ def mlur_adversarial_search(
     skipped; the rest are refuted fast at the cover interval holding their
     max, with a full exact scan for anything that survives.
     """
-    x = cert.x
-    nodes = np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), x.breakpoints)
-    vx = np.asarray(pl_eval(x.breakpoints, x.values, nodes))
+    gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
+    nodes = gc.nodes
+    vx = gc.sample_function(cert.x)
     lo = np.array([b[0] for b in cert.cover_bounds])
     hi = np.array([b[1] for b in cert.cover_bounds])
-    starts = np.searchsorted(nodes, lo, side="left")
-    ends = np.searchsorted(nodes, hi, side="right")
-    ka = np.clip(np.searchsorted(nodes, lo, side="right") - 1, 0, nodes.size - 2)
-    ta = (lo - nodes[ka]) / (nodes[ka + 1] - nodes[ka])
-    kb = np.clip(np.searchsorted(nodes, hi, side="right") - 1, 0, nodes.size - 2)
-    tb = (hi - nodes[kb]) / (nodes[kb + 1] - nodes[kb])
+    # cover indices can pass n_eff, so the geometry comes from the bounds
+    starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
     allowed = np.array(cert.x_seminorms) + cert.epsilon
     # map grid node -> cover intervals containing it (each node sits in 1-2)
     node_to_cover: list[list[int]] = [[] for _ in range(nodes.size)]
@@ -148,52 +149,52 @@ def mlur_adversarial_search(
 
     rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
-    chunk = 1024
+    chunk = 1024  # samples drawn at once; this fixes the stream of samples
     scanned = 0
     counterexamples = 0
     survivors_checked = 0
     while scanned < samples:
         m = min(chunk, samples - scanned)
-        vy = _adversarial_chunk(rng, nodes, m, eps2)
         scanned += m
-        sup_y = np.max(np.abs(vy), axis=1)
-        cands = np.nonzero(sup_y > eps2)[0]
-        if cands.size == 0:
-            continue
-        argmax_nodes = np.argmax(np.abs(vy[cands]), axis=1)
-        alive = cands
-        nodes_alive = argmax_nodes
-        for which in (0, 1):
-            if alive.size == 0:
-                break
-            j = suspect[nodes_alive, which]
-            idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
-            valid = idx < ends[j][:, None]
-            vx_g = vx[idx]
-            vy_g = vy[alive[:, None], idx]
-            sup_pm = np.zeros(alive.size)
-            for sign in (1.0, -1.0):
-                v = np.abs(vx_g + sign * vy_g)
-                v[~valid] = 0.0
-                interior = v.max(axis=1)
-                ea = np.abs(
-                    (vx[ka[j]] + sign * vy[alive, ka[j]]) * (1.0 - ta[j])
-                    + (vx[ka[j] + 1] + sign * vy[alive, ka[j] + 1]) * ta[j]
-                )
-                eb = np.abs(
-                    (vx[kb[j]] + sign * vy[alive, kb[j]]) * (1.0 - tb[j])
-                    + (vx[kb[j] + 1] + sign * vy[alive, kb[j] + 1]) * tb[j]
-                )
-                sup_pm = np.maximum(sup_pm, np.maximum(interior, np.maximum(ea, eb)))
-            keep = sup_pm <= allowed[j]  # premise not yet refuted there
-            alive = alive[keep]
-            nodes_alive = nodes_alive[keep]
-        for row in alive:
-            survivors_checked += 1
-            y_pl = PLFunction(nodes, vy[row])
-            app = apply_certificate(cert, y_pl)
-            if app.premise and not app.conclusion:
-                counterexamples += 1
+        for vy in _adversarial_blocks(rng, nodes, m, eps2):
+            sup_y = np.max(np.abs(vy), axis=1)
+            cands = np.nonzero(sup_y > eps2)[0]
+            if cands.size == 0:
+                continue
+            argmax_nodes = np.argmax(np.abs(vy[cands]), axis=1)
+            alive = cands
+            nodes_alive = argmax_nodes
+            for which in (0, 1):
+                if alive.size == 0:
+                    break
+                j = suspect[nodes_alive, which]
+                idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
+                valid = idx < ends[j][:, None]
+                vx_g = vx[idx]
+                vy_g = vy[alive[:, None], idx]
+                sup_pm = np.zeros(alive.size)
+                for sign in (1.0, -1.0):
+                    v = np.abs(vx_g + sign * vy_g)
+                    v[~valid] = 0.0
+                    interior = v.max(axis=1)
+                    ea = np.abs(
+                        (vx[ka[j]] + sign * vy[alive, ka[j]]) * (1.0 - ta[j])
+                        + (vx[ka[j] + 1] + sign * vy[alive, ka[j] + 1]) * ta[j]
+                    )
+                    eb = np.abs(
+                        (vx[kb[j]] + sign * vy[alive, kb[j]]) * (1.0 - tb[j])
+                        + (vx[kb[j] + 1] + sign * vy[alive, kb[j] + 1]) * tb[j]
+                    )
+                    sup_pm = np.maximum(sup_pm, np.maximum(interior, np.maximum(ea, eb)))
+                keep = sup_pm <= allowed[j]  # premise not yet refuted there
+                alive = alive[keep]
+                nodes_alive = nodes_alive[keep]
+            for row in alive:
+                survivors_checked += 1
+                y_pl = PLFunction(nodes, vy[row])
+                app = apply_certificate(cert, y_pl)
+                if app.premise and not app.conclusion:
+                    counterexamples += 1
     return {
         "scanned": scanned,
         "counterexamples": counterexamples,
@@ -201,35 +202,44 @@ def mlur_adversarial_search(
     }
 
 
-def _adversarial_chunk(rng, nodes, m, eps2):
-    """Mixture of near-threshold bumps, plateaus and noise, sized around 2ε."""
-    g = nodes.size
+def _adversarial_blocks(rng, nodes, m, eps2):
+    """Mixture of near-threshold bumps, plateaus and noise, sized around 2ε:
+    m samples drawn at once, their rows yielded SCAN_BLOCK_ROWS at a time."""
     kind = rng.integers(0, 4, m)
     centers = rng.uniform(0.0, 1.0, m)
     widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.3), m))
     amps = eps2 * rng.uniform(0.8, 1.6, m)
     signs = rng.choice([-1.0, 1.0], m)
-    bump = np.clip(1.0 - np.abs(nodes[None, :] - centers[:, None]) / widths[:, None], 0.0, None)
-    out = signs[:, None] * amps[:, None] * bump
-    plateau = kind == 1
-    out[plateau] = (signs[plateau] * amps[plateau])[:, None] * np.clip(
-        2.0 * bump[plateau], 0.0, 1.0
-    )
     noisy = kind == 2
-    out[noisy] += 0.2 * eps2 * rng.standard_normal((int(noisy.sum()), g))
+    noise = 0.2 * eps2 * rng.standard_normal((int(noisy.sum()), nodes.size))
     smooth = kind == 3
+    wave = np.empty((0, nodes.size))
     if np.any(smooth):
         xs = np.linspace(0.0, 1.0, 33)
         coarse = rng.standard_normal((int(smooth.sum()), 33))
-        # linear interpolation of all rows at once
-        pos = np.clip(np.searchsorted(xs, nodes, side="right") - 1, 0, 31)
+        # linear interpolation of all rows at once; xs[k] = k/32 exactly, so
+        # the coarse cell of a node is floor(32·t)
+        pos = np.minimum((32.0 * nodes).astype(np.int64), 31)
         th = (nodes - xs[pos]) / (xs[pos + 1] - xs[pos])
-        out[smooth] = amps[smooth][:, None] * (
+        wave = amps[smooth][:, None] * (
             coarse[:, pos] * (1.0 - th)[None, :] + coarse[:, pos + 1] * th[None, :]
         )
-    out[:, 0] = out[:, 1]
-    out[:, -1] = out[:, -2]
-    return out
+    sa = (signs * amps)[:, None]
+    # the row of a noisy (smooth) sample in noise (wave)
+    noise_row, wave_row = np.cumsum(noisy) - 1, np.cumsum(smooth) - 1
+    for a in range(0, m, SCAN_BLOCK_ROWS):
+        blk = slice(a, a + SCAN_BLOCK_ROWS)
+        bump = 1.0 - np.abs(nodes[None, :] - centers[blk, None]) / widths[blk, None]
+        bump = np.clip(bump, 0.0, None)
+        out = sa[blk] * bump
+        plateau = kind[blk] == 1
+        out[plateau] = sa[blk][plateau] * np.clip(2.0 * bump[plateau], 0.0, 1.0)
+        nz, sm = noisy[blk], smooth[blk]
+        out[nz] += noise[noise_row[blk][nz]]
+        out[sm] = wave[wave_row[blk][sm]]
+        out[:, 0] = out[:, 1]
+        out[:, -1] = out[:, -2]
+        yield out
 
 
 def mlur_modulus(
@@ -252,7 +262,7 @@ def mlur_modulus(
         raise DomainError("epsilon must be nonnegative")
     if epsilon == 0.0:
         return 0.0
-    gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=x.breakpoints)
+    gc = GridContext(ctx, x, grid_cells=grid_cells)
     vx = gc.sample_function(x)
 
     def norms(v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,9 +439,7 @@ def non_octahedral_gap(
     sv = seminorms_all(ctx, v)
     profile_gap = float(np.max(np.abs(su - sv)))
 
-    gc = GridContext(
-        ctx, grid_cells=1024, extra_nodes=np.union1d(u.breakpoints, v.breakpoints)
-    )
+    gc = GridContext(ctx, u, v, grid_cells=1024)
     vu = gc.sample_function(u)
     vv = gc.sample_function(v)
     rng = np.random.default_rng(seed)

@@ -26,7 +26,6 @@ from .core_model import (
 )
 from .d_norm import (
     DNormContext,
-    DualNormBracket,
     conservative_value,
     d_norm,
     dirac_dual_norm,
@@ -74,11 +73,6 @@ def slice_contains(ctx: DNormContext, S: SliceSpec, x: PLFunction) -> bool:
     return S.value(x) > 1.0 - S.epsilon
 
 
-def slice_from_dual(m: Measure, bracket: DualNormBracket | Enclosure, epsilon: float) -> SliceSpec:
-    enc = bracket.as_enclosure() if isinstance(bracket, DualNormBracket) else bracket
-    return SliceSpec(m, enc, epsilon)
-
-
 # ---------------------------------------------------------------------------
 # extremal bumps and norming functionals
 # ---------------------------------------------------------------------------
@@ -106,6 +100,20 @@ def norming_bump(ctx: DNormContext, t: float) -> PLFunction:
     xs = np.array(sorted(pts))
     ys = np.array([pts[x] for x in xs])
     return PLFunction(xs, ys)
+
+
+def dirac_anchor(ctx: DNormContext, m: Measure) -> PLFunction | None:
+    """The norming bump of a one-atom functional, signed like its weight.
+
+    None for any other functional, or when the atom has no isolation margin.
+    """
+    if len(m.atoms) != 1 or m.density is not None:
+        return None
+    t, w = m.atoms[0]
+    try:
+        return norming_bump(ctx, t).scaled(math.copysign(1.0, w))
+    except DomainError:
+        return None
 
 
 def norming_functional(ctx: DNormContext, x: PLFunction, n_terms: int = 48) -> Measure:
@@ -553,7 +561,7 @@ def l2_sum_model_check(
     """
     radius = l2_sum_slice_inclusion(delta)
     Sd = SliceSpec(S.functional, S.functional_norm, delta)
-    gc = _grid_for(ctx, Sd, grid_cells)
+    gc = GridContext(ctx, Sd.functional, grid_cells=grid_cells)
     members, _ = _slice_member_matrix(ctx, gc, Sd, samples, seed)
     rng = np.random.default_rng(seed + 1)
     _, hi = gc.enclosures(members)
@@ -626,7 +634,7 @@ def subslice(
 
 
 def _verify_inclusion(ctx, Snew, S, anchor, samples, seed, grid_cells=256) -> bool:
-    gc = _grid_for(ctx, Snew, grid_cells, extra=anchor.breakpoints)
+    gc = GridContext(ctx, Snew.functional, anchor, grid_cells=grid_cells)
     try:
         members, _ = _slice_member_matrix(
             ctx, gc, Snew, samples, seed, anchor_v=gc.sample_function(anchor)
@@ -674,15 +682,6 @@ class DiameterEstimate:
     feasible_samples: int
     evaluations: int
     pair_distances: tuple[float, ...] = ()
-
-
-def _grid_for(ctx, S: SliceSpec | None, grid_cells: int, extra=None) -> GridContext:
-    nodes = [] if extra is None else list(np.asarray(extra).ravel())
-    if S is not None:
-        nodes.extend(t for t, _ in S.functional.atoms)
-        if S.functional.density is not None:
-            nodes.extend(S.functional.density.breakpoints.tolist())
-    return GridContext(ctx, grid_cells=grid_cells, extra_nodes=np.asarray(nodes))
 
 
 def _slice_member_matrix(
@@ -783,30 +782,19 @@ def diameter_lower_bound(
     else:
         raise DomainError(f"unknown set spec {set_spec!r}")
 
-    extra = []
-    for s in sets:
-        extra.extend(t for t, _ in s.functional.atoms)
-        if s.functional.density is not None:
-            extra.extend(s.functional.density.breakpoints.tolist())
-        for t, _ in s.functional.atoms:
-            try:
-                bump = norming_bump(ctx, t)
-                extra.extend(bump.breakpoints.tolist())
-            except DomainError:
-                pass
-    gc = GridContext(ctx, grid_cells=grid_cells, extra_nodes=np.asarray(extra))
+    # the grid refines every functional and the norming bump of each atom
+    bumps = [dirac_anchor(ctx, Measure.dirac(t)) for s in sets for t, _ in s.functional.atoms]
+    gc = GridContext(
+        ctx, *(s.functional for s in sets), *(b for b in bumps if b is not None),
+        grid_cells=grid_cells,
+    )
 
     per_slice = max(8, min(64, budget // (4 * len(sets))))
     evals = 0
     component_members = []
     for j, s in enumerate(sets):
-        anchor = None
-        if len(s.functional.atoms) == 1 and s.functional.density is None:
-            t0, w0 = s.functional.atoms[0]
-            try:
-                anchor = gc.sample_function(norming_bump(ctx, t0).scaled(math.copysign(1.0, w0)))
-            except DomainError:
-                anchor = None
+        bump = dirac_anchor(ctx, s.functional)
+        anchor = None if bump is None else gc.sample_function(bump)
         rows, used = _slice_member_matrix(
             ctx, gc, s, per_slice, seed + 101 * j, anchor_v=anchor
         )

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from banachlab import cli, reports
 from banachlab.cli import dispatch
 from banachlab.core_model import Measure, PLFunction, dump_function, dump_measure
 
@@ -81,6 +83,22 @@ class TestBadInputs:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cells", ["0", "-3"])
+    def test_grid_below_one(self, files, cells, capsys):
+        argv = ["--grid", cells, "--seed", "1", "dual-norm", "--measure", str(files / "dirac0.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_cells must be >= 1") and err.count("\n") == 1
+
+    def test_overflowing_witness(self, tmp_path, capsys):
+        # the bracket's upper end is finite, but pairing the witness overflows
+        m = tmp_path / "huge_density.json"
+        rho = PLFunction(np.array([0.0, 0.5, 1.0]), np.array([1e308, -1e308, 1e308]))
+        dump_measure(Measure(density=rho), str(m))
+        assert run(["--seed", "1", "dual-norm", "--measure", str(m)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow") and err.count("\n") == 1
 
     def test_non_finite_dual_norm(self, tmp_path, capsys):
         m = tmp_path / "huge.json"
@@ -208,3 +226,27 @@ class TestDeterminism:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pair_index,distance_lo"
         assert len(lines) > 1
+
+
+class TestSliceBracket:
+    def test_grid_reaches_the_functional_bracket(self, files, monkeypatch):
+        original, seen = cli.functional_bracket, []
+
+        def recording(ctx, m, budget, seed, grid_cells):
+            seen.append(grid_cells)
+            return original(ctx, m, budget, seed, grid_cells)
+
+        monkeypatch.setattr(cli, "functional_bracket", recording)
+        code = run(
+            ["--seed", "2", "--grid", "64", "slice-witness", "--measure",
+             str(files / "dirac_half.json"), "--fn", str(files / "one.json"),
+             "--eps", "0.3", "--delta", "0.15"]
+        )
+        assert code == 0 and seen == [64]
+
+
+def test_canonical_json_escapes_control_characters():
+    obj = {"a": "x\x01y\n", "k\x1f": "tab\there \\ \""}
+    assert json.loads(reports.canonical_json(obj)) == obj
+    # no control character: the same bytes as before, non-ASCII kept raw
+    assert reports.canonical_json({"s": "‖x‖ \\ \""}) == '{"s":"‖x‖ \\\\ \\""}'

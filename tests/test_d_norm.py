@@ -11,6 +11,7 @@ from banachlab.d_norm import (
     d_norm,
     dirac_dual_norm,
     dual_norm,
+    functional_bracket,
     seminorm,
     seminorms_all,
     sup_norm_bounds,
@@ -168,6 +169,32 @@ class TestDualNorm:
         assert d_norm(ctx8, br.witness).hi <= 1.0 + 1e-12
 
 
+class TestFunctionalBracket:
+    def test_isolated_dirac_takes_the_formula(self, ctx8):
+        enc = dirac_dual_norm(ctx8, 0.0)
+        got = functional_bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100, seed=0)
+        assert (got.lo, got.hi) == (2.5 * enc.lo, 2.5 * enc.hi)
+
+    @pytest.mark.parametrize("grid_cells", [512, 64])
+    def test_non_isolated_dirac_takes_dual_norm(self, ctx8, grid_cells):
+        m = Measure.dirac(1 / 3)
+        got = functional_bracket(ctx8, m, budget=200, seed=1, grid_cells=grid_cells)
+        ref = dual_norm(ctx8, m, budget=200, seed=1, grid_cells=grid_cells)
+        assert (got.lo, got.hi) == (ref.lower, ref.upper)
+
+    def test_density_takes_dual_norm(self, ctx8):
+        m = Measure(((0.0, 1.0),), PLFunction.tent())
+        got = functional_bracket(ctx8, m, budget=200, seed=2)
+        ref = dual_norm(ctx8, m, budget=200, seed=2)
+        assert (got.lo, got.hi) == (ref.lower, ref.upper)
+
+    def test_other_errors_propagate(self):
+        # isolated, but outside every stored interval: no fallback to the ascent
+        ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
+        with pytest.raises(DomainError, match="no stored weight"):
+            functional_bracket(ctx, Measure.dirac(0.8), budget=50, seed=0)
+
+
 def test_conservative_value_directions():
     from banachlab.core_model import Enclosure
 
@@ -258,5 +285,5 @@ def grid64(ctx8):
 def test_functional_coeffs_bit_identical(ctx8, grid64, rho):
     m = Measure(((0.3, 2.0), (0.5, -1.0)), rho)
     # density breakpoints inside grid cells, and on the nodes as dual_norm builds it
-    for gc in (grid64, GridContext(ctx8, grid_cells=64, extra_nodes=rho.breakpoints)):
+    for gc in (grid64, GridContext(ctx8, rho, grid_cells=64)):
         assert gc.functional_coeffs(m).tolist() == ref_functional_coeffs(gc, m).tolist()

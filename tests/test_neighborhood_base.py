@@ -161,6 +161,12 @@ class TestCustomAndSpec:
         b = parse_base_spec(f"custom:@{path}")
         assert b.n_max == 2 and not b.has_tail
 
+    @pytest.mark.parametrize("spec", ["leveled:i=1,levels=40", "leveled:i=40,levels=1"])
+    def test_interval_cap(self, spec):
+        # about 2^41 and 2^40 intervals: refused before any is built
+        with pytest.raises(ConfigError, match="exceeds"):
+            parse_base_spec(spec)
+
     def test_parse_unknown(self):
         with pytest.raises(ConfigError):
             parse_base_spec("fractal:i=1")

@@ -3,7 +3,12 @@ import pytest
 
 from banachlab.core_model import Measure, PLFunction, integrate, lin_comb
 from banachlab.d_norm import d_norm, dirac_dual_norm
-from banachlab.errors import ConstructionError, DomainError
+from banachlab.errors import (
+    CertificateFailure,
+    ConstructionError,
+    DomainError,
+    WitnessNotFoundError,
+)
 from banachlab.operator_lab import (
     OperatorExpr,
     Rank1Projection,
@@ -92,6 +97,22 @@ class TestProjectionEquation:
         assert rep["lower"] >= 1.9
         assert rep["upper"] == pytest.approx(1.0 + rep["projection_norm"].hi)
         assert rep["lower"] <= rep["upper"] + 1e-9
+
+    def test_flip_seeding_failures(self, ctx8, proj, monkeypatch):
+        from banachlab import operator_lab
+
+        def fail_with(exc):
+            def flip(*a, **k):
+                raise exc
+            monkeypatch.setattr(operator_lab, "tent_flip_witness", flip)
+
+        # a witness search that finds nothing only drops the seed
+        fail_with(WitnessNotFoundError("none"))
+        assert not ld2p_plus_projection_check(ctx8, proj, budget=64, seed=1)["flip_seeded"]
+        # a failed certificate is a real error and surfaces
+        fail_with(CertificateFailure("forged", inequality="flip distance lower bound"))
+        with pytest.raises(CertificateFailure):
+            ld2p_plus_projection_check(ctx8, proj, budget=64, seed=1)
 
     def test_trajectory_monotone(self, ctx8, proj):
         rep = ld2p_plus_projection_check(ctx8, proj, budget=2000, seed=12)

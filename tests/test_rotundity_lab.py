@@ -74,6 +74,23 @@ class TestApply:
         rep = mlur_adversarial_search(ctx8, forged, samples=5000, seed=4)
         assert rep["counterexamples"] > 0
 
+    def test_adversarial_search_independent_of_block_rows(self, ctx8, monkeypatch):
+        # samples are screened SCAN_BLOCK_ROWS at a time; 1024 is one block per
+        # draw.  The block size must not change a report, survivors included.
+        import dataclasses
+
+        from banachlab import rotundity_lab
+
+        x = unit(ctx8, PLFunction.tent())
+        cert = mlur_certificate(ctx8, x, 0.1)
+        forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / 2.0)
+        reps = []
+        for rows in (1024, 256, 100):
+            monkeypatch.setattr(rotundity_lab, "SCAN_BLOCK_ROWS", rows)
+            reps.append(mlur_adversarial_search(ctx8, forged, samples=3000, seed=8))
+        assert reps[0] == reps[1] == reps[2]
+        assert reps[0]["survivors_full_checked"] > reps[0]["counterexamples"] > 0
+
 
 class TestModulus:
     def test_zero_epsilon(self, ctx8):

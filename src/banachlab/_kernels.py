@@ -1,127 +1,24 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
 The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
-piecewise-linear f.  Two interchangeable backends implement it:
-
-* ``numba`` - an ``@njit`` scan, compiled lazily and cached on disk;
-* ``numpy`` - ``searchsorted`` + ``maximum.reduceat`` vectorization.
-
-The backend is selected once at import from the environment variable
-``BANACHLAB_KERNEL`` (``auto`` | ``numba`` | ``numpy``) and can be switched
-at runtime with :func:`set_backend` (used by the benchmark).  Both backends
-evaluate the same formulas on float64 and agree to the last bit on the
-endpoint interpolation used here.
+piecewise-linear f.  It runs as ``searchsorted`` plus ``maximum.reduceat``
+over whole arrays of intervals.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
-
-ENV_VAR = "BANACHLAB_KERNEL"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via BANACHLAB_KERNEL=numpy
-    njit = None
-    HAS_NUMBA = False
-
-
-def _resolve(mode: str) -> str:
-    mode = mode.lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ConfigError(f"unknown kernel backend {mode!r}")
-    if mode == "numba" and not HAS_NUMBA:
-        raise ConfigError("numba backend requested but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return mode
-
-
-_BACKEND = _resolve(os.environ.get(ENV_VAR, "auto"))
+HAS_NUMBA = False  # read by the environment stamp of perfbench/run.py
 
 
 def backend_name() -> str:
-    return _BACKEND
+    return "numpy"  # read by the environment stamp of perfbench/run.py
 
 
-def set_backend(mode: str) -> str:
-    """Switch the kernel backend; returns the resolved backend name."""
-    global _BACKEND
-    _BACKEND = _resolve(mode)
-    return _BACKEND
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _interp_nb(bx, by, t):
-        n = bx.shape[0]
-        lo, hi = 0, n - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bx[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        if t == bx[lo]:
-            return by[lo]
-        if t == bx[hi]:
-            return by[hi]
-        th = (t - bx[lo]) / (bx[hi] - bx[lo])
-        return by[lo] * (1.0 - th) + by[hi] * th
-
-    @njit(cache=True)
-    def _sup_abs_many_nb(bx, by, lo, hi, out):
-        nb = bx.shape[0]
-        for i in range(lo.shape[0]):
-            a = lo[i]
-            b = hi[i]
-            best = abs(_interp_nb(bx, by, a))
-            fb = abs(_interp_nb(bx, by, b))
-            if fb > best:
-                best = fb
-            k = np.searchsorted(bx, a)
-            while k < nb and bx[k] <= b:
-                v = abs(by[k])
-                if v > best:
-                    best = v
-                k += 1
-            out[i] = best
-
-    @njit(cache=True)
-    def _range_abs_max_nb(values, starts, ends, out):
-        nf = values.shape[0]
-        m = starts.shape[0]
-        for j in range(m):
-            s = starts[j]
-            e = ends[j]
-            for f in range(nf):
-                best = 0.0
-                for k in range(s, e):
-                    v = abs(values[f, k])
-                    if v > best:
-                        best = v
-                out[f, j] = best
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def interp_np(bx, by, t):
-    """Vectorized PL interpolation, bit-identical to the numba formula."""
+def pl_eval(bx: np.ndarray, by: np.ndarray, t):
+    """PL interpolation on breakpoint arrays; exact at breakpoints."""
     t = np.asarray(t, dtype=np.float64)
     k = np.clip(np.searchsorted(bx, t, side="right") - 1, 0, bx.shape[0] - 2)
     x0, x1 = bx[k], bx[k + 1]
@@ -131,47 +28,6 @@ def interp_np(bx, by, t):
     out = np.where(t == x0, y0, out)
     out = np.where(t == x1, y1, out)
     return out
-
-
-def _sup_abs_many_np(bx, by, lo, hi):
-    fa = np.abs(interp_np(bx, by, lo))
-    fb = np.abs(interp_np(bx, by, hi))
-    out = np.maximum(fa, fb)
-    ia = np.searchsorted(bx, lo, side="left")
-    ib = np.searchsorted(bx, hi, side="right")
-    nonempty = ib > ia
-    if np.any(nonempty):
-        aby = np.abs(by)
-        idx = np.empty(2 * lo.shape[0], dtype=np.int64)
-        idx[0::2] = np.minimum(ia, bx.shape[0] - 1)
-        idx[1::2] = np.minimum(np.maximum(ib, idx[0::2]), bx.shape[0] - 1)
-        # reduceat over [ia, ib); equal-index pairs give a bogus singleton,
-        # masked away below
-        red = np.maximum.reduceat(aby, idx)[0::2]
-        red[~nonempty] = 0.0
-        out = np.maximum(out, red)
-    return out
-
-
-def _range_abs_max_np(values, starts, ends):
-    nf = values.shape[0]
-    m = starts.shape[0]
-    nonempty = ends > starts
-    out = np.zeros((nf, m))
-    if np.any(nonempty):
-        g = values.shape[1]
-        idx = np.empty(2 * m, dtype=np.int64)
-        idx[0::2] = np.minimum(starts, g - 1)
-        idx[1::2] = np.minimum(np.maximum(ends, idx[0::2]), g - 1)
-        red = np.maximum.reduceat(np.abs(values), idx, axis=1)[:, 0::2]
-        red[:, ~nonempty] = 0.0
-        out = red
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
 
 
 def sup_abs_many(bx, by, lo, hi):
@@ -185,11 +41,20 @@ def sup_abs_many(bx, by, lo, hi):
     hi = np.ascontiguousarray(hi, dtype=np.float64)
     bx = np.ascontiguousarray(bx, dtype=np.float64)
     by = np.ascontiguousarray(by, dtype=np.float64)
-    if _BACKEND == "numba":
-        out = np.empty(lo.shape[0])
-        _sup_abs_many_nb(bx, by, lo, hi, out)
-        return out
-    return _sup_abs_many_np(bx, by, lo, hi)
+    out = np.maximum(np.abs(pl_eval(bx, by, lo)), np.abs(pl_eval(bx, by, hi)))
+    ia = np.searchsorted(bx, lo, side="left")
+    ib = np.searchsorted(bx, hi, side="right")
+    nonempty = ib > ia
+    if np.any(nonempty):
+        idx = np.empty(2 * lo.shape[0], dtype=np.int64)
+        idx[0::2] = np.minimum(ia, bx.shape[0] - 1)
+        idx[1::2] = np.minimum(np.maximum(ib, idx[0::2]), bx.shape[0] - 1)
+        # reduceat over [ia, ib); equal-index pairs give a bogus singleton,
+        # masked away below
+        red = np.maximum.reduceat(np.abs(by), idx)[0::2]
+        red[~nonempty] = 0.0
+        out = np.maximum(out, red)
+    return out
 
 
 def range_abs_max(values, starts, ends):
@@ -201,8 +66,13 @@ def range_abs_max(values, starts, ends):
     values = np.ascontiguousarray(values, dtype=np.float64)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     ends = np.ascontiguousarray(ends, dtype=np.int64)
-    if _BACKEND == "numba":
-        out = np.empty((values.shape[0], starts.shape[0]))
-        _range_abs_max_nb(values, starts, ends, out)
-        return out
-    return _range_abs_max_np(values, starts, ends)
+    nonempty = ends > starts
+    if not np.any(nonempty):
+        return np.zeros((values.shape[0], starts.shape[0]))
+    g = values.shape[1]
+    idx = np.empty(2 * starts.shape[0], dtype=np.int64)
+    idx[0::2] = np.minimum(starts, g - 1)
+    idx[1::2] = np.minimum(np.maximum(ends, idx[0::2]), g - 1)
+    out = np.maximum.reduceat(np.abs(values), idx, axis=1)[:, 0::2]
+    out[:, ~nonempty] = 0.0
+    return out

@@ -12,17 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import pl_eval
 from .errors import DomainError
-
-
-def pl_eval(bx: np.ndarray, by: np.ndarray, t):
-    """PL interpolation on breakpoint arrays; exact at breakpoints."""
-    return _kernels.interp_np(bx, by, t)
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,6 @@ class PLFunction:
     @staticmethod
     def constant(c: float) -> "PLFunction":
         return PLFunction(np.array([0.0, 1.0]), np.array([float(c), float(c)]))
-
-    @staticmethod
-    def from_points(points: Sequence[tuple[float, float]]) -> "PLFunction":
-        pts = sorted(points)
-        return PLFunction(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
 
     @staticmethod
     def tent(peak: float = 0.5, height: float = 1.0) -> "PLFunction":
@@ -147,10 +137,6 @@ class Interval:
 
     def clamped(self) -> tuple[float, float]:
         return max(self.left, 0.0), min(self.right, 1.0)
-
-
-def lipschitz_bound(f: PLFunction) -> float:
-    return f.lipschitz_bound()
 
 
 def sup_abs_on(f: PLFunction, interval: Interval) -> float:

@@ -118,6 +118,12 @@ def d_norm(ctx: DNormContext, f: PLFunction) -> Enclosure:
     return Enclosure(float(np.sqrt(lo2)), float(np.sqrt(hi2)))
 
 
+def into_unit_ball(ctx: DNormContext, f: PLFunction) -> PLFunction:
+    """f, or f radially rescaled so its exact norm enclosure hi is <= 1."""
+    hi = d_norm(ctx, f).hi
+    return f.scaled(1.0 / (hi * RESCALE_SAFETY)) if hi > 1.0 else f
+
+
 def sup_norm_bounds(ctx: DNormContext) -> tuple[float, dict]:
     """Certified lower equivalence constant b_lo with ‖·‖_D ≥ b_lo·‖·‖_∞.
 
@@ -230,11 +236,8 @@ def dual_norm(
         value, v_best, used = maximize_linear_functional(
             gc, coeffs, budget, seed, extra_inits=(profile,)
         )
-        witness = gc.to_plfunction(v_best)
         # re-certify on the exact path: rescale so the exact hi is inside the ball
-        hi = d_norm(ctx, witness).hi
-        if hi > 1.0:
-            witness = witness.scaled(1.0 / (hi * RESCALE_SAFETY))
+        witness = into_unit_ball(ctx, gc.to_plfunction(v_best))
         lower = integrate(witness, m)
     if not np.isfinite(lower):
         raise DomainError(f"overflow while pairing the witness (lower bound {lower})")

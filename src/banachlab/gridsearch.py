@@ -9,6 +9,8 @@ of 10^4..10^5 norm evaluations cheap.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .core_model import Measure, PLFunction, pl_eval
@@ -37,9 +39,6 @@ class GridContext:
             else:
                 points.extend(obj.breakpoints.tolist())
         self.nodes = np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), points)
-        self.starts, self.ends, self._ka, self._ta, self._kb, self._tb = (
-            self.interval_geometry(*ctx.interval_bounds)
-        )
         self.weights = ctx.weights
         self.tail_weight = ctx.tail_weight
         self.size = self.nodes.size
@@ -54,6 +53,12 @@ class GridContext:
         kb, tb = self._endpoint_data(hi)
         return starts, ends, ka, ta, kb, tb
 
+    @cached_property
+    def stored_geometry(self):
+        """interval_geometry of the stored intervals, built on first use: the
+        MLUR scan, which builds a grid only for its cover, never needs it."""
+        return self.interval_geometry(*self.ctx.interval_bounds)
+
     def _endpoint_data(self, t: np.ndarray):
         k = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, self.nodes.size - 2)
         th = (t - self.nodes[k]) / (self.nodes[k + 1] - self.nodes[k])
@@ -67,9 +72,10 @@ class GridContext:
     def seminorms(self, v2d: np.ndarray) -> np.ndarray:
         """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows."""
         v2d = np.atleast_2d(v2d)
-        interior = _kernels.range_abs_max(v2d, self.starts, self.ends)
-        fa = np.abs(self._endpoint_values(v2d, self._ka, self._ta))
-        fb = np.abs(self._endpoint_values(v2d, self._kb, self._tb))
+        starts, ends, ka, ta, kb, tb = self.stored_geometry
+        interior = _kernels.range_abs_max(v2d, starts, ends)
+        fa = np.abs(self._endpoint_values(v2d, ka, ta))
+        fb = np.abs(self._endpoint_values(v2d, kb, tb))
         return np.maximum(interior, np.maximum(fa, fb))
 
     def enclosures(self, v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import DNormContext, d_norm, functional_bracket
+from .d_norm import DNormContext, d_norm, functional_bracket, into_unit_ball
 from .errors import ConstructionError, DomainError, WitnessNotFoundError
 from .gridsearch import GridContext
 from .slice_lab import (
@@ -23,6 +23,10 @@ from .slice_lab import (
     dirac_anchor,
     tent_flip_witness,
 )
+
+
+#: dual_norm budget of the functional bracket behind ‖P‖
+NORM_BUDGET = 1500
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +46,16 @@ class Rank1Projection:
     def apply(self, x: PLFunction) -> PLFunction:
         return self.direction.scaled(integrate(x, self.functional))
 
-    def norm_bracket(self, ctx: DNormContext, budget: int = 1500, seed: int = 0) -> Enclosure:
+    def norm_bracket(
+        self, ctx: DNormContext, budget: int = NORM_BUDGET, seed: int = 0
+    ) -> Enclosure:
         """[‖u‖.lo·‖m‖*.lower, ‖u‖.hi·‖m‖*.upper]; rank-1 norms factor."""
+        return self.norm_from(ctx, functional_bracket(ctx, self.functional, budget, seed))
+
+    def norm_from(self, ctx: DNormContext, functional_norm: Enclosure) -> Enclosure:
+        """The norm_bracket factorization, given a bracket for ‖m‖*."""
         ue = d_norm(ctx, self.direction)
-        mb = functional_bracket(ctx, self.functional, budget, seed)
-        return Enclosure(ue.lo * mb.lo, ue.hi * mb.hi)
+        return Enclosure(ue.lo * functional_norm.lo, ue.hi * functional_norm.hi)
 
 
 @dataclass(frozen=True)
@@ -158,14 +167,13 @@ def ld2p_plus_projection_check(
     (1 + ‖P‖.lo) − lower should shrink with budget on spaces where every
     slice reaches diameter 2.
     """
-    pe = P.norm_bracket(ctx, seed=seed)
+    # one bracket for ‖m‖* serves ‖P‖ and the seeding slice
+    mb = functional_bracket(ctx, P.functional, NORM_BUDGET, seed)
+    pe = P.norm_from(ctx, mb)
     seeds: list[PLFunction] = []
-    mb = functional_bracket(ctx, P.functional, 1000, seed)
     S = SliceSpec(P.functional, mb, seed_epsilon)
     try:
-        u = P.direction
-        ue = d_norm(ctx, u)
-        anchor = u if ue.hi <= 1.0 + 1e-9 else u.scaled(1.0 / (ue.hi * (1.0 + 1e-12)))
+        anchor = into_unit_ball(ctx, P.direction)
         margin = S.value(anchor) - (1.0 - seed_epsilon)
         if margin > 0.0:
             cert = tent_flip_witness(

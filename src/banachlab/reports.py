@@ -14,9 +14,8 @@ from typing import Any
 
 import numpy as np
 
+from . import __version__
 from .core_model import Enclosure, Measure, PLFunction, function_to_dict, measure_to_dict
-
-VERSION = "0.1.0"
 
 
 def _convert(obj: Any) -> Any:
@@ -90,7 +89,7 @@ def build_report(subcommand: str, config: dict, results: Any) -> dict:
         "subcommand": subcommand,
         "config": config,
         "results": results,
-        "version": VERSION,
+        "version": __version__,
     }
 
 

@@ -29,6 +29,7 @@ from .d_norm import (
     conservative_value,
     d_norm,
     dirac_dual_norm,
+    into_unit_ball,
     seminorms_all,
     sup_norm_bounds,
 )
@@ -853,10 +854,7 @@ def diameter_lower_bound(
 
 def _flip_seed_pair(ctx, S, gc, anchor_row, shell_tau):
     try:
-        x_pl = gc.to_plfunction(anchor_row)
-        hi = d_norm(ctx, x_pl).hi
-        if hi > 1.0:
-            x_pl = x_pl.scaled(1.0 / (hi * (1.0 + 1e-12)))
+        x_pl = into_unit_ball(ctx, gc.to_plfunction(anchor_row))
         margin = S.value(x_pl) - (1.0 - S.epsilon)
         delta = min(0.08, S.epsilon / 2.0)
         if margin <= 0.0 or d_norm(ctx, x_pl).lo <= 1.0 - delta:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from banachlab import _kernels
 from banachlab.core_model import PLFunction
-from banachlab.d_norm import DNormContext, d_norm
+from banachlab.d_norm import DNormContext
 from banachlab.neighborhood_base import build_leveled
 
 
@@ -16,14 +15,6 @@ def base8():
 @pytest.fixture(scope="session")
 def ctx8(base8):
     return DNormContext(base8)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels(ctx8):
-    # first numba call compiles; keep that out of timed sections
-    d_norm(ctx8, PLFunction.constant(1.0))
-    _kernels.range_abs_max(np.zeros((1, 4)), np.array([0]), np.array([3]))
-    yield
 
 
 def random_pl(rng, n_interior=12, amplitude=1.0):

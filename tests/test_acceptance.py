@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Stated tolerances are
-pinned here; timing assertions measure warm-kernel wall time.
+pinned here; timing assertions measure wall time.
 """
 
 import json

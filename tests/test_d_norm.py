@@ -12,6 +12,7 @@ from banachlab.d_norm import (
     dirac_dual_norm,
     dual_norm,
     functional_bracket,
+    into_unit_ball,
     seminorm,
     seminorms_all,
     sup_norm_bounds,
@@ -167,6 +168,13 @@ class TestDualNorm:
     def test_witness_certified_feasible(self, ctx8):
         br = dual_norm(ctx8, Measure.lebesgue(), budget=300, seed=4)
         assert d_norm(ctx8, br.witness).hi <= 1.0 + 1e-12
+
+    def test_into_unit_ball(self, ctx8):
+        inside = PLFunction.tent()
+        assert into_unit_ball(ctx8, inside) is inside
+        scaled = into_unit_ball(ctx8, PLFunction.constant(3.0))
+        assert 1.0 - 1e-9 < d_norm(ctx8, scaled).hi <= 1.0
+        assert scaled.values[0] == scaled.values[1] > 0.0
 
 
 class TestFunctionalBracket:

@@ -53,9 +53,11 @@ class TestIntervalGeometry:
     def test_stored_intervals(self, ctx8):
         f = PLFunction(np.array([0.0, 0.3141, 1.0]), np.array([0.0, 1.0, 0.0]))
         gc = GridContext(ctx8, f, grid_cells=100)
+        assert "stored_geometry" not in vars(gc)  # built on first use only
+        gc.seminorms(gc.sample_function(f))
+        assert "stored_geometry" in vars(gc)
         ref = ref_interval_geometry(gc.nodes, *ctx8.interval_bounds)
-        got = (gc.starts, gc.ends, gc._ka, gc._ta, gc._kb, gc._tb)
-        for a, b in zip(got, ref):
+        for a, b in zip(gc.stored_geometry, ref):
             assert a.tolist() == b.tolist()
 
     def test_cover_beyond_n_eff(self):

@@ -2,19 +2,8 @@ import numpy as np
 import pytest
 
 from banachlab import _kernels
-from banachlab.errors import ConfigError
 
 from conftest import random_pl
-
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    previous = _kernels.backend_name()
-    _kernels.set_backend(request.param)
-    yield request.param
-    _kernels.set_backend(previous)
 
 
 def brute_sup(f, a, b, n=20000):
@@ -23,7 +12,7 @@ def brute_sup(f, a, b, n=20000):
     return float(np.max(np.abs(f.eval(ts))))
 
 
-def test_sup_abs_many_matches_brute(backend):
+def test_sup_abs_many_matches_brute():
     rng = np.random.default_rng(10)
     f = random_pl(rng, 40)
     lo = rng.uniform(0.0, 0.8, 64)
@@ -35,7 +24,7 @@ def test_sup_abs_many_matches_brute(backend):
         assert out[k] >= brute_sup(f, lo[k], hi[k]) - 1e-12  # closure sup dominates
 
 
-def test_sup_abs_endpoints_only(backend):
+def test_sup_abs_endpoints_only():
     rng = np.random.default_rng(11)
     f = random_pl(rng, 5)
     # intervals containing no breakpoints
@@ -46,7 +35,7 @@ def test_sup_abs_endpoints_only(backend):
     assert out[0] == pytest.approx(expect, abs=1e-15)
 
 
-def test_range_abs_max_matches_loop(backend):
+def test_range_abs_max_matches_loop():
     rng = np.random.default_rng(12)
     values = rng.standard_normal((7, 50))
     starts = np.array([0, 10, 49, 20, 5])
@@ -56,35 +45,3 @@ def test_range_abs_max_matches_loop(backend):
         for j in range(5):
             expect = np.max(np.abs(values[i, starts[j]:ends[j]])) if ends[j] > starts[j] else 0.0
             assert out[i, j] == expect
-
-
-def test_backends_agree_bitwise():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(13)
-    f = random_pl(rng, 60)
-    lo = rng.uniform(0.0, 0.9, 128)
-    hi = np.minimum(lo + rng.uniform(0.001, 0.3, 128), 1.0)
-    values = rng.standard_normal((9, 33))
-    starts = rng.integers(0, 30, 16)
-    ends = starts + rng.integers(0, 3, 16)
-    outs = {}
-    prev = _kernels.backend_name()
-    for b in ("numpy", "numba"):
-        _kernels.set_backend(b)
-        outs[b] = (
-            _kernels.sup_abs_many(f.breakpoints, f.values, lo, hi),
-            _kernels.range_abs_max(values, starts, ends),
-        )
-    _kernels.set_backend(prev)
-    assert np.array_equal(outs["numpy"][0], outs["numba"][0])
-    assert np.array_equal(outs["numpy"][1], outs["numba"][1])
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ConfigError):
-        _kernels.set_backend("fortran")
-
-
-def test_env_var_name_stable():
-    assert _kernels.ENV_VAR == "BANACHLAB_KERNEL"

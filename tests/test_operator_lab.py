@@ -114,6 +114,23 @@ class TestProjectionEquation:
         with pytest.raises(CertificateFailure):
             ld2p_plus_projection_check(ctx8, proj, budget=64, seed=1)
 
+    def test_one_dual_norm_ascent(self, ctx8, monkeypatch):
+        # ‖P‖ and the seeding slice share one bracket for a non-dirac functional
+        import sys
+
+        d_norm_module = sys.modules["banachlab.d_norm"]  # the package exports d_norm()
+        budgets = []
+        ascent = d_norm_module.dual_norm
+
+        def counted(ctx, m, budget=2000, **kw):
+            budgets.append(budget)
+            return ascent(ctx, m, budget=budget, **kw)
+
+        monkeypatch.setattr(d_norm_module, "dual_norm", counted)
+        P = Rank1Projection(PLFunction.constant(1.0), Measure.lebesgue())
+        ld2p_plus_projection_check(ctx8, P, budget=64, seed=1)
+        assert budgets == [1500]
+
     def test_trajectory_monotone(self, ctx8, proj):
         rep = ld2p_plus_projection_check(ctx8, proj, budget=2000, seed=12)
         traj = rep["trajectory"]

@@ -91,6 +91,34 @@ class TestApply:
         assert reps[0] == reps[1] == reps[2]
         assert reps[0]["survivors_full_checked"] > reps[0]["counterexamples"] > 0
 
+    def test_smooth_rows_interpolate_the_coarse_grid(self):
+        # the smooth kind looks up its coarse cell as floor(32·t); it must
+        # agree with pl_eval on the cell edges k/32, just below them, and at 1
+        from banachlab.core_model import pl_eval
+        from banachlab.rotundity_lab import _adversarial_blocks
+
+        k32 = np.arange(33) / 32.0
+        inner = np.union1d(k32, np.nextafter(k32[1:], 0.0))
+        # the end columns are overwritten by their neighbours, so 0 and 1
+        # repeat there to keep them among the compared columns
+        nodes = np.concatenate([[0.0], inner, [1.0]])
+        m, eps2 = 64, 0.2
+        rows = np.vstack(list(_adversarial_blocks(np.random.default_rng(9), nodes, m, eps2)))
+        # replay the draws in _adversarial_blocks' order
+        rng = np.random.default_rng(9)
+        kind = rng.integers(0, 4, m)
+        rng.uniform(0.0, 1.0, m)
+        rng.uniform(np.log(2.0 ** -9), np.log(0.3), m)
+        amps = eps2 * rng.uniform(0.8, 1.6, m)
+        rng.choice([-1.0, 1.0], m)
+        rng.standard_normal((int((kind == 2).sum()), nodes.size))
+        coarse = rng.standard_normal((int((kind == 3).sum()), 33))
+        smooth = np.nonzero(kind == 3)[0]
+        assert smooth.size > 0
+        for row, amp, ys in zip(smooth, amps[smooth], coarse):
+            expect = amp * pl_eval(k32, ys, nodes)
+            assert rows[row, 1:-1].tolist() == expect[1:-1].tolist()
+
 
 class TestModulus:
     def test_zero_epsilon(self, ctx8):

@@ -21,3 +21,11 @@ def test_traced_name_resolves(module, path):
     for part in cls_path:
         owner = getattr(owner, part)
     assert callable(owner.__dict__[attr])
+
+
+def test_env_stamp_names_resolve():
+    # perfbench/run.py stamps the kernel backend into every benchmark record
+    from banachlab import _kernels
+
+    assert _kernels.backend_name() == "numpy"
+    assert _kernels.HAS_NUMBA is False

@@ -152,12 +152,21 @@ def _parse_schedule(spec: str) -> ExponentSchedule:
 def _parse_vec(text: str | None) -> np.ndarray:
     if text is None:
         raise ConfigError("nested --op norm needs --vec")
+    bad = ConfigError(f"--vec must be a flat, non-empty JSON array of numbers, got {text!r}")
     try:
-        vec = np.asarray(json.loads(text), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--vec must be a JSON array of numbers, got {text!r}") from None
+        items = json.loads(text)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+        raise bad from None
+    # exact types: json gives bool for true/false, and bool is an int subclass
+    if type(items) is not list or not items or any(type(v) not in (int, float) for v in items):
+        raise bad
+    not_finite = ConfigError("--vec entries must be finite")
+    try:
+        vec = np.asarray(items, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise not_finite from None
     if not np.all(np.isfinite(vec)):
-        raise ConfigError("--vec entries must be finite")
+        raise not_finite
     return vec
 
 

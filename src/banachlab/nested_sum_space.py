@@ -10,11 +10,20 @@ wide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DomainError, ResolutionError
+
+#: float64 values per block of pair differences in `large_slice_check`'s
+#: screen: 1 MiB a block, however many pairs there are
+_SCREEN_FLOATS = 2**17
+#: screened distances within this relative gap of the screened maximum are
+#: re-ranked with the exact fold; the screen agrees with it to about 1e-15
+_RERANK_REL = 1e-9
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -29,18 +38,27 @@ class ExponentSchedule:
         p = tuple(float(q) for q in self.exponents)
         if not p:
             raise DomainError("schedule needs at least one exponent")
+        # an inf exponent is the sup-norm limit; nan compares false and would pass
+        if any(math.isnan(q) for q in p):
+            raise DomainError("exponents must not be nan")
         if p[0] <= 1.0 or any(b <= a for a, b in zip(p, p[1:])):
             raise DomainError("exponents must be strictly increasing and > 1")
-        if self.tail_inv_sum < 0.0:
-            raise DomainError("tail bound must be nonnegative")
+        if not 0.0 <= self.tail_inv_sum < math.inf:
+            raise DomainError("tail bound must be finite and nonnegative")
         object.__setattr__(self, "exponents", p)
 
     @staticmethod
     def geometric(base: float = 2.0, start: float = 4.0, count: int = 12) -> "ExponentSchedule":
         """p_i = start·base^(i-1); the reciprocal tail sums in closed form."""
-        if base <= 1.0 or start <= 1.0 or count < 1:
+        if not (base > 1.0 and start > 1.0 and count >= 1):
             raise DomainError("need base > 1, start > 1, count >= 1")
-        p = tuple(start * base ** i for i in range(count))
+        try:
+            p = tuple(start * base**i for i in range(count))
+            if not math.isfinite(p[-1]):
+                raise OverflowError
+        except OverflowError:
+            msg = f"geometric exponents overflow: start·base^{count - 1} is not finite"
+            raise DomainError(msg) from None
         tail = 1.0 / (p[-1] * (base - 1.0))
         return ExponentSchedule(p, tail_inv_sum=tail)
 
@@ -72,6 +90,57 @@ def nested_norm(sched: ExponentSchedule, v) -> float:
             # scale out the max so the huge exponents never overflow
             acc = m * ((a / m) ** p + (acc / m) ** p) ** (1.0 / p)
     return acc
+
+
+def _fold_columns(sched: ExponentSchedule, block: np.ndarray) -> np.ndarray:
+    """Folded norms of the columns of a (dim, k) block, one coordinate at a time.
+
+    Each step is hi·(1 + (lo/hi)^p)^(1/p) with hi, lo the larger and smaller
+    of |v_j| and the running norm: the same max-scaling as `nested_norm`, but
+    its last bits may differ, so the result only screens.
+    """
+    acc = np.abs(block[-1])
+    for j in range(block.shape[0] - 2, -1, -1):
+        p = sched.exponents[j]
+        a = np.abs(block[j])
+        hi = np.maximum(a, acc)
+        lo = np.minimum(a, acc, out=a)
+        # the smallest subnormal leaves every positive hi as it is and turns 0/0 into 0
+        ratio = lo / np.maximum(hi, _TINY)
+        acc = hi * (1.0 + ratio**p) ** (1.0 / p)
+    return acc
+
+
+def _near_max_pairs(sched: ExponentSchedule, members: list) -> list[tuple[int, int]]:
+    """Row-major (i, j), i < j, of the member pairs whose screened distance is
+    within `_RERANK_REL` of the screened maximum.
+
+    Pairs are numbered row-major and screened in blocks of at most
+    `_SCREEN_FLOATS` coordinates, so no array grows with the number of pairs.
+    """
+    cols = np.array(members).T.copy()  # (dim, n): one coordinate per row
+    dim, n = cols.shape
+    rows = np.arange(n)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2  # pairs before row i
+    total = n * (n - 1) // 2
+    step = max(1, _SCREEN_FLOATS // dim)
+    top = -np.inf
+    near = []
+    for lo in range(0, total, step):
+        lin = np.arange(lo, min(lo + step, total))
+        i = np.searchsorted(starts, lin, side="right") - 1
+        j = lin - starts[i] + i + 1
+        d = _fold_columns(sched, cols[:, i] - cols[:, j])
+        top = max(top, float(d.max()))
+        # a pair near the final maximum is near the running one too
+        keep = d >= top * (1.0 - _RERANK_REL)
+        near.append((i[keep], j[keep], d[keep]))
+    cut = top * (1.0 - _RERANK_REL)
+    return [
+        (int(a), int(b))
+        for i, j, d in near
+        for a, b in zip(i[d >= cut], j[d >= cut])
+    ]
 
 
 def identity_operator_norm(p: float) -> float:
@@ -148,10 +217,13 @@ def large_slice_check(
     Requires the tail from m to be (1+ε/4)-close to the sup-norm model,
     i.e. 2^(Σ_{i≥m} 1/p_i) ≤ 1 + ε/4.  The deterministic witness pair
     a·e_m ± c·e_K already achieves 2c with c = (1 − a^{p_m})^{1/p_m}, and
-    a random search tries to do better.
+    a random search tries to do better.  Every pair of members is screened
+    whole-array; the near-best ones are ranked by the exact `nested_norm`.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
+    if budget < 0:
+        raise DomainError("budget must be >= 0 (0 keeps the deterministic pair only)")
     if not 1 <= m <= sched.capacity:
         raise DomainError(f"coordinate index m={m} outside 1..{sched.capacity}")
     tail_product = 2.0 ** sched.inv_sum(start=m)
@@ -183,12 +255,13 @@ def large_slice_check(
         cand = cand / (nrm * (1.0 + 1e-12))
         if cand[m - 1] > 1.0 - epsilon:
             members.append(cand)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = nested_norm(sched, members[i] - members[j])
-            if d > best:
-                best = d
-                best_pair = (members[i].copy(), members[j].copy())
+    # the screen only nominates pairs; the exact fold ranks them in row-major
+    # order, so the strict `>` keeps the first of any tie
+    for i, j in _near_max_pairs(sched, members):
+        d = nested_norm(sched, members[i] - members[j])
+        if d > best:
+            best = d
+            best_pair = (members[i].copy(), members[j].copy())
     return {
         "best_distance": float(best),
         "pair": best_pair,

@@ -9,6 +9,7 @@ never into the payload).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Any
 
@@ -27,10 +28,12 @@ def _convert(obj: Any) -> Any:
         return measure_to_dict(obj)
     if isinstance(obj, dict):
         return {str(k): _convert(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_convert(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_convert(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return list(obj)  # each item would convert to itself
+        return [_convert(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -68,6 +71,10 @@ def _dump(obj: Any, out: list[str]) -> None:
             _dump(obj[k], out)
         out.append("}")
     elif isinstance(obj, list):
+        if all(type(v) is float and math.isfinite(v) for v in obj):
+            # the bytes of the per-item path below, without its recursion
+            out.append("[" + ",".join(map("{:.17g}".format, obj)) + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:

@@ -77,6 +77,15 @@ class TestBadInputs:
             ["nested", "--op", "norm", "--vec", "[1e999]"],
             ["nested", "--p", "geometric:base=x", "--op", "product"],
             ["--out", "/nonexistent-banachlab-dir/r.json", "nested", "--op", "product"],
+            ["nested", "--p", "geometric:base=1e308,count=3", "--op", "product"],
+            ["nested", "--p", "list:2,nan", "--op", "product"],
+            ["nested", "--p", "geometric:base=nan", "--op", "product"],
+            ["nested", "--op", "norm", "--vec", "[[1,2],[3,4]]"],
+            ["nested", "--op", "norm", "--vec", "3"],
+            ["nested", "--op", "norm", "--vec", '["1"]'],
+            ["nested", "--op", "norm", "--vec", "[1" + "0" * 400 + "]"],
+            ["--budget", "-5", "--seed", "1", "nested", "--op", "slice"],
+            ["nested", "--op", "norm", "--vec", "[" * 5000 + "]" * 5000],
         ],
     )
     def test_one_line_error(self, argv, capsys):
@@ -106,6 +115,19 @@ class TestBadInputs:
         assert run(["--seed", "1", "dual-norm", "--measure", str(m)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestNestedEdges:
+    def test_infinite_exponent_is_the_sup_limit(self, tmp_path):
+        out = tmp_path / "n.json"
+        assert run(["nested", "--p", "list:2,inf", "--op", "norm", "--vec", "[1,1,1]"], out) == 0
+        assert json.loads(out.read_text())["results"]["norm"] == 2.0 ** 0.5
+
+    def test_zero_budget_slice(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["--budget", "0", "--seed", "1", "nested", "--op", "slice"], out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["members"] == 2 and res["best_distance"] == 2.0
 
 
 class TestWitnessAndReports:

@@ -1,10 +1,13 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachlab import nested_sum_space
 from banachlab.errors import DataError, DomainError, ResolutionError
 from banachlab.nested_sum_space import (
     ExponentSchedule,
@@ -16,6 +19,9 @@ from banachlab.nested_sum_space import (
 )
 
 GEO = ExponentSchedule.geometric(2.0, 4.0, 12)
+FAST = ExponentSchedule.geometric(2.0, 32.0, 8)
+#: the last exponent is the sup-norm limit: that fold step returns the max
+WITH_INF = ExponentSchedule((4.0, 8.0, 16.0, 32.0, 64.0, math.inf))
 
 
 def nested_norm_oracle(sched, v):
@@ -140,6 +146,136 @@ class TestWur:
             wur_difference_extraction(GEO, [np.zeros(3)], [np.zeros(3)], tol=0.1)
 
 
+def scalar_large_slice(sched, m, epsilon, budget, seed):
+    """The quadratic scalar pair loop that the whole-array screen replaced,
+    kept as the reference for its results (`large_slice_check` checks the
+    inputs, so this copy does not)."""
+    tail_product = 2.0 ** sched.inv_sum(start=m)
+    dim = sched.capacity
+    a = (1.0 - epsilon) * (1.0 + 1e-12) + 1e-15
+    p_m = sched.exponents[m - 1] if m < dim else sched.exponents[-1]
+    c = (1.0 - a ** p_m) ** (1.0 / p_m) if m < dim else 0.0
+    x = np.zeros(dim)
+    y = np.zeros(dim)
+    x[m - 1] = a
+    y[m - 1] = a
+    if m < dim:
+        x[-1] = c
+        y[-1] = -c
+    best = nested_norm(sched, x - y)
+    best_pair = (x.copy(), y.copy())
+    rng = np.random.default_rng(seed)
+    members = [x, y]
+    for _ in range(budget):
+        cand = rng.standard_normal(dim)
+        cand[m - 1] = abs(cand[m - 1]) + 1.0
+        nrm = nested_norm(sched, cand)
+        cand = cand / (nrm * (1.0 + 1e-12))
+        if cand[m - 1] > 1.0 - epsilon:
+            members.append(cand)
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            d = nested_norm(sched, members[i] - members[j])
+            if d > best:
+                best = d
+                best_pair = (members[i].copy(), members[j].copy())
+    return {
+        "best_distance": float(best),
+        "pair": best_pair,
+        "tail_product": tail_product,
+        "members": len(members),
+        "target": 2.0 / (1.0 + epsilon / 3.0),
+    }
+
+
+def assert_same_report(got, want):
+    for key in ("best_distance", "members", "tail_product", "target"):
+        assert got[key] == want[key], key
+    for u, v in zip(got["pair"], want["pair"]):
+        assert np.array_equal(u, v)
+
+
+def slice_members(monkeypatch, *args, **kw):
+    """The members `large_slice_check` screens, caught on their way in."""
+    seen = []
+    screen = nested_sum_space._near_max_pairs
+
+    def spy(sched, members):
+        seen.append(members)
+        return screen(sched, members)
+
+    monkeypatch.setattr(nested_sum_space, "_near_max_pairs", spy)
+    large_slice_check(*args, **kw)
+    return seen[0]
+
+
+class TestPairScreen:
+    """The screen nominates pairs; the exact fold ranks them in the scalar
+    loop's order, so every field of the report is that loop's."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("budget", [0, 1, 50, 600])
+    @pytest.mark.parametrize("m", [8, 12, 13])  # 13 = capacity: c = 0, x == y
+    def test_matches_scalar_loop(self, m, budget, seed):
+        got = large_slice_check(GEO, m, 0.3, budget=budget, seed=seed)
+        assert_same_report(got, scalar_large_slice(GEO, m, 0.3, budget, seed))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_fast_schedule_first_coordinate(self, seed):
+        got = large_slice_check(FAST, 1, 0.5, budget=200, seed=seed)
+        assert_same_report(got, scalar_large_slice(FAST, 1, 0.5, 200, seed))
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_infinite_exponent(self, m):
+        got = large_slice_check(WITH_INF, m, 0.3, budget=200, seed=2)
+        assert_same_report(got, scalar_large_slice(WITH_INF, m, 0.3, 200, 2))
+
+    # at m=13, seed 9 the screened distance of the best pair is two ulps off
+    # the exact fold, so returning the screened value would show here
+    @pytest.mark.parametrize("m,budget,seed", [(8, 300, 1), (8, 300, 88), (13, 100, 9)])
+    def test_distance_is_the_exact_fold_of_the_pair(self, m, budget, seed):
+        rep = large_slice_check(GEO, m, 0.3, budget=budget, seed=seed)
+        x, y = rep["pair"]
+        assert rep["best_distance"] == nested_norm(GEO, x - y)
+
+    def test_screen_agrees_with_scalar_fold(self, monkeypatch):
+        # 1000x inside the re-rank cut of 1e-9
+        members = slice_members(monkeypatch, GEO, 8, 0.3, budget=600, seed=1)
+        i, j = (np.array(t) for t in zip(*itertools.combinations(range(len(members)), 2)))
+        cols = np.array(members).T
+        screened = nested_sum_space._fold_columns(GEO, cols[:, i] - cols[:, j])
+        exact = np.array([nested_norm(GEO, members[a] - members[b]) for a, b in zip(i, j)])
+        np.testing.assert_allclose(screened, exact, rtol=1e-12, atol=0.0)
+
+    def test_pairs_are_enumerated_row_major_across_blocks(self, monkeypatch):
+        # a tiny block size, and a cut that keeps every pair
+        members = list(np.random.default_rng(0).standard_normal((23, GEO.capacity)))
+        monkeypatch.setattr(nested_sum_space, "_SCREEN_FLOATS", 7 * GEO.capacity)
+        monkeypatch.setattr(nested_sum_space, "_RERANK_REL", 2.0)
+        got = nested_sum_space._near_max_pairs(GEO, members)
+        assert got == list(itertools.combinations(range(23), 2))
+
+    def test_near_ties_are_all_reranked(self):
+        # two pairs 1e-12 apart: the screen may order them either way
+        x = np.zeros(GEO.capacity)
+        x[7] = 0.8
+        y = -x
+        y2 = y.copy()
+        y2[7] *= 1.0 - 1e-12
+        got = nested_sum_space._near_max_pairs(GEO, [x, y, y2])
+        assert got == [(0, 1), (0, 2)]
+
+    def test_memory_stays_bounded(self):
+        # 1384 members: an all-pairs difference array would take about 100 MB
+        tracemalloc.start()
+        try:
+            large_slice_check(GEO, 8, 0.3, budget=2000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 class TestLargeSlice:
     def test_deep_coordinate_wide_slice(self):
         rep = large_slice_check(GEO, m=8, epsilon=0.3, budget=100, seed=1)
@@ -162,6 +298,43 @@ class TestLargeSlice:
     def test_resolution_error_for_tiny_eps(self):
         with pytest.raises(ResolutionError):
             large_slice_check(GEO, m=1, epsilon=0.01, budget=10, seed=0)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(DomainError):
+            large_slice_check(GEO, m=8, epsilon=0.3, budget=-1, seed=0)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "exponents", [(2.0, math.nan), (math.nan,), (math.nan, 3.0)]
+    )
+    def test_nan_exponent_rejected(self, exponents):
+        with pytest.raises(DomainError):
+            ExponentSchedule(exponents)
+
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -1e-3])
+    def test_bad_tail_rejected(self, tail):
+        with pytest.raises(DomainError):
+            ExponentSchedule((2.0, 4.0), tail_inv_sum=tail)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"base": 1e308, "count": 3},  # base ** 2 raises OverflowError
+            {"start": 1e300, "base": 1e10, "count": 2},  # start * base is inf
+            {"start": math.inf},
+            {"base": math.nan},
+            {"start": math.nan},
+        ],
+    )
+    def test_geometric_overflow_and_nan_rejected(self, kw):
+        with pytest.raises(DomainError):
+            ExponentSchedule.geometric(**kw)
+
+    def test_infinite_exponent_is_the_max(self):
+        assert nested_norm(ExponentSchedule((math.inf,)), [0.5, -0.75]) == 0.75
+        assert nested_norm(WITH_INF, [0.0] * 5 + [0.5, 0.5]) == 0.5
+        assert product_condition(ExponentSchedule((2.0, math.inf)))[0] == math.sqrt(2.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,20 +41,10 @@ def sup_abs_many(bx, by, lo, hi):
     hi = np.ascontiguousarray(hi, dtype=np.float64)
     bx = np.ascontiguousarray(bx, dtype=np.float64)
     by = np.ascontiguousarray(by, dtype=np.float64)
-    out = np.maximum(np.abs(pl_eval(bx, by, lo)), np.abs(pl_eval(bx, by, hi)))
+    at_ends = np.maximum(np.abs(pl_eval(bx, by, lo)), np.abs(pl_eval(bx, by, hi)))
     ia = np.searchsorted(bx, lo, side="left")
     ib = np.searchsorted(bx, hi, side="right")
-    nonempty = ib > ia
-    if np.any(nonempty):
-        idx = np.empty(2 * lo.shape[0], dtype=np.int64)
-        idx[0::2] = np.minimum(ia, bx.shape[0] - 1)
-        idx[1::2] = np.minimum(np.maximum(ib, idx[0::2]), bx.shape[0] - 1)
-        # reduceat over [ia, ib); equal-index pairs give a bogus singleton,
-        # masked away below
-        red = np.maximum.reduceat(np.abs(by), idx)[0::2]
-        red[~nonempty] = 0.0
-        out = np.maximum(out, red)
-    return out
+    return np.maximum(at_ends, range_abs_max(by[None, :], ia, ib)[0])
 
 
 def range_abs_max(values, starts, ends):

@@ -22,6 +22,7 @@ from .core_model import (
     load_function,
     load_measure,
     measure_from_dict,
+    read_json,
 )
 from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket, seminorm
 from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
@@ -171,8 +172,7 @@ def _parse_vec(text: str | None) -> np.ndarray:
 
 
 def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = read_json(path)
     kind = spec.get("kind", "slice")
 
     def one_slice(d):
@@ -197,7 +197,9 @@ def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
 
 def _run(args) -> tuple[dict | str, str]:
     """Returns (report payload or CSV text, format)."""
-    ctx = DNormContext(parse_base_spec(args.base), tolerance=args.tol)
+    ctx = DNormContext(parse_base_spec(args.base))
+    if not args.tol > 0.0:  # nan compares false
+        raise ConfigError("--tol must be positive")
     seed = args.seed if args.seed is not None else 0
     cfg = {
         "base": args.base,
@@ -248,7 +250,7 @@ def _run(args) -> tuple[dict | str, str]:
         }
     elif args.cmd == "combo-diam":
         base = parse_base_spec(f"leveled:i={args.i},levels={args.levels}")
-        cctx = DNormContext(base, tolerance=args.tol)
+        cctx = DNormContext(base)
         slices, bound, cert = small_diameter_combo(
             cctx, args.i, eta=args.eta, budget=args.budget, seed=seed
         )
@@ -300,8 +302,7 @@ def _run(args) -> tuple[dict | str, str]:
         v = load_function(args.fn2)
         res = {"max_pointwise_gap": seminorm_rigidity_check(ctx, u, v, args.pair_tol)}
     elif args.cmd == "op-check":
-        with open(args.proj, encoding="utf-8") as fh:
-            pd = json.load(fh)
+        pd = read_json(args.proj)
         P = Rank1Projection(load_function(pd["u"]), load_measure(pd["m"]))
         rep = ld2p_plus_projection_check(ctx, P, args.budget, seed)
         res = {
@@ -323,8 +324,9 @@ def _run(args) -> tuple[dict | str, str]:
             res = {"product": prod, "holds": holds}
         elif args.op == "wur":
             n = 12
-            xs = [np.eye(sched.capacity)[0] for _ in range(n)]
-            ys = [(1.0 - 1.0 / (k + 1)) * np.eye(sched.capacity)[0] for k in range(n)]
+            e1 = np.eye(1, sched.capacity)[0]
+            xs = [e1] * n
+            ys = [(1.0 - 1.0 / (k + 1)) * e1 for k in range(n)]
             res = wur_difference_extraction(sched, xs, ys, tol=0.25)
         else:
             rep = large_slice_check(sched, args.m, args.eps, budget=args.budget, seed=seed)

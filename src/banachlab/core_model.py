@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import pl_eval
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -346,14 +346,21 @@ def measure_from_dict(d: dict) -> Measure:
     return Measure(atoms, None if dens is None else function_from_dict(dens))
 
 
-def load_function(path: str) -> PLFunction:
+def read_json(path: str):
+    """The parsed JSON file; nesting too deep to parse is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
-        return function_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def load_function(path: str) -> PLFunction:
+    return function_from_dict(read_json(path))
 
 
 def load_measure(path: str) -> Measure:
-    with open(path, encoding="utf-8") as fh:
-        return measure_from_dict(json.load(fh))
+    return measure_from_dict(read_json(path))
 
 
 def dump_function(f: PLFunction, path: str) -> None:

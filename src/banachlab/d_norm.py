@@ -10,6 +10,7 @@ seeded projected-ascent lower bound paired with a certified upper bound;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,13 +27,10 @@ RESCALE_SAFETY = 1.0 + 1e-12
 
 
 class DNormContext:
-    """A base plus tolerance; caches the arrays every norm evaluation needs."""
+    """A base; caches the arrays every norm evaluation needs."""
 
-    def __init__(self, base: NeighborhoodBase, tolerance: float = 1e-9):
-        if tolerance <= 0.0:
-            raise DomainError("tolerance must be positive")
+    def __init__(self, base: NeighborhoodBase):
         self.base = base
-        self.tolerance = tolerance
 
     @cached_property
     def n_eff(self) -> int:
@@ -216,42 +214,42 @@ def dual_norm(
     The lower bound is the best value of a seeded multistart ascent over
     grid PL functions, radially rescaled through the norm enclosure's hi so
     every reported witness is certified feasible.  The upper bound is the
-    weighted total-variation bound.
+    weighted total-variation bound.  Both are computed for m scaled by the
+    power of two that puts its largest weight or density value in [1/2, 1):
+    every step is linear and the scaling exact, so the bits are m's own
+    wherever those neither overflow nor underflow.
     """
     if m.is_zero():
         raise DomainError("dual norm of the zero measure")
-    with np.errstate(over="ignore"):  # huge weights overflow to inf, refused here
-        upper = min(weighted_tv_upper(ctx, m), _crude_upper(ctx, m))
+    peaks = [abs(w) for _, w in m.atoms]
+    if m.density is not None:
+        peaks.append(float(np.max(np.abs(m.density.values))))
+    # a finite scale (exponent >= -1022); dividing by it overflows to inf
+    scale = math.ldexp(1.0, -max(math.frexp(max(peaks))[1], -1022))
+    ms = m.scaled(scale)
+    upper = weighted_tv_upper(ctx, ms) / scale
     if not np.isfinite(upper):
         raise DomainError(f"dual norm upper bound is not finite ({upper})")
     from .gridsearch import GridContext, maximize_linear_functional
 
-    gc = GridContext(ctx, m, grid_cells=grid_cells)
-    coeffs = gc.functional_coeffs(m)
+    gc = GridContext(ctx, ms, grid_cells=grid_cells)
+    coeffs = gc.functional_coeffs(ms)
     # the pointwise bound |x(t)| <= ‖x‖/sqrt(w(t)) is tight at the optimum,
     # so the sign-matched inverse-sqrt-weight profile is a strong start
     wp = np.maximum(gc.weight_profile(), 1e-30)
     profile = np.where(coeffs >= 0.0, 1.0, -1.0) / np.sqrt(wp)
-    with np.errstate(over="ignore"):  # overflow ends in a non-finite lower, refused below
-        value, v_best, used = maximize_linear_functional(
-            gc, coeffs, budget, seed, extra_inits=(profile,)
-        )
-        # re-certify on the exact path: rescale so the exact hi is inside the ball
-        witness = into_unit_ball(ctx, gc.to_plfunction(v_best))
-        lower = integrate(witness, m)
-    if not np.isfinite(lower):
-        raise DomainError(f"overflow while pairing the witness (lower bound {lower})")
+    value, v_best, used = maximize_linear_functional(
+        gc, coeffs, budget, seed, extra_inits=(profile,)
+    )
+    # re-certify on the exact path: rescale so the exact hi is inside the ball
+    witness = into_unit_ball(ctx, gc.to_plfunction(v_best))
+    lower = float(integrate(witness, ms)) / scale
     if lower > upper + 1e-12:
         raise CertificateFailure(
             f"feasible value {lower} exceeds certified upper bound {upper}",
             inequality="dual norm bracket consistency",
         )
     return DualNormBracket(float(min(lower, upper)), float(upper), witness, used)
-
-
-def _crude_upper(ctx: DNormContext, m: Measure) -> float:
-    b_lo, _ = sup_norm_bounds(ctx)
-    return m.total_variation() / b_lo
 
 
 def functional_bracket(

@@ -19,26 +19,33 @@ from .errors import DomainError
 from . import _kernels
 
 
-class GridContext:
-    """Precomputed seminorm geometry of a base against a node grid.
+def grid_nodes(grid_cells: int, *objects) -> np.ndarray:
+    """The uniform grid of grid_cells cells refined by every object's points:
+    a PLFunction's breakpoints, a Measure's atoms and density breakpoints."""
+    if grid_cells < 1:
+        raise DomainError("grid_cells must be >= 1")
+    points = []
+    for obj in objects:
+        if isinstance(obj, Measure):
+            points.extend(t for t, _ in obj.atoms)
+            if obj.density is not None:
+                points.extend(obj.density.breakpoints.tolist())
+        else:
+            points.extend(obj.breakpoints.tolist())
+    return np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), points)
 
-    The uniform grid is refined by the breakpoints of every object passed: a
-    PLFunction's breakpoints, a Measure's atoms and density breakpoints.
-    """
+
+def hats(nodes: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Unit hat rows on the nodes, peaked at each center and 0 beyond its width."""
+    return np.clip(1.0 - np.abs(nodes[None, :] - centers[:, None]) / widths[:, None], 0.0, None)
+
+
+class GridContext:
+    """Precomputed seminorm geometry of a base against the grid of `grid_nodes`."""
 
     def __init__(self, ctx: DNormContext, *objects, grid_cells: int = 512):
-        if grid_cells < 1:
-            raise DomainError("grid_cells must be >= 1")
         self.ctx = ctx
-        points = []
-        for obj in objects:
-            if isinstance(obj, Measure):
-                points.extend(t for t, _ in obj.atoms)
-                if obj.density is not None:
-                    points.extend(obj.density.breakpoints.tolist())
-            else:
-                points.extend(obj.breakpoints.tolist())
-        self.nodes = np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), points)
+        self.nodes = grid_nodes(grid_cells, *objects)
         self.weights = ctx.weights
         self.tail_weight = ctx.tail_weight
         self.size = self.nodes.size
@@ -116,18 +123,16 @@ class GridContext:
         rho = m.density
         if rho is not None:
             # Simpson's rule on every piece between consecutive grid nodes and
-            # density breakpoints; each piece sends its a, mid, b terms to
-            # its cell's two nodes, added in that order by np.add.at
+            # density breakpoints; each piece sends its a, mid, b terms to the
+            # two nodes of the cell holding each point, added in that order by
+            # np.add.at.  A piece end b on a node lands in the next cell at
+            # fraction 0: the node gets the same term, the node after it +0.0
             edges = np.union1d(g, rho.breakpoints)
             a, b = edges[:-1], edges[1:]
-            k = np.searchsorted(g, a, side="right") - 1
-            x0 = g[k][:, None]
-            h = g[k + 1][:, None] - x0
             t = np.stack([a, 0.5 * (a + b), b], axis=1)
+            kk, s = self._endpoint_data(t)
             rv = pl_eval(rho.breakpoints, rho.values, t)
-            s = (t - x0) / h
             scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
-            kk = np.broadcast_to(k[:, None], t.shape)
             idx = np.stack([kk, kk + 1], axis=2)
             np.add.at(c, idx.ravel(), np.stack([scale * (1.0 - s), scale * s], axis=2).ravel())
         return c
@@ -152,16 +157,11 @@ class GridContext:
 
     def random_bumps(self, rng: np.random.Generator, count: int, amp: float = 1.0):
         """Batch of single hat bumps at random positions/widths/signs."""
-        out = np.zeros((count, self.nodes.size))
         centers = rng.uniform(0.02, 0.98, count)
         widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.2), count))
         signs = rng.choice([-1.0, 1.0], count)
         amps = amp * rng.uniform(0.2, 1.0, count)
-        for i in range(count):
-            out[i] = signs[i] * amps[i] * np.clip(
-                1.0 - np.abs(self.nodes - centers[i]) / widths[i], 0.0, None
-            )
-        return out
+        return (signs * amps)[:, None] * hats(self.nodes, centers, widths)
 
 
 def maximize_linear_functional(

@@ -24,6 +24,8 @@ _SCREEN_FLOATS = 2**17
 #: re-ranked with the exact fold; the screen agrees with it to about 1e-15
 _RERANK_REL = 1e-9
 _TINY = np.finfo(np.float64).smallest_subnormal
+#: most exponents a geometric schedule may hold; the tuple is built in full
+MAX_GEOMETRIC_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class ExponentSchedule:
         """p_i = start·base^(i-1); the reciprocal tail sums in closed form."""
         if not (base > 1.0 and start > 1.0 and count >= 1):
             raise DomainError("need base > 1, start > 1, count >= 1")
+        if count > MAX_GEOMETRIC_COUNT:
+            raise DomainError(f"count {count} exceeds {MAX_GEOMETRIC_COUNT}")
         try:
             p = tuple(start * base**i for i in range(count))
             if not math.isfinite(p[-1]):

@@ -72,7 +72,7 @@ class OperatorExpr:
             out = lin_comb(1.0, out, self.b, self.projection.apply(x))
         return out
 
-    def apply_grid(self, gc: GridContext, rows: np.ndarray, coeffs, vu) -> np.ndarray:
+    def apply_grid(self, rows: np.ndarray, coeffs, vu) -> np.ndarray:
         out = self.a * rows
         if self.b != 0.0 and self.projection is not None:
             out = out + self.b * (rows @ coeffs)[:, None] * vu[None, :]
@@ -133,7 +133,7 @@ def operator_norm_lower(
         _, hx = gc.enclosures(cands)
         keep = hx > 1e-12
         cands, hx = cands[keep], hx[keep]
-        timg = T.apply_grid(gc, cands, coeffs, vu)
+        timg = T.apply_grid(cands, coeffs, vu)
         lt, _ = gc.enclosures(timg)
         evals += 2 * cands.shape[0]
         ratios = lt / hx
@@ -217,7 +217,7 @@ def daugavet_slice_test(
     bump = dirac_anchor(ctx, S.functional)
     anchor = None if bump is None else gc.sample_function(bump)
     count = max(16, min(128, budget // 8))
-    rows, evals = _slice_member_matrix(ctx, gc, S, count, seed, anchor_v=anchor)
+    rows, evals = _slice_member_matrix(gc, S, count, seed, anchor_v=anchor)
     vx = gc.sample_function(x)
     if S.value(x) > 1.0 - S.epsilon and xe.hi <= 1.0 + 1e-9:
         rows = np.vstack([rows, vx[None, :]])

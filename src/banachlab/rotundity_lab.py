@@ -18,7 +18,7 @@ from . import _kernels
 from .core_model import PLFunction, lin_comb, pl_eval
 from .d_norm import DNormContext, d_norm, seminorms_all
 from .errors import DomainError, PremiseError, WitnessNotFoundError
-from .gridsearch import GridContext
+from .gridsearch import GridContext, grid_nodes, hats
 
 #: scan samples built and screened at once: on a grid of a few hundred nodes
 #: a block stays under the 4 MiB from which numpy asks for huge pages, which
@@ -133,17 +133,7 @@ def mlur_adversarial_search(
     # cover indices can pass n_eff, so the geometry comes from the bounds
     starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
     allowed = np.array(cert.x_seminorms) + cert.epsilon
-    # map grid node -> cover intervals containing it (each node sits in 1-2)
-    node_to_cover: list[list[int]] = [[] for _ in range(nodes.size)]
-    for j in range(lo.size):
-        for k in range(starts[j], ends[j]):
-            node_to_cover[k].append(j)
-
-    # every node sits in one or two same-level cover intervals; pad to two
-    suspect = np.zeros((nodes.size, 2), dtype=np.int64)
-    for k, lst in enumerate(node_to_cover):
-        suspect[k, 0] = lst[0] if lst else 0
-        suspect[k, 1] = lst[1] if len(lst) > 1 else suspect[k, 0]
+    suspect = _suspect_intervals(starts, ends, nodes.size)
     width = int(np.max(ends - starts))
     offsets = np.arange(width)
 
@@ -202,6 +192,16 @@ def mlur_adversarial_search(
     }
 
 
+def _suspect_intervals(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
+    """Per node, the first cover interval holding it, then the next if that
+    holds it too, else the first again.  Interval j holds nodes
+    starts[j]:ends[j]; both rise with j, so node k's intervals are first..last."""
+    k = np.arange(size)
+    first = np.searchsorted(ends, k, side="right")
+    last = np.searchsorted(starts, k, side="right") - 1
+    return np.stack([first, np.minimum(first + 1, last)], axis=1)
+
+
 def _adversarial_blocks(rng, nodes, m, eps2):
     """Mixture of near-threshold bumps, plateaus and noise, sized around 2ε:
     m samples drawn at once, their rows yielded SCAN_BLOCK_ROWS at a time."""
@@ -229,8 +229,7 @@ def _adversarial_blocks(rng, nodes, m, eps2):
     noise_row, wave_row = np.cumsum(noisy) - 1, np.cumsum(smooth) - 1
     for a in range(0, m, SCAN_BLOCK_ROWS):
         blk = slice(a, a + SCAN_BLOCK_ROWS)
-        bump = 1.0 - np.abs(nodes[None, :] - centers[blk, None]) / widths[blk, None]
-        bump = np.clip(bump, 0.0, None)
+        bump = hats(nodes, centers[blk], widths[blk])
         out = sa[blk] * bump
         plateau = kind[blk] == 1
         out[plateau] = sa[blk][plateau] * np.clip(2.0 * bump[plateau], 0.0, 1.0)
@@ -308,11 +307,8 @@ def _flat_bumps(nodes: np.ndarray, vx: np.ndarray) -> np.ndarray:
     midpoint rotundity there.
     """
     order = np.argsort(np.abs(vx))[:4]
-    out = []
-    for k in order:
-        for width in (2.0 ** -3, 2.0 ** -5, 2.0 ** -7):
-            out.append(np.clip(1.0 - np.abs(nodes - nodes[k]) / width, 0.0, None))
-    return np.asarray(out)
+    widths = np.array([2.0 ** -3, 2.0 ** -5, 2.0 ** -7])
+    return hats(nodes, np.repeat(nodes[order], widths.size), np.tile(widths, order.size))
 
 
 def seminorm_rigidity_check(
@@ -355,7 +351,7 @@ def modulated_sawtooth(x: PLFunction, scale: float, grid_cells: int = 2048) -> P
     +|x| and −|x| near any point, which is what drives ‖x±y‖ toward
     ‖x‖_n + ‖y‖_n on every seminorm simultaneously.
     """
-    nodes = np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), x.breakpoints)
+    nodes = grid_nodes(grid_cells, x)
     saw = _zigzag(nodes, scale)
     vals = np.asarray(pl_eval(x.breakpoints, x.values, nodes)) * saw
     return PLFunction(nodes, vals)

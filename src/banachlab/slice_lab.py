@@ -172,25 +172,31 @@ class WitnessCertificate:
 
     def verify(self, ctx: DNormContext, S: SliceSpec, x: PLFunction) -> dict:
         """Re-derive every certified inequality by exact arithmetic."""
-        fy = S.value(self.y)
-        if not fy > 1.0 - S.epsilon:
-            raise CertificateFailure(
-                f"functional value {fy} fails > 1-eps={1.0 - S.epsilon}",
-                inequality="slice membership of y",
-            )
-        dist = d_norm(ctx, lin_comb(1.0, x, -1.0, self.y)).lo
-        if not dist > 2.0 - 2.0 * self.delta:
-            raise CertificateFailure(
-                f"distance {dist} fails > {2.0 - 2.0 * self.delta}",
-                inequality="flip distance lower bound",
-            )
-        ynorm = d_norm(ctx, self.y).hi
-        xnorm = d_norm(ctx, x).hi
-        if not ynorm <= xnorm:
-            raise CertificateFailure(
-                f"norm {ynorm} exceeds {xnorm}", inequality="norm domination"
-            )
+        fy, dist, ynorm, _ = _flip_inequalities(ctx, S, x, self.y, self.delta)
         return {"functional": fy, "distance_lo": dist, "norm_hi": ynorm}
+
+
+def _flip_inequalities(ctx, S: SliceSpec, x: PLFunction, y: PLFunction, delta: float):
+    """The three flip-witness inequalities by exact arithmetic, in order;
+    raises CertificateFailure naming the first that fails.  Returns
+    (functional value of y, distance lo, norm hi of y, norm hi of x)."""
+    fy = S.value(y)
+    if not fy > 1.0 - S.epsilon:
+        raise CertificateFailure(
+            f"functional value {fy} fails > 1-eps={1.0 - S.epsilon}",
+            inequality="slice membership of y",
+        )
+    dist = d_norm(ctx, lin_comb(1.0, x, -1.0, y)).lo
+    if not dist > 2.0 - 2.0 * delta:
+        raise CertificateFailure(
+            f"distance {dist} fails > {2.0 - 2.0 * delta}",
+            inequality="flip distance lower bound",
+        )
+    ynorm = d_norm(ctx, y).hi
+    xnorm = d_norm(ctx, x).hi
+    if not ynorm <= xnorm:
+        raise CertificateFailure(f"norm {ynorm} exceeds {xnorm}", inequality="norm domination")
+    return fy, dist, ynorm, xnorm
 
 
 def _near_max_component(
@@ -356,30 +362,24 @@ def tent_flip_witness(
             continue
 
         y = _build_flip(x, flips)
-        fy = conservative_value(integrate(y, S.functional), S.functional_norm)
-        dist = d_norm(ctx, lin_comb(1.0, x, -1.0, y)).lo
-        ye_hi = d_norm(ctx, y).hi
-        if fy > 1.0 - eps and dist > 2.0 - 2.0 * delta and ye_hi <= xe.hi:
-            cert = WitnessCertificate(
-                y=y,
-                flip_intervals=tuple(flips),
-                N=big_n,
-                delta=delta,
-                eta=eta,
-                achieved_functional=fy,
-                achieved_distance_lo=dist,
-                achieved_norm_hi=ye_hi,
-                x_norm_hi=xe.hi,
-            )
-            cert.verify(ctx, S, x)
-            return cert
-        diag["last_checks"] = {
-            "attempt": attempt,
-            "functional": fy,
-            "distance_lo": dist,
-            "norm_hi": ye_hi,
-            "x_norm_hi": xe.hi,
-        }
+        try:
+            fy, dist, ye_hi, x_hi = _flip_inequalities(ctx, S, x, y, delta)
+        except CertificateFailure as exc:
+            diag["last_checks"] = {
+                "attempt": attempt, "inequality": exc.inequality, "detail": str(exc)
+            }
+            continue
+        return WitnessCertificate(
+            y=y,
+            flip_intervals=tuple(flips),
+            N=big_n,
+            delta=delta,
+            eta=eta,
+            achieved_functional=fy,
+            achieved_distance_lo=dist,
+            achieved_norm_hi=ye_hi,
+            x_norm_hi=x_hi,
+        )
     raise WitnessNotFoundError(
         "flip construction failed within the iteration cap "
         "(eta may exceed the slice margin of x)",
@@ -563,7 +563,7 @@ def l2_sum_model_check(
     radius = l2_sum_slice_inclusion(delta)
     Sd = SliceSpec(S.functional, S.functional_norm, delta)
     gc = GridContext(ctx, Sd.functional, grid_cells=grid_cells)
-    members, _ = _slice_member_matrix(ctx, gc, Sd, samples, seed)
+    members, _ = _slice_member_matrix(gc, Sd, samples, seed)
     rng = np.random.default_rng(seed + 1)
     _, hi = gc.enclosures(members)
     max_ratio = 0.0
@@ -638,7 +638,7 @@ def _verify_inclusion(ctx, Snew, S, anchor, samples, seed, grid_cells=256) -> bo
     gc = GridContext(ctx, Snew.functional, anchor, grid_cells=grid_cells)
     try:
         members, _ = _slice_member_matrix(
-            ctx, gc, Snew, samples, seed, anchor_v=gc.sample_function(anchor)
+            gc, Snew, samples, seed, anchor_v=gc.sample_function(anchor)
         )
     except SamplingError:
         return False
@@ -686,7 +686,6 @@ class DiameterEstimate:
 
 
 def _slice_member_matrix(
-    ctx,
     gc: GridContext,
     S: SliceSpec,
     count: int,
@@ -796,9 +795,7 @@ def diameter_lower_bound(
     for j, s in enumerate(sets):
         bump = dirac_anchor(ctx, s.functional)
         anchor = None if bump is None else gc.sample_function(bump)
-        rows, used = _slice_member_matrix(
-            ctx, gc, s, per_slice, seed + 101 * j, anchor_v=anchor
-        )
+        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j, anchor_v=anchor)
         evals += used
         component_members.append(rows)
 
@@ -853,17 +850,16 @@ def diameter_lower_bound(
 
 
 def _flip_seed_pair(ctx, S, gc, anchor_row, shell_tau):
+    # tent_flip_witness refuses an anchor outside the slice (eta <= 0) or
+    # with norm lo <= 1-delta by a DomainError
     try:
         x_pl = into_unit_ball(ctx, gc.to_plfunction(anchor_row))
         margin = S.value(x_pl) - (1.0 - S.epsilon)
         delta = min(0.08, S.epsilon / 2.0)
-        if margin <= 0.0 or d_norm(ctx, x_pl).lo <= 1.0 - delta:
-            return None
         cert = tent_flip_witness(ctx, S, x_pl, delta, eta=margin / 2.0)
         if shell_tau is not None and d_norm(ctx, cert.y).lo < 1.0 - shell_tau:
             return None
-        dist = d_norm(ctx, lin_comb(1.0, x_pl, -1.0, cert.y)).lo
-        return dist, (x_pl, cert.y)
+        return cert.achieved_distance_lo, (x_pl, cert.y)
     except (DomainError, WitnessNotFoundError):
         return None
 

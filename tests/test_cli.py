@@ -86,6 +86,10 @@ class TestBadInputs:
             ["nested", "--op", "norm", "--vec", "[1" + "0" * 400 + "]"],
             ["--budget", "-5", "--seed", "1", "nested", "--op", "slice"],
             ["nested", "--op", "norm", "--vec", "[" * 5000 + "]" * 5000],
+            ["--tol", "0", "nested", "--op", "product"],
+            ["--tol=-1e-3", "nested", "--op", "product"],
+            ["--tol", "nan", "nested", "--op", "product"],
+            ["nested", "--p", "geometric:base=1.001,count=10001", "--op", "product"],
         ],
     )
     def test_one_line_error(self, argv, capsys):
@@ -101,13 +105,24 @@ class TestBadInputs:
         assert err.startswith("error: grid_cells must be >= 1") and err.count("\n") == 1
 
     def test_overflowing_witness(self, tmp_path, capsys):
-        # the bracket's upper end is finite, but pairing the witness overflows
+        # the ascent runs on an exact power-of-two rescale, so a density near
+        # the float limit gets a finite bracket
         m = tmp_path / "huge_density.json"
+        out = tmp_path / "r.json"
         rho = PLFunction(np.array([0.0, 0.5, 1.0]), np.array([1e308, -1e308, 1e308]))
         dump_measure(Measure(density=rho), str(m))
-        assert run(["--seed", "1", "dual-norm", "--measure", str(m)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: overflow") and err.count("\n") == 1
+        assert run(["--seed", "1", "dual-norm", "--measure", str(m)], out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert 0.0 < res["lower"] <= res["upper"] < float("inf")
+
+    def test_tiny_atom_gets_a_bracket(self, tmp_path):
+        # unscaled, the coefficient norm underflowed to 0: "zero functional"
+        m = tmp_path / "tiny.json"
+        out = tmp_path / "r.json"
+        dump_measure(Measure.dirac(0.1, 1e-200), str(m))
+        assert run(["--seed", "1", "dual-norm", "--measure", str(m)], out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert 0.0 < res["lower"] <= res["upper"] < 1e-190
 
     def test_non_finite_dual_norm(self, tmp_path, capsys):
         m = tmp_path / "huge.json"
@@ -117,7 +132,40 @@ class TestBadInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("flag", ["--fn", "--measure", "--set", "--proj"])
+    def test_json_nested_too_deep(self, tmp_path, flag, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 5000)
+        sub = {
+            "--fn": ["norm", "--fn", str(deep)],
+            "--measure": ["dual-norm", "--measure", str(deep)],
+            "--set": ["diam", "--set", str(deep)],
+            "--proj": ["op-check", "--proj", str(deep)],
+        }[flag]
+        assert run(["--seed", "1"] + sub) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
+
 class TestNestedEdges:
+    def test_wur_memory_stays_linear(self, tmp_path):
+        # one e_1 for all 24 sequence members: at count 2000 the parent's 24
+        # identity matrices of 32 MB each peaked near 400 MB
+        import tracemalloc
+
+        out = tmp_path / "w.json"
+        tracemalloc.start()
+        try:
+            code = run(["nested", "--p", "geometric:base=1.001,start=4,count=2000",
+                        "--op", "wur"], out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads(out.read_text())["results"]["levels"]) == 2001
+        assert peak < 16 * 2**20
+
     def test_infinite_exponent_is_the_sup_limit(self, tmp_path):
         out = tmp_path / "n.json"
         assert run(["nested", "--p", "list:2,inf", "--op", "norm", "--vec", "[1,1,1]"], out) == 0

@@ -165,6 +165,17 @@ class TestDualNorm:
         with pytest.raises(DomainError, match="not finite"):
             dual_norm(ctx8, m, budget=50, seed=0)
 
+    def test_bracket_commutes_with_power_of_two_scaling(self, ctx8):
+        # dual_norm brackets an exact power-of-two rescale of m, so scaling m
+        # by 2^k scales the bracket's bits and leaves the witness as it is
+        m = Measure(((0.3, 2.0), (0.5, -1.0)), PLFunction.tent())
+        br = dual_norm(ctx8, m, budget=200, seed=1)
+        for k in (-900, -3, 5, 900):
+            bk = dual_norm(ctx8, m.scaled(math.ldexp(1.0, k)), budget=200, seed=1)
+            assert bk.lower == math.ldexp(br.lower, k)
+            assert bk.upper == math.ldexp(br.upper, k)
+            assert bk.witness.values.tolist() == br.witness.values.tolist()
+
     def test_witness_certified_feasible(self, ctx8):
         br = dual_norm(ctx8, Measure.lebesgue(), budget=300, seed=4)
         assert d_norm(ctx8, br.witness).hi <= 1.0 + 1e-12

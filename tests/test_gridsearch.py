@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from banachlab.core_model import Measure, PLFunction
+from banachlab.core_model import Measure, PLFunction, pl_eval
 from banachlab.d_norm import DNormContext
 from banachlab.errors import DomainError
 from banachlab.gridsearch import GridContext
 from banachlab.neighborhood_base import build_leveled
 
-from conftest import random_pl
+from conftest import pl_densities, random_pl
 
 
 def ref_interval_geometry(nodes, lo, hi):
@@ -84,3 +85,56 @@ def test_atom_coeffs_match_the_loop(ctx8):
         ref[k] += w * (1.0 - th)
         ref[k + 1] += w * th
     assert gc.functional_coeffs(m).tolist() == ref.tolist()
+
+
+def ref_random_bumps(gc, rng, count, amp=1.0):
+    """The per-row loop random_bumps ran before it shared hats."""
+    out = np.zeros((count, gc.nodes.size))
+    centers = rng.uniform(0.02, 0.98, count)
+    widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.2), count))
+    signs = rng.choice([-1.0, 1.0], count)
+    amps = amp * rng.uniform(0.2, 1.0, count)
+    for i in range(count):
+        out[i] = signs[i] * amps[i] * np.clip(
+            1.0 - np.abs(gc.nodes - centers[i]) / widths[i], 0.0, None
+        )
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_random_bumps_match_the_loop(ctx8, count, seed):
+    gc = GridContext(ctx8, random_pl(np.random.default_rng(seed)), grid_cells=100)
+    for amp in (1.0, 0.3):
+        got = gc.random_bumps(np.random.default_rng(seed), count, amp=amp)
+        ref = ref_random_bumps(gc, np.random.default_rng(seed), count, amp=amp)
+        assert got.shape == ref.shape and got.tolist() == ref.tolist()
+
+
+def ref_density_coeffs(gc, rho):
+    """The density path functional_coeffs ran before it shared _endpoint_data:
+    all three Simpson points of a piece go to the piece's own cell."""
+    g = gc.nodes
+    c = np.zeros(g.size)
+    edges = np.union1d(g, rho.breakpoints)
+    a, b = edges[:-1], edges[1:]
+    k = np.searchsorted(g, a, side="right") - 1
+    x0 = g[k][:, None]
+    h = g[k + 1][:, None] - x0
+    t = np.stack([a, 0.5 * (a + b), b], axis=1)
+    rv = pl_eval(rho.breakpoints, rho.values, t)
+    s = (t - x0) / h
+    scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
+    kk = np.broadcast_to(k[:, None], t.shape)
+    idx = np.stack([kk, kk + 1], axis=2)
+    np.add.at(c, idx.ravel(), np.stack([scale * (1.0 - s), scale * s], axis=2).ravel())
+    return c
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=pl_densities())
+def test_density_coeffs_match_the_piece_cells(ctx8, rho):
+    # pl_densities puts some breakpoints on the k/64 nodes, where a piece ends
+    for gc in (GridContext(ctx8, grid_cells=64), GridContext(ctx8, rho, grid_cells=64)):
+        got = gc.functional_coeffs(Measure(density=rho))
+        assert got.tolist() == ref_density_coeffs(gc, rho).tolist()

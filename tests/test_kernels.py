@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from banachlab import _kernels
+from banachlab._kernels import pl_eval
 
 from conftest import random_pl
 
@@ -45,3 +46,37 @@ def test_range_abs_max_matches_loop():
         for j in range(5):
             expect = np.max(np.abs(values[i, starts[j]:ends[j]])) if ends[j] > starts[j] else 0.0
             assert out[i, j] == expect
+
+
+def ref_sup_abs_many(bx, by, lo, hi):
+    """The body sup_abs_many ran before it called range_abs_max."""
+    out = np.maximum(np.abs(pl_eval(bx, by, lo)), np.abs(pl_eval(bx, by, hi)))
+    ia = np.searchsorted(bx, lo, side="left")
+    ib = np.searchsorted(bx, hi, side="right")
+    nonempty = ib > ia
+    if np.any(nonempty):
+        idx = np.empty(2 * lo.shape[0], dtype=np.int64)
+        idx[0::2] = np.minimum(ia, bx.shape[0] - 1)
+        idx[1::2] = np.minimum(np.maximum(ib, idx[0::2]), bx.shape[0] - 1)
+        red = np.maximum.reduceat(np.abs(by), idx)[0::2]
+        red[~nonempty] = 0.0
+        out = np.maximum(out, red)
+    return out
+
+
+def test_sup_abs_many_matches_its_old_body():
+    rng = np.random.default_rng(13)
+    f = random_pl(rng, 30)
+    bx, by = f.breakpoints, f.values
+    gap = (bx[4] + bx[5]) / 2  # no breakpoint in [gap, gap + 1e-9]: an empty range
+    cases = [
+        (rng.uniform(0.0, 0.8, 40), None),
+        (np.array([0.0, bx[3], gap, bx[7], 0.999]), np.array([1.0, 1.0, gap + 1e-9, bx[7], 1.0])),
+        (np.array([gap, gap]), np.array([gap + 1e-9, gap])),  # only empty ranges
+        (np.array([]), np.array([])),
+    ]
+    for lo, hi in cases:
+        if hi is None:
+            hi = np.minimum(lo + rng.uniform(0.0, 0.3, lo.size), 1.0)
+        got = _kernels.sup_abs_many(bx, by, lo, hi)
+        assert got.tolist() == ref_sup_abs_many(bx, by, lo, hi).tolist()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banachlab.core_model import PLFunction, lin_comb
-from banachlab.d_norm import d_norm
+from banachlab.d_norm import DNormContext, d_norm
 from banachlab.errors import DomainError, PremiseError, ResolutionError
 from banachlab.rotundity_lab import (
     apply_certificate,
@@ -209,3 +209,70 @@ class TestOctahedral:
         plus = lin_comb(1.0, x, 1.0, y).sup_abs()
         minus = lin_comb(1.0, x, -1.0, y).sup_abs()
         assert plus > 1.95 and minus > 1.95
+
+
+def ref_suspects(starts, ends, size):
+    """The node_to_cover loop the MLUR scan ran before it used searchsorted."""
+    node_to_cover = [[] for _ in range(size)]
+    for j in range(starts.size):
+        for k in range(starts[j], ends[j]):
+            node_to_cover[k].append(j)
+    suspect = np.zeros((size, 2), dtype=np.int64)
+    for k, lst in enumerate(node_to_cover):
+        suspect[k, 0] = lst[0] if lst else 0
+        suspect[k, 1] = lst[1] if len(lst) > 1 else suspect[k, 0]
+    return suspect
+
+
+def _cover_geometry(ctx, cert):
+    from banachlab.gridsearch import GridContext
+
+    gc = GridContext(ctx, cert.x, grid_cells=512)
+    lo = np.array([b[0] for b in cert.cover_bounds])
+    hi = np.array([b[1] for b in cert.cover_bounds])
+    starts, ends = gc.interval_geometry(lo, hi)[:2]
+    return starts, ends, gc.size
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+def test_suspects_match_the_loop_on_level_covers(eps):
+    from banachlab.neighborhood_base import build_leveled
+    from banachlab.rotundity_lab import _suspect_intervals
+
+    ctx = DNormContext(build_leveled(1, levels=9))
+    cert = mlur_certificate(ctx, unit(ctx, PLFunction.tent()), eps)
+    starts, ends, size = _cover_geometry(ctx, cert)
+    got = _suspect_intervals(starts, ends, size)
+    assert got.tolist() == ref_suspects(starts, ends, size).tolist()
+
+
+def test_suspects_match_the_loop_on_a_triple_overlap():
+    # the greedy cover keeps all three intervals, and 0.47 lies in each
+    from banachlab.core_model import Interval
+    from banachlab.neighborhood_base import build_custom
+    from banachlab.rotundity_lab import _suspect_intervals
+
+    ctx = DNormContext(build_custom([Interval(0.0, 0.5), Interval(0.1, 0.6), Interval(0.45, 1.0)]))
+    cert = mlur_certificate(ctx, unit(ctx, PLFunction.constant(1.0)), 0.1)
+    assert cert.cover == (1, 2, 3)
+    starts, ends, size = _cover_geometry(ctx, cert)
+    k = int(np.searchsorted(np.linspace(0.0, 1.0, 513), 0.47))
+    assert all(starts[j] <= k < ends[j] for j in range(3))
+    got = _suspect_intervals(starts, ends, size)
+    assert got.tolist() == ref_suspects(starts, ends, size).tolist()
+    rep = mlur_adversarial_search(ctx, cert, samples=2000, seed=1)
+    assert rep["counterexamples"] == 0
+
+
+def test_flat_bumps_match_the_loop():
+    from banachlab.rotundity_lab import _flat_bumps
+
+    rng = np.random.default_rng(6)
+    for size in (3, 65, 300):
+        nodes = np.linspace(0.0, 1.0, size)
+        vx = rng.standard_normal(size)
+        ref = []
+        for k in np.argsort(np.abs(vx))[:4]:
+            for width in (2.0 ** -3, 2.0 ** -5, 2.0 ** -7):
+                ref.append(np.clip(1.0 - np.abs(nodes - nodes[k]) / width, 0.0, None))
+        assert _flat_bumps(nodes, vx).tolist() == np.asarray(ref).tolist()

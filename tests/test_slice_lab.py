@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -99,6 +100,77 @@ class TestTentFlip:
         )
         with pytest.raises(CertificateFailure):
             forged.verify(ctx8, lam_slice, one)
+
+
+    def test_certificate_holds_the_old_loop_values(self, ctx8):
+        # the attempt loop used to compute these before building the certificate
+        from banachlab.d_norm import conservative_value
+
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            S, x, eta = make_slice_pair(ctx8, rng, eps=0.3)
+            cert = tent_flip_witness(ctx8, S, x, delta_target=0.15, eta=eta)
+            y = cert.y
+            assert cert.achieved_functional == conservative_value(
+                integrate(y, S.functional), S.functional_norm
+            )
+            assert cert.achieved_distance_lo == d_norm(ctx8, lin_comb(1.0, x, -1.0, y)).lo
+            assert cert.achieved_norm_hi == d_norm(ctx8, y).hi
+            assert cert.x_norm_hi == d_norm(ctx8, x).hi
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda y: PLFunction.constant(0.0),
+            lambda y: PLFunction.constant(0.9),
+            lambda y: y.scaled(1.05),
+        ],
+    )
+    def test_forged_y_fails_the_old_inequality(self, ctx8, lam_slice, forge):
+        one = PLFunction.constant(1.0)
+        cert = tent_flip_witness(ctx8, lam_slice, one, delta_target=0.1, eta=0.02)
+        forged = dataclasses.replace(cert, y=forge(cert.y))
+        with pytest.raises(CertificateFailure) as old:
+            ref_verify(ctx8, lam_slice, one, forged)
+        with pytest.raises(CertificateFailure) as new:
+            forged.verify(ctx8, lam_slice, one)
+        assert new.value.inequality == old.value.inequality
+        assert str(new.value) == str(old.value)
+
+    def test_failed_checks_recorded(self, ctx8, lam_slice, monkeypatch):
+        # a flip that leaves x unchanged fails the distance inequality each time
+        from banachlab import slice_lab
+        from banachlab.errors import WitnessNotFoundError
+
+        monkeypatch.setattr(slice_lab, "_build_flip", lambda x, flips: x)
+        with pytest.raises(WitnessNotFoundError) as exc:
+            tent_flip_witness(
+                ctx8, lam_slice, PLFunction.constant(1.0), 0.1, eta=0.02, max_attempts=12
+            )
+        checks = exc.value.diagnostics["last_checks"]
+        assert checks["attempt"] == 11
+        assert checks["inequality"] == "flip distance lower bound"
+
+
+def ref_verify(ctx, S, x, cert):
+    """The body WitnessCertificate.verify ran before it shared the check."""
+    fy = S.value(cert.y)
+    if not fy > 1.0 - S.epsilon:
+        raise CertificateFailure(
+            f"functional value {fy} fails > 1-eps={1.0 - S.epsilon}",
+            inequality="slice membership of y",
+        )
+    dist = d_norm(ctx, lin_comb(1.0, x, -1.0, cert.y)).lo
+    if not dist > 2.0 - 2.0 * cert.delta:
+        raise CertificateFailure(
+            f"distance {dist} fails > {2.0 - 2.0 * cert.delta}",
+            inequality="flip distance lower bound",
+        )
+    ynorm = d_norm(ctx, cert.y).hi
+    xnorm = d_norm(ctx, x).hi
+    if not ynorm <= xnorm:
+        raise CertificateFailure(f"norm {ynorm} exceeds {xnorm}", inequality="norm domination")
+    return {"functional": fy, "distance_lo": dist, "norm_hi": ynorm}
 
 
 class TestDisjointPoints:

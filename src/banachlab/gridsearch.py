@@ -35,9 +35,15 @@ def grid_nodes(grid_cells: int, *objects) -> np.ndarray:
     return np.union1d(np.linspace(0.0, 1.0, grid_cells + 1), points)
 
 
+def hat_at(t, centers, widths):
+    """Unit hats at the points t, peaked at each center and 0 beyond its
+    width; the arguments broadcast, and each value is computed alone."""
+    return np.maximum(1.0 - np.abs(t - centers) / widths, 0.0)
+
+
 def hats(nodes: np.ndarray, centers: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Unit hat rows on the nodes, peaked at each center and 0 beyond its width."""
-    return np.clip(1.0 - np.abs(nodes[None, :] - centers[:, None]) / widths[:, None], 0.0, None)
+    """Unit hat rows on the nodes, one per center and width."""
+    return hat_at(nodes[None, :], centers[:, None], widths[:, None])
 
 
 class GridContext:

@@ -260,8 +260,11 @@ def large_slice_check(
         if cand[m - 1] > 1.0 - epsilon:
             members.append(cand)
     # the screen only nominates pairs; the exact fold ranks them in row-major
-    # order, so the strict `>` keeps the first of any tie
-    for i, j in _near_max_pairs(sched, members):
+    # order, so the strict `>` keeps the first of any tie.  No two members of
+    # the unit ball are more than 2 apart, so a deterministic pair at that
+    # ceiling ends the search
+    pairs = _near_max_pairs(sched, members) if best < 2.0 else ()
+    for i, j in pairs:
         d = nested_norm(sched, members[i] - members[j])
         if d > best:
             best = d

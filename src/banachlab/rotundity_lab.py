@@ -17,8 +17,8 @@ import numpy as np
 from . import _kernels
 from .core_model import PLFunction, lin_comb, pl_eval
 from .d_norm import DNormContext, d_norm, seminorms_all
-from .errors import DomainError, PremiseError, WitnessNotFoundError
-from .gridsearch import GridContext, grid_nodes, hats
+from .errors import CertificateFailure, DomainError, PremiseError, WitnessNotFoundError
+from .gridsearch import GridContext, grid_nodes, hat_at, hats
 
 #: scan samples built and screened at once: on a grid of a few hundred nodes
 #: a block stays under the 4 MiB from which numpy asks for huge pages, which
@@ -64,11 +64,50 @@ class MLURCertificate:
         allowed = np.array(self.x_seminorms) + self.epsilon
         return float(np.min(allowed - np.maximum(sp, sm)))
 
+    def verify(self) -> float:
+        """Re-derive the conclusion from the premise by exact arithmetic.
+
+        On a cover interval m the premise gives |x(t)| + |y(t)| ≤ ‖x‖_m + ε,
+        so ‖y‖_∞ ≤ ε + max_m (‖x‖_m − min_m |x|) once the cover reaches all
+        of [0, 1].  Returns that bound; raises CertificateFailure if the cover
+        leaves a gap or the bound exceeds conclusion_bound.
+        """
+        lo = np.array([b[0] for b in self.cover_bounds])
+        hi = np.array([b[1] for b in self.cover_bounds])
+        order = np.argsort(lo, kind="stable")
+        reach = np.maximum.accumulate(hi[order])
+        if lo[order[0]] > 0.0 or reach[-1] < 1.0 or np.any(lo[order[1:]] > reach[:-1]):
+            raise CertificateFailure("the cover intervals leave a gap in [0, 1]",
+                                     inequality="cover of [0, 1]")
+        bound = self.epsilon + float(np.max(np.array(self.x_seminorms) - _min_abs_many(
+            self.x.breakpoints, self.x.values, lo, hi)))
+        if not bound <= self.conclusion_bound:
+            raise CertificateFailure(f"conclusion {bound} exceeds {self.conclusion_bound}",
+                                     inequality="MLUR conclusion bound")
+        return bound
+
+
+def _min_abs_many(bx, by, lo, hi):
+    """Exact min of |f| over each [lo[i], hi[i]], f the PL interpolant of
+    (bx, by): 0 where f changes sign there, else its smallest magnitude at
+    an end or an interior breakpoint."""
+    at_ends = np.stack([pl_eval(bx, by, lo), pl_eval(bx, by, hi)], axis=1)
+    ia = np.searchsorted(bx, lo, side="right")
+    ib = np.searchsorted(bx, hi, side="left")
+    inner = ib > ia
+    # reduceat over by[ia:ib]; the pad keeps an index ia == by.size valid
+    pad = np.append(by, 0.0)
+    idx = np.stack([ia, np.maximum(ib, ia)], axis=1).ravel()
+    mn = np.minimum(at_ends.min(axis=1), np.where(inner, np.minimum.reduceat(pad, idx)[0::2], np.inf))
+    mx = np.maximum(at_ends.max(axis=1), np.where(inner, np.maximum.reduceat(pad, idx)[0::2], -np.inf))
+    return np.maximum(np.maximum(mn, -mx), 0.0)
+
 
 def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCertificate:
-    """Build the oscillation certificate for a unit-sphere x at level ε."""
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    """Build the oscillation certificate for a unit-sphere x at level ε,
+    checked by `MLURCertificate.verify`."""
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError("epsilon must be finite and positive")
     _require_unit(ctx, x)
     lip = x.lipschitz_bound()
     # zero oscillation: any cover works, take the coarsest stored level
@@ -82,7 +121,7 @@ def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCe
         np.array([b[0] for b in bounds]),
         np.array([b[1] for b in bounds]),
     )
-    return MLURCertificate(
+    cert = MLURCertificate(
         x=x,
         epsilon=epsilon,
         delta=delta,
@@ -92,6 +131,8 @@ def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCe
         lipschitz=lip,
         conclusion_bound=2.0 * epsilon,
     )
+    cert.verify()
+    return cert
 
 
 @dataclass(frozen=True)
@@ -121,9 +162,12 @@ def mlur_adversarial_search(
     """Hunt for a premise-true, conclusion-false perturbation.
 
     Candidates live on a shared grid refining x's breakpoints, so premise
-    seminorms are exact.  Candidates already satisfying the conclusion are
-    skipped; the rest are refuted fast at the cover interval holding their
-    max, with a full exact scan for anything that survives.
+    seminorms are exact.  Samples come from `_adversarial_blocks`: noise and
+    wave samples as full node rows, bump and plateau samples (half the draw)
+    as hat parameters evaluated only at the nodes the scan reads.  Samples
+    whose sup already meets the conclusion are skipped; the rest are refuted
+    fast at the cover interval holding their first maximising node, and
+    anything that survives gets its full row and an exact check.
     """
     gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
     nodes = gc.nodes
@@ -146,42 +190,39 @@ def mlur_adversarial_search(
     while scanned < samples:
         m = min(chunk, samples - scanned)
         scanned += m
-        for vy in _adversarial_blocks(rng, nodes, m, eps2):
-            sup_y = np.max(np.abs(vy), axis=1)
-            cands = np.nonzero(sup_y > eps2)[0]
-            if cands.size == 0:
-                continue
-            argmax_nodes = np.argmax(np.abs(vy[cands]), axis=1)
-            alive = cands
-            nodes_alive = argmax_nodes
+        for rows in _adversarial_blocks(rng, nodes, m, eps2):
+            alive, peaks = rows.candidates(eps2)
             for which in (0, 1):
                 if alive.size == 0:
                     break
-                j = suspect[nodes_alive, which]
+                j = suspect[peaks, which]
                 idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
                 valid = idx < ends[j][:, None]
+                # the window of interval j, then the cells holding its ends
+                vy_g = rows.values(alive, np.column_stack([idx, ka[j], ka[j] + 1, kb[j], kb[j] + 1]))
+                ya0, ya1, yb0, yb1 = vy_g[:, width:].T
+                vy_g = vy_g[:, :width]
                 vx_g = vx[idx]
-                vy_g = vy[alive[:, None], idx]
                 sup_pm = np.zeros(alive.size)
                 for sign in (1.0, -1.0):
                     v = np.abs(vx_g + sign * vy_g)
                     v[~valid] = 0.0
                     interior = v.max(axis=1)
                     ea = np.abs(
-                        (vx[ka[j]] + sign * vy[alive, ka[j]]) * (1.0 - ta[j])
-                        + (vx[ka[j] + 1] + sign * vy[alive, ka[j] + 1]) * ta[j]
+                        (vx[ka[j]] + sign * ya0) * (1.0 - ta[j])
+                        + (vx[ka[j] + 1] + sign * ya1) * ta[j]
                     )
                     eb = np.abs(
-                        (vx[kb[j]] + sign * vy[alive, kb[j]]) * (1.0 - tb[j])
-                        + (vx[kb[j] + 1] + sign * vy[alive, kb[j] + 1]) * tb[j]
+                        (vx[kb[j]] + sign * yb0) * (1.0 - tb[j])
+                        + (vx[kb[j] + 1] + sign * yb1) * tb[j]
                     )
                     sup_pm = np.maximum(sup_pm, np.maximum(interior, np.maximum(ea, eb)))
                 keep = sup_pm <= allowed[j]  # premise not yet refuted there
                 alive = alive[keep]
-                nodes_alive = nodes_alive[keep]
+                peaks = peaks[keep]
             for row in alive:
                 survivors_checked += 1
-                y_pl = PLFunction(nodes, vy[row])
+                y_pl = PLFunction(nodes, rows.row(row))
                 app = apply_certificate(cert, y_pl)
                 if app.premise and not app.conclusion:
                     counterexamples += 1
@@ -204,7 +245,8 @@ def _suspect_intervals(starts: np.ndarray, ends: np.ndarray, size: int) -> np.nd
 
 def _adversarial_blocks(rng, nodes, m, eps2):
     """Mixture of near-threshold bumps, plateaus and noise, sized around 2ε:
-    m samples drawn at once, their rows yielded SCAN_BLOCK_ROWS at a time."""
+    m samples drawn at once, yielded as `_ScanRows` of SCAN_BLOCK_ROWS each.
+    Only noise and wave samples get full rows, built one block at a time."""
     kind = rng.integers(0, 4, m)
     centers = rng.uniform(0.0, 1.0, m)
     widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.3), m))
@@ -217,28 +259,118 @@ def _adversarial_blocks(rng, nodes, m, eps2):
     if np.any(smooth):
         xs = np.linspace(0.0, 1.0, 33)
         coarse = rng.standard_normal((int(smooth.sum()), 33))
-        # linear interpolation of all rows at once; xs[k] = k/32 exactly, so
-        # the coarse cell of a node is floor(32·t)
+        # linear interpolation of all rows at once, in place; xs[k] = k/32
+        # exactly, so the coarse cell of a node is floor(32·t)
         pos = np.minimum((32.0 * nodes).astype(np.int64), 31)
         th = (nodes - xs[pos]) / (xs[pos + 1] - xs[pos])
-        wave = amps[smooth][:, None] * (
-            coarse[:, pos] * (1.0 - th)[None, :] + coarse[:, pos + 1] * th[None, :]
-        )
-    sa = (signs * amps)[:, None]
-    # the row of a noisy (smooth) sample in noise (wave)
-    noise_row, wave_row = np.cumsum(noisy) - 1, np.cumsum(smooth) - 1
+        wave = coarse[:, pos]
+        wave *= 1.0 - th
+        upper = coarse[:, pos + 1]
+        upper *= th
+        wave += upper
+        wave *= amps[smooth][:, None]
+    sa = signs * amps
+    # noisy (smooth) samples before each sample: their rows in noise (wave)
+    noise_row = np.concatenate([[0], np.cumsum(noisy)])
+    wave_row = np.concatenate([[0], np.cumsum(smooth)])
+    # the node each column reads: the end columns repeat their neighbours
+    # (on a two-node grid both read node 1)
+    col_nodes = nodes[np.maximum(np.minimum(np.arange(nodes.size), nodes.size - 2), 1)]
     for a in range(0, m, SCAN_BLOCK_ROWS):
-        blk = slice(a, a + SCAN_BLOCK_ROWS)
-        bump = hats(nodes, centers[blk], widths[blk])
-        out = sa[blk] * bump
-        plateau = kind[blk] == 1
-        out[plateau] = sa[blk][plateau] * np.clip(2.0 * bump[plateau], 0.0, 1.0)
-        nz, sm = noisy[blk], smooth[blk]
-        out[nz] += noise[noise_row[blk][nz]]
-        out[sm] = wave[wave_row[blk][sm]]
+        b = min(a + SCAN_BLOCK_ROWS, m)
+        nz = noisy[a:b]
+        k = noise_row[b] - noise_row[a]
+        out = np.empty((k + wave_row[b] - wave_row[a], nodes.size))
+        np.multiply(sa[a:b][nz][:, None], hats(nodes, centers[a:b][nz], widths[a:b][nz]), out=out[:k])
+        out[:k] += noise[noise_row[a]:noise_row[b]]
+        out[k:] = wave[wave_row[a]:wave_row[b]]
         out[:, 0] = out[:, 1]
         out[:, -1] = out[:, -2]
-        yield out
+        yield _ScanRows(col_nodes, kind[a:b], sa[a:b], centers[a:b], widths[a:b], out)
+
+
+class _ScanRows:
+    """One block of scan samples.  Noise and wave samples are stored as full
+    rows; a bump or plateau sample is kept as its hat and evaluated only at
+    the columns asked for, with `hat_at`, the expression of `hats`, so every
+    value has the bits of its full row."""
+
+    def __init__(self, col_nodes, kind, sa, centers, widths, full):
+        self.col_nodes = col_nodes
+        self.sa, self.centers, self.widths = sa, centers, widths
+        self.plateau = kind == 1
+        self.lazy = kind <= 1
+        # full holds the noise samples' rows, then the wave samples'
+        noisy, smooth = kind == 2, kind == 3
+        self.slot = np.where(noisy, np.cumsum(noisy), noisy.sum() + np.cumsum(smooth)) - 1
+        self.full = full
+
+    def _hat_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Bump or plateau samples rows[i] at columns cols[i]."""
+        r = rows.reshape(rows.shape + (1,) * (cols.ndim - 1))
+        h = hat_at(self.col_nodes[cols], self.centers[r], self.widths[r])
+        return self.sa[r] * np.where(self.plateau[r], np.clip(2.0 * h, 0.0, 1.0), h)
+
+    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Samples rows[i] at columns cols[i]."""
+        out = np.empty(cols.shape)
+        lazy = self.lazy[rows]
+        f = ~lazy
+        out[f] = self.full[self.slot[rows[f]][:, None], cols[f]]
+        out[lazy] = self._hat_values(rows[lazy], cols[lazy])
+        return out
+
+    def row(self, r: int) -> np.ndarray:
+        return self.values(np.array([r]), np.arange(self.col_nodes.size)[None, :])[0]
+
+    def candidates(self, eps2: float) -> tuple[np.ndarray, np.ndarray]:
+        """Samples with sup|y| > eps2, and the first column attaining each
+        one's sup, as np.argmax of the full row would give it.
+
+        A hat does not decrease in its node up to the centre, nor increase
+        after it, and rounding keeps that order.  So a bump or plateau has
+        its sup at column `left`, the last one reading a node at or left of
+        the centre, or at left+1, and its first column is found by bisection
+        below that; plateaus tie over a whole run of columns."""
+        sup = np.empty(self.lazy.size)
+        a = np.abs(self.full)
+        full_peaks = np.argmax(a, axis=1)
+        sup[~self.lazy] = a[np.arange(a.shape[0]), full_peaks][self.slot[~self.lazy]]
+        lz = np.nonzero(self.lazy)[0]
+        left = np.clip(np.searchsorted(self.col_nodes, self.centers[lz], side="right") - 1,
+                       0, self.col_nodes.size - 2)
+        y = np.abs(self._hat_values(lz, np.stack([left, left + 1], axis=1)))
+        sup[lz] = np.maximum(y[:, 0], y[:, 1])
+        cands = np.nonzero(sup > eps2)[0]
+        peaks = np.empty(cands.size, dtype=np.int64)
+        f = ~self.lazy[cands]
+        peaks[f] = full_peaks[self.slot[cands[f]]]
+        sel = sup[lz] > eps2
+        rows, left, y = lz[sel], left[sel], y[sel]
+        right = y[:, 1] > y[:, 0]  # on a tie the first column may lie further left
+        hi = np.where(right, left + 1, left)
+        lo = np.where(right, hi, 0)
+        # probe first where the formula puts a plateau's edge: its value
+        # saturates from 1 − |t − c|/w ≥ 1/2 on
+        c, w = self.centers[rows], self.widths[rows]
+        guess = np.where(self.plateau[rows], np.searchsorted(self.col_nodes, c - 0.5 * w), hi)
+        peaks[~f] = self._first_reaching(rows, np.maximum(y[:, 0], y[:, 1]), lo, hi, guess)
+        return cands, peaks
+
+    def _first_reaching(self, rows, target, lo, hi, guess):
+        """Per bump or plateau sample, the first column in [lo, hi] where |y|
+        reaches target, given that |y| does not decrease there and reaches
+        it at hi.  Bisection, whose first two steps probe guess−1 and guess."""
+        probes = [guess - 1, guess]
+        act = np.nonzero(lo < hi)[0]
+        while act.size:
+            a, b = lo[act], hi[act]
+            mid = np.clip(probes.pop(0)[act], a, b - 1) if probes else (a + b) // 2
+            ge = np.abs(self._hat_values(rows[act], mid)) >= target[act]
+            hi[act[ge]] = mid[ge]
+            lo[act[~ge]] = mid[~ge] + 1
+            act = act[lo[act] < hi[act]]
+        return lo
 
 
 def mlur_modulus(
@@ -257,8 +389,8 @@ def mlur_modulus(
     With norm="sup" the same search runs in the max-norm as a control,
     where flat perturbations away from maximizers drive it to 0.
     """
-    if epsilon < 0.0:
-        raise DomainError("epsilon must be nonnegative")
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError("epsilon must be finite and nonnegative")
     if epsilon == 0.0:
         return 0.0
     gc = GridContext(ctx, x, grid_cells=grid_cells)
@@ -375,8 +507,8 @@ def local_octahedral_witness(
     interval: both signs of x are matched near every seminorm maximizer,
     so each ‖x±y‖_n approaches 2‖x‖_n.  Random refinement follows.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError("epsilon must be finite and positive")
     xe = _require_unit(ctx, x)
     lo, hi = ctx.interval_bounds
     min_len = float(np.min(hi - lo))

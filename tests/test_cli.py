@@ -6,6 +6,8 @@ import pytest
 from banachlab import cli, reports
 from banachlab.cli import dispatch
 from banachlab.core_model import Measure, PLFunction, dump_function, dump_measure
+from banachlab.d_norm import DNormContext, d_norm
+from banachlab.neighborhood_base import build_leveled
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +92,29 @@ class TestBadInputs:
             ["--tol=-1e-3", "nested", "--op", "product"],
             ["--tol", "nan", "nested", "--op", "product"],
             ["nested", "--p", "geometric:base=1.001,count=10001", "--op", "product"],
+            ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps=nan"],
+            ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps=inf"],
+            ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one.json", "--eps=nan"],
+            ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one.json", "--eps=inf"],
+            ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=nan"],
+            ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=inf"],
         ],
     )
-    def test_one_line_error(self, argv, capsys):
-        assert run(argv) == 1
+    def test_one_line_error(self, argv, files, capsys):
+        assert run([a.replace("{dir}", str(files)) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_forged_mlur_certificate_exits_two(self, files, monkeypatch, capsys):
+        # a Lipschitz bound understated 4x picks a cover too coarse for 2ε
+        true_lip = PLFunction.lipschitz_bound
+        monkeypatch.setattr(PLFunction, "lipschitz_bound", lambda s: true_lip(s) / 4.0)
+        tent = PLFunction.tent()
+        x = files / "tent_unit.json"
+        dump_function(tent.scaled(1.0 / d_norm(DNormContext(build_leveled(1, levels=8)), tent).hi), str(x))
+        assert run(["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", str(x), "--eps", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("certificate failure [MLUR conclusion bound]") and err.count("\n") == 1
 
     @pytest.mark.parametrize("cells", ["0", "-3"])
     def test_grid_below_one(self, files, cells, capsys):

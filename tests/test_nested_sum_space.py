@@ -146,11 +146,9 @@ class TestWur:
             wur_difference_extraction(GEO, [np.zeros(3)], [np.zeros(3)], tol=0.1)
 
 
-def scalar_large_slice(sched, m, epsilon, budget, seed):
-    """The quadratic scalar pair loop that the whole-array screen replaced,
-    kept as the reference for its results (`large_slice_check` checks the
-    inputs, so this copy does not)."""
-    tail_product = 2.0 ** sched.inv_sum(start=m)
+def scalar_members(sched, m, epsilon, budget, seed):
+    """The slice members in `large_slice_check`'s order: the deterministic
+    pair, then the accepted random candidates."""
     dim = sched.capacity
     a = (1.0 - epsilon) * (1.0 + 1e-12) + 1e-15
     p_m = sched.exponents[m - 1] if m < dim else sched.exponents[-1]
@@ -162,8 +160,6 @@ def scalar_large_slice(sched, m, epsilon, budget, seed):
     if m < dim:
         x[-1] = c
         y[-1] = -c
-    best = nested_norm(sched, x - y)
-    best_pair = (x.copy(), y.copy())
     rng = np.random.default_rng(seed)
     members = [x, y]
     for _ in range(budget):
@@ -173,6 +169,16 @@ def scalar_large_slice(sched, m, epsilon, budget, seed):
         cand = cand / (nrm * (1.0 + 1e-12))
         if cand[m - 1] > 1.0 - epsilon:
             members.append(cand)
+    return members
+
+
+def scalar_large_slice(sched, m, epsilon, budget, seed):
+    """The quadratic scalar pair loop that the whole-array screen replaced,
+    kept as the reference for its results (`large_slice_check` checks the
+    inputs, so this copy does not)."""
+    members = scalar_members(sched, m, epsilon, budget, seed)
+    best = nested_norm(sched, members[0] - members[1])
+    best_pair = (members[0].copy(), members[1].copy())
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             d = nested_norm(sched, members[i] - members[j])
@@ -182,7 +188,7 @@ def scalar_large_slice(sched, m, epsilon, budget, seed):
     return {
         "best_distance": float(best),
         "pair": best_pair,
-        "tail_product": tail_product,
+        "tail_product": 2.0 ** sched.inv_sum(start=m),
         "members": len(members),
         "target": 2.0 / (1.0 + epsilon / 3.0),
     }
@@ -193,20 +199,6 @@ def assert_same_report(got, want):
         assert got[key] == want[key], key
     for u, v in zip(got["pair"], want["pair"]):
         assert np.array_equal(u, v)
-
-
-def slice_members(monkeypatch, *args, **kw):
-    """The members `large_slice_check` screens, caught on their way in."""
-    seen = []
-    screen = nested_sum_space._near_max_pairs
-
-    def spy(sched, members):
-        seen.append(members)
-        return screen(sched, members)
-
-    monkeypatch.setattr(nested_sum_space, "_near_max_pairs", spy)
-    large_slice_check(*args, **kw)
-    return seen[0]
 
 
 class TestPairScreen:
@@ -238,14 +230,29 @@ class TestPairScreen:
         x, y = rep["pair"]
         assert rep["best_distance"] == nested_norm(GEO, x - y)
 
-    def test_screen_agrees_with_scalar_fold(self, monkeypatch):
+    def test_screen_agrees_with_scalar_fold(self):
         # 1000x inside the re-rank cut of 1e-9
-        members = slice_members(monkeypatch, GEO, 8, 0.3, budget=600, seed=1)
+        members = scalar_members(GEO, 8, 0.3, 600, 1)
+        assert len(members) == large_slice_check(GEO, 8, 0.3, budget=600, seed=1)["members"]
         i, j = (np.array(t) for t in zip(*itertools.combinations(range(len(members)), 2)))
         cols = np.array(members).T
         screened = nested_sum_space._fold_columns(GEO, cols[:, i] - cols[:, j])
         exact = np.array([nested_norm(GEO, members[a] - members[b]) for a, b in zip(i, j)])
         np.testing.assert_allclose(screened, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("budget", [0, 50, 600, 2000])
+    def test_search_stops_at_the_distance_ceiling(self, budget, seed, monkeypatch):
+        # at m=8 the deterministic pair is already 2 apart, the most two
+        # members of the unit ball can be, so no pair is screened; the
+        # members are still drawn and counted
+        def screen(sched, members):
+            raise AssertionError("screened past the ceiling")
+
+        monkeypatch.setattr(nested_sum_space, "_near_max_pairs", screen)
+        rep = large_slice_check(GEO, 8, 0.3, budget=budget, seed=seed)
+        assert rep["best_distance"] == 2.0
+        assert rep["members"] == len(scalar_members(GEO, 8, 0.3, budget, seed))
 
     def test_pairs_are_enumerated_row_major_across_blocks(self, monkeypatch):
         # a tiny block size, and a cut that keeps every pair

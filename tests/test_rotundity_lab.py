@@ -3,7 +3,7 @@ import pytest
 
 from banachlab.core_model import PLFunction, lin_comb
 from banachlab.d_norm import DNormContext, d_norm
-from banachlab.errors import DomainError, PremiseError, ResolutionError
+from banachlab.errors import CertificateFailure, DomainError, PremiseError, ResolutionError
 from banachlab.rotundity_lab import (
     apply_certificate,
     local_octahedral_witness,
@@ -42,6 +42,71 @@ class TestCertificate:
     def test_non_unit_rejected(self, ctx8):
         with pytest.raises(DomainError):
             mlur_certificate(ctx8, PLFunction.constant(0.3), 0.1)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1, 0.0])
+    def test_epsilon_must_be_finite_and_positive(self, ctx8, eps):
+        with pytest.raises(DomainError):
+            mlur_certificate(ctx8, PLFunction.constant(1.0), eps)
+        with pytest.raises(DomainError):
+            local_octahedral_witness(ctx8, PLFunction.constant(1.0), eps, budget=10, seed=0)
+        if eps != 0.0:  # the modulus at 0 is 0
+            with pytest.raises(DomainError):
+                mlur_modulus(ctx8, PLFunction.constant(1.0), eps, budget=10, seed=0)
+
+    def test_verify_passes_on_the_criterion_5_certificates(self, monkeypatch):
+        # the 60 certificates of criterion 5; with the Lipschitz bound
+        # understated 4x the cover is too coarse and each one fails
+        from banachlab.neighborhood_base import build_leveled
+        from conftest import smooth_positive_pl
+
+        ctx = DNormContext(build_leveled(1, levels=9))
+        rng = np.random.default_rng(505)
+        true_lip = PLFunction.lipschitz_bound
+        for _ in range(20):
+            f = smooth_positive_pl(rng)
+            x = f.scaled(1.0 / d_norm(ctx, f).hi)
+            for eps in (0.05, 0.1, 0.2):
+                monkeypatch.setattr(PLFunction, "lipschitz_bound", true_lip)
+                cert = mlur_certificate(ctx, x, eps)
+                assert eps < cert.verify() <= cert.conclusion_bound
+                monkeypatch.setattr(PLFunction, "lipschitz_bound", lambda s: true_lip(s) / 4.0)
+                with pytest.raises(CertificateFailure) as exc:
+                    mlur_certificate(ctx, x, eps)
+                assert exc.value.inequality == "MLUR conclusion bound"
+
+    def test_verify_refuses_a_gap_in_the_cover(self, ctx8):
+        import dataclasses
+
+        cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+        for drop in (0, len(cert.cover) // 2, len(cert.cover) - 1):
+            keep = [k for k in range(len(cert.cover)) if k != drop]
+            gapped = dataclasses.replace(
+                cert,
+                cover=tuple(cert.cover[k] for k in keep),
+                cover_bounds=tuple(cert.cover_bounds[k] for k in keep),
+                x_seminorms=tuple(cert.x_seminorms[k] for k in keep),
+            )
+            with pytest.raises(CertificateFailure) as exc:
+                gapped.verify()
+            assert exc.value.inequality == "cover of [0, 1]"
+
+    def test_min_abs_matches_the_point_loop(self):
+        from banachlab.rotundity_lab import _min_abs_many
+        from conftest import random_pl
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            f = random_pl(rng, n_interior=int(rng.integers(0, 12)))
+            # ends on breakpoints, inside pieces, and degenerate intervals
+            ends = np.concatenate([f.breakpoints, rng.uniform(0.0, 1.0, 8)])
+            a, b = rng.choice(ends, (2, 40))
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            ref = []
+            for s, e in zip(lo, hi):
+                pts = np.concatenate([[s], f.breakpoints[(f.breakpoints > s) & (f.breakpoints < e)], [e]])
+                v = f.eval(pts)
+                ref.append(0.0 if v.min() <= 0.0 <= v.max() else float(np.min(np.abs(v))))
+            assert _min_abs_many(f.breakpoints, f.values, lo, hi).tolist() == ref
 
 
 class TestApply:
@@ -103,7 +168,7 @@ class TestApply:
         # repeat there to keep them among the compared columns
         nodes = np.concatenate([[0.0], inner, [1.0]])
         m, eps2 = 64, 0.2
-        rows = np.vstack(list(_adversarial_blocks(np.random.default_rng(9), nodes, m, eps2)))
+        rows = full_rows(_adversarial_blocks(np.random.default_rng(9), nodes, m, eps2))
         # replay the draws in _adversarial_blocks' order
         rng = np.random.default_rng(9)
         kind = rng.integers(0, 4, m)
@@ -276,3 +341,193 @@ def test_flat_bumps_match_the_loop():
             for width in (2.0 ** -3, 2.0 ** -5, 2.0 ** -7):
                 ref.append(np.clip(1.0 - np.abs(nodes - nodes[k]) / width, 0.0, None))
         assert _flat_bumps(nodes, vx).tolist() == np.asarray(ref).tolist()
+
+
+# -- the MLUR scan against its full-row reference ------------------------------
+
+
+def full_rows(blocks):
+    """Every sample of the scan blocks as its full row, in draw order."""
+    rows = []
+    for blk in blocks:
+        n = blk.sa.size
+        rows.append(blk.values(np.arange(n), np.tile(np.arange(blk.col_nodes.size), (n, 1))))
+    return np.vstack(rows)
+
+
+def ref_adversarial_blocks(rng, nodes, m, eps2, block_rows=256):
+    """The full-row generator the scan used before bump and plateau samples
+    were evaluated lazily."""
+    from banachlab.gridsearch import hats
+
+    kind = rng.integers(0, 4, m)
+    centers = rng.uniform(0.0, 1.0, m)
+    widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.3), m))
+    amps = eps2 * rng.uniform(0.8, 1.6, m)
+    signs = rng.choice([-1.0, 1.0], m)
+    noisy = kind == 2
+    noise = 0.2 * eps2 * rng.standard_normal((int(noisy.sum()), nodes.size))
+    smooth = kind == 3
+    wave = np.empty((0, nodes.size))
+    if np.any(smooth):
+        xs = np.linspace(0.0, 1.0, 33)
+        coarse = rng.standard_normal((int(smooth.sum()), 33))
+        pos = np.minimum((32.0 * nodes).astype(np.int64), 31)
+        th = (nodes - xs[pos]) / (xs[pos + 1] - xs[pos])
+        wave = amps[smooth][:, None] * (
+            coarse[:, pos] * (1.0 - th)[None, :] + coarse[:, pos + 1] * th[None, :]
+        )
+    sa = (signs * amps)[:, None]
+    noise_row, wave_row = np.cumsum(noisy) - 1, np.cumsum(smooth) - 1
+    for a in range(0, m, block_rows):
+        blk = slice(a, a + block_rows)
+        bump = hats(nodes, centers[blk], widths[blk])
+        out = sa[blk] * bump
+        plateau = kind[blk] == 1
+        out[plateau] = sa[blk][plateau] * np.clip(2.0 * bump[plateau], 0.0, 1.0)
+        nz, sm = noisy[blk], smooth[blk]
+        out[nz] += noise[noise_row[blk][nz]]
+        out[sm] = wave[wave_row[blk][sm]]
+        out[:, 0] = out[:, 1]
+        out[:, -1] = out[:, -2]
+        yield out
+
+
+def ref_scan(ctx, cert, samples, seed, grid_cells):
+    """The full-row scan: its report, and per block the candidates, their
+    argmax nodes and the survivors' rows."""
+    from banachlab.gridsearch import GridContext
+    from banachlab.rotundity_lab import _suspect_intervals
+
+    gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
+    nodes = gc.nodes
+    vx = gc.sample_function(cert.x)
+    lo = np.array([b[0] for b in cert.cover_bounds])
+    hi = np.array([b[1] for b in cert.cover_bounds])
+    starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
+    allowed = np.array(cert.x_seminorms) + cert.epsilon
+    suspect = _suspect_intervals(starts, ends, nodes.size)
+    offsets = np.arange(int(np.max(ends - starts)))
+    rng = np.random.default_rng(seed)
+    eps2 = cert.conclusion_bound
+    scanned = counterexamples = 0
+    blocks, survivors = [], []
+    while scanned < samples:
+        m = min(1024, samples - scanned)
+        scanned += m
+        for vy in ref_adversarial_blocks(rng, nodes, m, eps2):
+            cands = np.nonzero(np.max(np.abs(vy), axis=1) > eps2)[0]
+            argmax_nodes = np.argmax(np.abs(vy[cands]), axis=1)
+            blocks.append((cands.tolist(), argmax_nodes.tolist()))
+            alive, nodes_alive = cands, argmax_nodes
+            for which in (0, 1):
+                if alive.size == 0:
+                    break
+                j = suspect[nodes_alive, which]
+                idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
+                valid = idx < ends[j][:, None]
+                vx_g = vx[idx]
+                vy_g = vy[alive[:, None], idx]
+                sup_pm = np.zeros(alive.size)
+                for sign in (1.0, -1.0):
+                    v = np.abs(vx_g + sign * vy_g)
+                    v[~valid] = 0.0
+                    ea = np.abs((vx[ka[j]] + sign * vy[alive, ka[j]]) * (1.0 - ta[j])
+                                + (vx[ka[j] + 1] + sign * vy[alive, ka[j] + 1]) * ta[j])
+                    eb = np.abs((vx[kb[j]] + sign * vy[alive, kb[j]]) * (1.0 - tb[j])
+                                + (vx[kb[j] + 1] + sign * vy[alive, kb[j] + 1]) * tb[j])
+                    sup_pm = np.maximum(sup_pm, np.maximum(v.max(axis=1), np.maximum(ea, eb)))
+                keep = sup_pm <= allowed[j]
+                alive, nodes_alive = alive[keep], nodes_alive[keep]
+            for row in alive:
+                survivors.append(vy[row].tolist())
+                app = apply_certificate(cert, PLFunction(nodes, vy[row]))
+                if app.premise and not app.conclusion:
+                    counterexamples += 1
+    report = {"scanned": scanned, "counterexamples": counterexamples,
+              "survivors_full_checked": len(survivors)}
+    return report, blocks, survivors
+
+
+def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells, monkeypatch):
+    from banachlab import rotundity_lab
+    from banachlab.gridsearch import grid_nodes
+
+    ref_report, ref_blocks, ref_survivors = ref_scan(ctx, cert, samples, seed, grid_cells)
+    # the same draws, block by block: rows, candidates and their argmax nodes
+    nodes = grid_nodes(grid_cells, cert.x)
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    blocks = []
+    for a in range(0, samples, 1024):
+        m = min(1024, samples - a)
+        new = list(rotundity_lab._adversarial_blocks(rng_new, nodes, m, cert.conclusion_bound))
+        ref = np.vstack(list(ref_adversarial_blocks(rng_ref, nodes, m, cert.conclusion_bound)))
+        assert full_rows(new).tolist() == ref.tolist()
+        blocks += [tuple(v.tolist() for v in blk.candidates(cert.conclusion_bound)) for blk in new]
+    assert blocks == ref_blocks
+    # the survivors, in order, through the search itself
+    survivors = []
+
+    def recording(c, y):
+        survivors.append(y.values.tolist())
+        return apply_certificate(c, y)
+
+    monkeypatch.setattr(rotundity_lab, "apply_certificate", recording)
+    report = mlur_adversarial_search(ctx, cert, samples=samples, seed=seed, grid_cells=grid_cells)
+    assert survivors == ref_survivors
+    assert report == ref_report
+    return report
+
+
+@pytest.mark.parametrize("grid_cells", [512, 300, 64, 1])
+@pytest.mark.parametrize("divisor", [2.0, 4.0])
+def test_lazy_scan_matches_full_rows_on_forged_bounds(ctx8, grid_cells, divisor, monkeypatch):
+    import dataclasses
+
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
+    # fewer samples where the forged bound leaves many survivors to check
+    samples = int(6000 / divisor)
+    rep = assert_scan_matches_reference(ctx8, forged, samples, 8, grid_cells, monkeypatch)
+    # on the 3-node grid the bound / 2 leaves no survivor at this seed
+    assert rep["survivors_full_checked"] > 0 or (grid_cells, divisor) == (1, 2.0)
+
+
+@pytest.mark.parametrize("grid_cells", [512, 300, 64, 1])
+def test_lazy_scan_matches_full_rows(ctx8, grid_cells, monkeypatch):
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    rep = assert_scan_matches_reference(ctx8, cert, 3000, 5, grid_cells, monkeypatch)
+    assert rep["counterexamples"] == 0
+
+
+@pytest.mark.parametrize("divisor", [1.0, 2.0])
+def test_lazy_scan_on_the_two_node_grid(ctx8, divisor, monkeypatch):
+    # a constant x adds no breakpoint, so one cell gives the nodes 0 and 1,
+    # and both end columns read node 1
+    import dataclasses
+
+    cert = mlur_certificate(ctx8, PLFunction.constant(1.0), 0.1)
+    forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
+    assert_scan_matches_reference(ctx8, forged, 3000, 2, 1, monkeypatch)
+
+
+def test_lazy_scan_on_near_tied_nodes(ctx8, monkeypatch):
+    # breakpoints one ulp below the grid nodes k/512 put pairs of nodes whose
+    # hats round alike; np.argmax takes the first of each tie
+    import dataclasses
+
+    bx = np.concatenate([[0.0], np.nextafter(np.arange(1, 512) / 512.0, 0.0), [1.0]])
+    x = unit(ctx8, PLFunction(bx, 0.8 + 0.2 * np.sin(6.0 * bx)))
+    cert = mlur_certificate(ctx8, x, 0.1)
+    for divisor in (1.0, 2.0):
+        forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
+        assert_scan_matches_reference(ctx8, forged, 3000, 11, 512, monkeypatch)
+
+
+def test_lazy_scan_on_a_triple_overlap(monkeypatch):
+    from banachlab.core_model import Interval
+    from banachlab.neighborhood_base import build_custom
+
+    ctx = DNormContext(build_custom([Interval(0.0, 0.5), Interval(0.1, 0.6), Interval(0.45, 1.0)]))
+    cert = mlur_certificate(ctx, unit(ctx, PLFunction.constant(1.0)), 0.1)
+    assert_scan_matches_reference(ctx, cert, 2000, 1, 512, monkeypatch)

@@ -2,8 +2,8 @@
 
 The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
-piecewise-linear f.  It runs as ``searchsorted`` plus ``maximum.reduceat``
-over whole arrays of intervals.
+piecewise-linear f.  It runs as ``searchsorted`` plus one ``reduceat``
+(`range_reduce`) over whole arrays of intervals.
 """
 
 from __future__ import annotations
@@ -48,21 +48,29 @@ def sup_abs_many(bx, by, lo, hi):
 
 
 def range_abs_max(values, starts, ends):
-    """Row-wise max of |values[:, s:e]| for each index range; 0.0 when empty.
+    """Row-wise max of |values[:, s:e]| for each index range [s, e), where
+    0 <= s and e <= values.shape[1]; 0.0 when e <= s.
 
     The 0.0 sentinel is safe because callers combine the result with
     endpoint magnitudes, which are nonnegative.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     ends = np.ascontiguousarray(ends, dtype=np.int64)
-    nonempty = ends > starts
-    if not np.any(nonempty):
-        return np.zeros((values.shape[0], starts.shape[0]))
-    g = values.shape[1]
+    # |values| and the spare column of range_reduce, in one buffer
+    padded = np.empty((values.shape[0], values.shape[1] + 1))
+    np.abs(values, out=padded[:, :-1])
+    padded[:, -1] = 0.0
+    return range_reduce(np.maximum, padded, starts, ends, 0.0)
+
+
+def range_reduce(ufunc, padded, starts, ends, empty):
+    """``ufunc.reduce(padded[..., s:e])`` per index range [s, e), 0 <= s and
+    e <= g, or ``empty`` where e <= s.  ``padded`` holds g columns and a spare
+    one no range reads, as reduceat needs every index, g too, in bounds."""
     idx = np.empty(2 * starts.shape[0], dtype=np.int64)
-    idx[0::2] = np.minimum(starts, g - 1)
-    idx[1::2] = np.minimum(np.maximum(ends, idx[0::2]), g - 1)
-    out = np.maximum.reduceat(np.abs(values), idx, axis=1)[:, 0::2]
-    out[:, ~nonempty] = 0.0
+    idx[0::2] = starts
+    idx[1::2] = np.maximum(ends, starts)
+    out = ufunc.reduceat(padded, idx, axis=-1)[..., 0::2]
+    out[..., ends <= starts] = empty
     return out

@@ -16,9 +16,12 @@ import numpy as np
 
 from . import reports
 from .core_model import (
-    Enclosure,
     Measure,
     function_to_dict,
+    json_array,
+    json_number,
+    json_numbers,
+    json_object,
     load_function,
     load_measure,
     measure_from_dict,
@@ -153,45 +156,47 @@ def _parse_schedule(spec: str) -> ExponentSchedule:
 def _parse_vec(text: str | None) -> np.ndarray:
     if text is None:
         raise ConfigError("nested --op norm needs --vec")
-    bad = ConfigError(f"--vec must be a flat, non-empty JSON array of numbers, got {text!r}")
     try:
         items = json.loads(text)
     except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
-        raise bad from None
-    # exact types: json gives bool for true/false, and bool is an int subclass
-    if type(items) is not list or not items or any(type(v) not in (int, float) for v in items):
-        raise bad
-    not_finite = ConfigError("--vec entries must be finite")
-    try:
-        vec = np.asarray(items, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        raise not_finite from None
-    if not np.all(np.isfinite(vec)):
-        raise not_finite
+        raise ConfigError(f"--vec must be a JSON array of numbers, got {text!r}") from None
+    vec = json_numbers(items, "--vec")
+    if not (vec.size and np.all(np.isfinite(vec))):
+        raise ConfigError("--vec must be non-empty, with finite entries")
     return vec
 
 
+def _slice_spec(ctx, m: Measure, eps: float, budget: int, seed: int, grid_cells: int):
+    return SliceSpec(m, functional_bracket(ctx, m, budget, seed, grid_cells), eps)
+
+
 def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
-    spec = read_json(path)
+    spec = json_object(read_json(path), "a set file")
     kind = spec.get("kind", "slice")
 
     def one_slice(d):
-        m = measure_from_dict(d["measure"]) if "measure" in d else Measure.dirac(d["dirac"])
-        if "norm_lo" in d:
-            enc = Enclosure(d["norm_lo"], d["norm_hi"])
-            return SliceSpec(m, enc, d["eps"])
-        return SliceSpec(m, functional_bracket(ctx, m, budget, seed, grid_cells), d["eps"])
+        d = json_object(d, "a slice")
+        for key in ("norm_lo", "norm_hi"):
+            if key in d:
+                raise ConfigError(f"{key}: a slice's ‖m‖* bracket is computed, never read")
+        if "measure" in d:
+            m = measure_from_dict(d["measure"])
+        else:
+            m = Measure.dirac(json_number(d["dirac"], "dirac"))
+        return _slice_spec(ctx, m, json_number(d["eps"], "eps"), budget, seed, grid_cells)
 
     if kind == "ball":
         return BallSet()
     if kind == "slice":
         return SliceSet(one_slice(spec))
     if kind == "shell":
-        return ShellSliceSet(one_slice(spec), spec["tau"])
+        return ShellSliceSet(one_slice(spec), json_number(spec["tau"], "tau"))
     if kind == "combo":
-        slices = tuple(one_slice(d) for d in spec["slices"])
-        weights = tuple(spec.get("weights", [1.0 / len(slices)] * len(slices)))
-        return ComboSet(slices, weights)
+        slices = tuple(one_slice(d) for d in json_array(spec["slices"], "slices"))
+        if not slices:
+            raise ConfigError("a combo set needs at least one slice")
+        weights = spec.get("weights", [1.0 / len(slices)] * len(slices))
+        return ComboSet(slices, tuple(json_numbers(weights, "weights").tolist()))
     raise BanachLabError(f"unknown set kind {kind!r}")
 
 
@@ -224,7 +229,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "slice-witness":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = SliceSpec(m, functional_bracket(ctx, m, args.budget, seed, args.grid), args.eps)
+        S = _slice_spec(ctx, m, args.eps, args.budget, seed, args.grid)
         cert = tent_flip_witness(ctx, S, x, args.delta, eta=args.eta)
         res = {
             "N": cert.N,
@@ -266,7 +271,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "subslice":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = SliceSpec(m, functional_bracket(ctx, m, args.budget, seed, args.grid), args.eps)
+        S = _slice_spec(ctx, m, args.eps, args.budget, seed, args.grid)
         Snew = subslice(ctx, S, x, args.delta, seed=seed)
         res = {
             "functional": Snew.functional,
@@ -302,7 +307,9 @@ def _run(args) -> tuple[dict | str, str]:
         v = load_function(args.fn2)
         res = {"max_pointwise_gap": seminorm_rigidity_check(ctx, u, v, args.pair_tol)}
     elif args.cmd == "op-check":
-        pd = read_json(args.proj)
+        pd = json_object(read_json(args.proj), "a projection file")
+        if type(pd["u"]) is not str or type(pd["m"]) is not str:
+            raise ConfigError('a projection file names its "u" and "m" files by strings')
         P = Rank1Projection(load_function(pd["u"]), load_measure(pd["m"]))
         rep = ld2p_plus_projection_check(ctx, P, args.budget, seed)
         res = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,11 @@ class PLFunction:
         return PLFunction(np.array([0.0, 1.0]), np.array([float(c), float(c)]))
 
     @staticmethod
-    def tent(peak: float = 0.5, height: float = 1.0) -> "PLFunction":
-        """Zero at 0 and 1, linear up to ``height`` at ``peak``."""
+    def tent(peak: float = 0.5) -> "PLFunction":
+        """Zero at 0 and 1, linear up to 1 at ``peak``."""
         if not 0.0 < peak < 1.0:
             raise DomainError("tent peak must be interior")
-        return PLFunction(np.array([0.0, peak, 1.0]), np.array([0.0, float(height), 0.0]))
+        return PLFunction(np.array([0.0, peak, 1.0]), np.array([0.0, 1.0, 0.0]))
 
     # -- evaluation ---------------------------------------------------
 
@@ -254,12 +255,11 @@ class Measure:
             tv += abs_integral(self.density)
         return tv
 
-    def abs_mass_on(self, lo: float, hi: float, open_ends: bool = True) -> float:
+    def abs_mass_on(self, lo: float, hi: float) -> float:
         """|m| of the interval (lo, hi); atoms at the endpoints excluded."""
         mass = 0.0
         for t, w in self.atoms:
-            inside = lo < t < hi if open_ends else lo <= t <= hi
-            if inside:
+            if lo < t < hi:
                 mass += abs(w)
         if self.density is not None:
             mass += abs_integral(self.density, max(lo, 0.0), min(hi, 1.0))
@@ -331,7 +331,9 @@ def function_to_dict(f: PLFunction) -> dict:
 
 
 def function_from_dict(d: dict) -> PLFunction:
-    return PLFunction(np.asarray(d["breakpoints"]), np.asarray(d["values"]))
+    d = json_object(d, "a function")
+    return PLFunction(json_numbers(d["breakpoints"], "breakpoints"),
+                      json_numbers(d["values"], "values"))
 
 
 def measure_to_dict(m: Measure) -> dict:
@@ -341,9 +343,45 @@ def measure_to_dict(m: Measure) -> dict:
 
 
 def measure_from_dict(d: dict) -> Measure:
-    atoms = tuple((a["t"], a["w"]) for a in d.get("atoms", ()))
+    d = json_object(d, "a measure")
+    atoms = []
+    for a in json_array(d.get("atoms", []), "atoms"):
+        a = json_object(a, "an atom")
+        atoms.append((json_number(a["t"], "an atom's t"), json_number(a["w"], "an atom's w")))
     dens = d.get("density")
-    return Measure(atoms, None if dens is None else function_from_dict(dens))
+    return Measure(tuple(atoms), None if dens is None else function_from_dict(dens))
+
+
+# Checks on parsed JSON input: each returns its argument, or raises a
+# ConfigError naming it by `what`.
+
+
+def json_object(d, what: str) -> dict:
+    if type(d) is not dict:
+        raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(d)}")
+    return d
+
+
+def json_array(v, what: str) -> list:
+    if type(v) is not list:
+        raise ConfigError(f"{what} must be a JSON array, got {reprlib.repr(v)}")
+    return v
+
+
+def json_number(v, what: str) -> float:
+    """v as a float; it must be a JSON number within the float range."""
+    # exact types: json gives bool for true/false, and bool is an int subclass
+    if type(v) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {reprlib.repr(v)}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{what} lies beyond the float range") from None
+
+
+def json_numbers(v, what: str) -> np.ndarray:
+    """v as a float64 array; it must be a JSON array of numbers."""
+    return np.array([json_number(x, what) for x in json_array(v, what)], dtype=np.float64)
 
 
 def read_json(path: str):

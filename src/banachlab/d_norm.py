@@ -25,6 +25,10 @@ from .neighborhood_base import NeighborhoodBase
 #: ball, so float rounding cannot tip a certified membership
 RESCALE_SAFETY = 1.0 + 1e-12
 
+#: tolerances of the unit-ball and unit-sphere checks below
+BALL_TOL = 1e-9
+SPHERE_TOL = 0.05
+
 
 class DNormContext:
     """A base; caches the arrays every norm evaluation needs."""
@@ -114,6 +118,22 @@ def d_norm(ctx: DNormContext, f: PLFunction) -> Enclosure:
     sup = f.sup_abs()
     hi2 = lo2 + ctx.tail_weight * sup * sup
     return Enclosure(float(np.sqrt(lo2)), float(np.sqrt(hi2)))
+
+
+def ball_norm(ctx: DNormContext, x: PLFunction) -> Enclosure:
+    """The norm enclosure of x, which must certify x in the unit ball."""
+    enc = d_norm(ctx, x)
+    if enc.hi > 1.0 + BALL_TOL:
+        raise DomainError("x is not a certified ball member")
+    return enc
+
+
+def sphere_norm(ctx: DNormContext, x: PLFunction) -> Enclosure:
+    """The norm enclosure of x, which must lie within SPHERE_TOL of 1."""
+    enc = d_norm(ctx, x)
+    if max(enc.lo - 1.0, 1.0 - enc.hi, 0.0) > SPHERE_TOL:
+        raise DomainError(f"norm enclosure [{enc.lo}, {enc.hi}] is not within {SPHERE_TOL} of 1")
+    return enc
 
 
 def into_unit_ball(ctx: DNormContext, f: PLFunction) -> PLFunction:

@@ -9,14 +9,13 @@ quantities over unstored deeper levels are bracketed (weights) or refused
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core_model import Enclosure, Interval
+from .core_model import Enclosure, Interval, json_array, json_number, json_object, read_json
 from .errors import ConfigError, DomainError, ResolutionError
 
 #: weights 2^-n underflow to exact float zero beyond this index; terms past
@@ -379,16 +378,14 @@ def parse_base_spec(spec: str) -> NeighborhoodBase:
     if head == "custom":
         if not rest.startswith("@"):
             raise ConfigError("custom base spec must point at a JSON file: custom:@file.json")
-        with open(rest[1:], encoding="utf-8") as fh:
-            data = json.load(fh)
-        ivs = [
-            Interval(
-                d["left"],
-                d["right"],
+        ivs = []
+        for d in json_array(read_json(rest[1:]), "a custom base"):
+            d = json_object(d, "an interval")
+            ivs.append(Interval(
+                json_number(d["left"], "an interval's left"),
+                json_number(d["right"], "an interval's right"),
                 left_open=d.get("left_open", True),
                 right_open=d.get("right_open", True),
-            )
-            for d in data
-        ]
+            ))
         return build_custom(ivs, has_tail=False)
     raise ConfigError(f"unknown base spec {spec!r}")

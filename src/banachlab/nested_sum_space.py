@@ -154,14 +154,13 @@ def identity_operator_norm(p: float) -> float:
     return 2.0 ** (1.0 / p)
 
 
-def product_condition(sched: ExponentSchedule, tail_bound: float | None = None) -> tuple[float, bool]:
+def product_condition(sched: ExponentSchedule) -> tuple[float, bool]:
     """(product, holds) for the formal-identity norm product 2^(Σ 1/p_i).
 
-    The reciprocal sum includes the schedule's declared tail (or a caller
-    override); the condition holds when the full sum stays below 1.
+    The reciprocal sum includes the schedule's declared tail; the condition
+    holds when the full sum stays below 1.
     """
-    tail = sched.tail_inv_sum if tail_bound is None else float(tail_bound)
-    s = sum(1.0 / p for p in sched.exponents) + tail
+    s = sum(1.0 / p for p in sched.exponents) + sched.tail_inv_sum
     return 2.0 ** s, s < 1.0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import DNormContext, d_norm, functional_bracket, into_unit_ball
+from .d_norm import BALL_TOL, DNormContext, d_norm, functional_bracket, into_unit_ball, sphere_norm
 from .errors import ConstructionError, DomainError, WitnessNotFoundError
 from .gridsearch import GridContext
 from .slice_lab import (
@@ -27,6 +27,9 @@ from .slice_lab import (
 
 #: dual_norm budget of the functional bracket behind ‖P‖
 NORM_BUDGET = 1500
+
+#: depth of the slice of P's functional whose flip witness seeds the ascent
+SEED_EPSILON = 0.04
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,14 +49,8 @@ class Rank1Projection:
     def apply(self, x: PLFunction) -> PLFunction:
         return self.direction.scaled(integrate(x, self.functional))
 
-    def norm_bracket(
-        self, ctx: DNormContext, budget: int = NORM_BUDGET, seed: int = 0
-    ) -> Enclosure:
-        """[‖u‖.lo·‖m‖*.lower, ‖u‖.hi·‖m‖*.upper]; rank-1 norms factor."""
-        return self.norm_from(ctx, functional_bracket(ctx, self.functional, budget, seed))
-
     def norm_from(self, ctx: DNormContext, functional_norm: Enclosure) -> Enclosure:
-        """The norm_bracket factorization, given a bracket for ‖m‖*."""
+        """‖P‖ from a bracket for ‖m‖*: rank-1 norms factor as ‖u‖·‖m‖*."""
         ue = d_norm(ctx, self.direction)
         return Enclosure(ue.lo * functional_norm.lo, ue.hi * functional_norm.hi)
 
@@ -146,7 +143,6 @@ def operator_norm_lower(
     exact = d_norm(ctx, T.apply(x_pl)).lo / d_norm(ctx, x_pl).hi
     return {
         "lower": float(exact),
-        "witness": x_pl,
         "evaluations": evals,
         "trajectory": trajectory,
     }
@@ -157,7 +153,6 @@ def ld2p_plus_projection_check(
     P: Rank1Projection,
     budget: int,
     seed: int,
-    seed_epsilon: float = 0.04,
 ) -> dict:
     """Probe the projection equation ‖I − P‖ = 1 + ‖P‖.
 
@@ -171,13 +166,13 @@ def ld2p_plus_projection_check(
     mb = functional_bracket(ctx, P.functional, NORM_BUDGET, seed)
     pe = P.norm_from(ctx, mb)
     seeds: list[PLFunction] = []
-    S = SliceSpec(P.functional, mb, seed_epsilon)
+    S = SliceSpec(P.functional, mb, SEED_EPSILON)
     try:
         anchor = into_unit_ball(ctx, P.direction)
-        margin = S.value(anchor) - (1.0 - seed_epsilon)
+        margin = S.value(anchor) - (1.0 - SEED_EPSILON)
         if margin > 0.0:
             cert = tent_flip_witness(
-                ctx, S, anchor, delta_target=seed_epsilon / 2.0, eta=margin / 2.0
+                ctx, S, anchor, delta_target=SEED_EPSILON / 2.0, eta=margin / 2.0
             )
             seeds.append(cert.y)
     except (DomainError, WitnessNotFoundError):
@@ -210,16 +205,14 @@ def daugavet_slice_test(
     Purely empirical: on this space some (x, S) pairs plateau below
     2 − ε, which is the expected behavior away from the slice.
     """
-    xe = d_norm(ctx, x)
-    if max(xe.lo - 1.0, 1.0 - xe.hi, 0.0) > 0.05:
-        raise DomainError("x must sit near the unit sphere")
+    xe = sphere_norm(ctx, x)
     gc = GridContext(ctx, x, S.functional, grid_cells=grid_cells)
     bump = dirac_anchor(ctx, S.functional)
     anchor = None if bump is None else gc.sample_function(bump)
     count = max(16, min(128, budget // 8))
     rows, evals = _slice_member_matrix(gc, S, count, seed, anchor_v=anchor)
     vx = gc.sample_function(x)
-    if S.value(x) > 1.0 - S.epsilon and xe.hi <= 1.0 + 1e-9:
+    if xe.hi <= 1.0 + BALL_TOL and S.admits(integrate(x, S.functional)):
         rows = np.vstack([rows, vx[None, :]])
     lo, _ = gc.enclosures(vx[None, :] + rows)
     evals += rows.shape[0]

@@ -11,12 +11,13 @@ what they achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .core_model import PLFunction, lin_comb, pl_eval
-from .d_norm import DNormContext, d_norm, seminorms_all
+from .d_norm import DNormContext, d_norm, seminorms_all, sphere_norm
 from .errors import CertificateFailure, DomainError, PremiseError, WitnessNotFoundError
 from .gridsearch import GridContext, grid_nodes, hat_at, hats
 
@@ -24,14 +25,6 @@ from .gridsearch import GridContext, grid_nodes, hat_at, hats
 #: a block stays under the 4 MiB from which numpy asks for huge pages, which
 #: made the scan's peak memory jump ~4 MB from run to run
 SCAN_BLOCK_ROWS = 256
-
-
-def _require_unit(ctx: DNormContext, x: PLFunction, tol: float = 0.05):
-    enc = d_norm(ctx, x)
-    gap = max(enc.lo - 1.0, 1.0 - enc.hi, 0.0)
-    if gap > tol:
-        raise DomainError(f"norm enclosure [{enc.lo}, {enc.hi}] is not within {tol} of 1")
-    return enc
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,16 +45,20 @@ class MLURCertificate:
     lipschitz: float
     conclusion_bound: float
 
+    @cached_property
+    def cover_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per cover interval m, as arrays: its ends, and the premise bound ‖x‖_m + ε."""
+        lo, hi = np.array(self.cover_bounds, dtype=np.float64).reshape(-1, 2).T.copy()
+        return lo, hi, np.array(self.x_seminorms) + self.epsilon
+
     def premise_margin(self, y: PLFunction) -> float:
         """min over the cover of (‖x‖_m + ε) − max(‖x+y‖_m, ‖x−y‖_m);
         the premise holds iff this is ≥ 0."""
-        lo = np.array([b[0] for b in self.cover_bounds])
-        hi = np.array([b[1] for b in self.cover_bounds])
+        lo, hi, allowed = self.cover_arrays
         plus = lin_comb(1.0, self.x, 1.0, y)
         minus = lin_comb(1.0, self.x, -1.0, y)
         sp = _kernels.sup_abs_many(plus.breakpoints, plus.values, lo, hi)
         sm = _kernels.sup_abs_many(minus.breakpoints, minus.values, lo, hi)
-        allowed = np.array(self.x_seminorms) + self.epsilon
         return float(np.min(allowed - np.maximum(sp, sm)))
 
     def verify(self) -> float:
@@ -72,8 +69,7 @@ class MLURCertificate:
         of [0, 1].  Returns that bound; raises CertificateFailure if the cover
         leaves a gap or the bound exceeds conclusion_bound.
         """
-        lo = np.array([b[0] for b in self.cover_bounds])
-        hi = np.array([b[1] for b in self.cover_bounds])
+        lo, hi, _ = self.cover_arrays
         order = np.argsort(lo, kind="stable")
         reach = np.maximum.accumulate(hi[order])
         if lo[order[0]] > 0.0 or reach[-1] < 1.0 or np.any(lo[order[1:]] > reach[:-1]):
@@ -94,12 +90,9 @@ def _min_abs_many(bx, by, lo, hi):
     at_ends = np.stack([pl_eval(bx, by, lo), pl_eval(bx, by, hi)], axis=1)
     ia = np.searchsorted(bx, lo, side="right")
     ib = np.searchsorted(bx, hi, side="left")
-    inner = ib > ia
-    # reduceat over by[ia:ib]; the pad keeps an index ia == by.size valid
-    pad = np.append(by, 0.0)
-    idx = np.stack([ia, np.maximum(ib, ia)], axis=1).ravel()
-    mn = np.minimum(at_ends.min(axis=1), np.where(inner, np.minimum.reduceat(pad, idx)[0::2], np.inf))
-    mx = np.maximum(at_ends.max(axis=1), np.where(inner, np.maximum.reduceat(pad, idx)[0::2], -np.inf))
+    pad = np.append(by, 0.0)  # the spare column of range_reduce
+    mn = np.minimum(at_ends.min(axis=1), _kernels.range_reduce(np.minimum, pad, ia, ib, np.inf))
+    mx = np.maximum(at_ends.max(axis=1), _kernels.range_reduce(np.maximum, pad, ia, ib, -np.inf))
     return np.maximum(np.maximum(mn, -mx), 0.0)
 
 
@@ -108,26 +101,20 @@ def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCe
     checked by `MLURCertificate.verify`."""
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError("epsilon must be finite and positive")
-    _require_unit(ctx, x)
+    sphere_norm(ctx, x)
     lip = x.lipschitz_bound()
     # zero oscillation: any cover works, take the coarsest stored level
     delta = 1.0 if lip == 0.0 else epsilon / max(lip, 1.0)
     cover = ctx.base.cover_for(delta)
-    lo, hi = ctx.base.clamped_bounds
-    bounds = tuple((float(lo[n - 1]), float(hi[n - 1])) for n in cover)
-    sems = _kernels.sup_abs_many(
-        x.breakpoints,
-        x.values,
-        np.array([b[0] for b in bounds]),
-        np.array([b[1] for b in bounds]),
-    )
+    lo, hi = (b[np.asarray(cover) - 1] for b in ctx.base.clamped_bounds)
+    sems = _kernels.sup_abs_many(x.breakpoints, x.values, lo, hi)
     cert = MLURCertificate(
         x=x,
         epsilon=epsilon,
         delta=delta,
         cover=tuple(cover),
-        cover_bounds=bounds,
-        x_seminorms=tuple(float(s) for s in sems),
+        cover_bounds=tuple(zip(lo.tolist(), hi.tolist())),
+        x_seminorms=tuple(sems.tolist()),
         lipschitz=lip,
         conclusion_bound=2.0 * epsilon,
     )
@@ -172,11 +159,9 @@ def mlur_adversarial_search(
     gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
     nodes = gc.nodes
     vx = gc.sample_function(cert.x)
-    lo = np.array([b[0] for b in cert.cover_bounds])
-    hi = np.array([b[1] for b in cert.cover_bounds])
     # cover indices can pass n_eff, so the geometry comes from the bounds
+    lo, hi, allowed = cert.cover_arrays
     starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
-    allowed = np.array(cert.x_seminorms) + cert.epsilon
     suspect = _suspect_intervals(starts, ends, nodes.size)
     width = int(np.max(ends - starts))
     offsets = np.arange(width)
@@ -509,7 +494,7 @@ def local_octahedral_witness(
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError("epsilon must be finite and positive")
-    xe = _require_unit(ctx, x)
+    sphere_norm(ctx, x)
     lo, hi = ctx.interval_bounds
     min_len = float(np.min(hi - lo))
     rng = np.random.default_rng(seed)
@@ -561,8 +546,8 @@ def non_octahedral_gap(
         and np.array_equal(u.values, v.values)
     ):
         raise DomainError("u and v must be distinct")
-    _require_unit(ctx, u)
-    _require_unit(ctx, v)
+    sphere_norm(ctx, u)
+    sphere_norm(ctx, v)
     su = seminorms_all(ctx, u)
     sv = seminorms_all(ctx, v)
     profile_gap = float(np.max(np.abs(su - sv)))

@@ -26,6 +26,7 @@ from .core_model import (
 )
 from .d_norm import (
     DNormContext,
+    ball_norm,
     conservative_value,
     d_norm,
     dirac_dual_norm,
@@ -43,7 +44,8 @@ from .errors import (
 )
 from .gridsearch import GridContext, maximize_linear_functional
 
-BALL_TOL = 1e-9
+#: largest cross-term slack `small_diameter_combo` certifies
+COMBO_MAX_SLACK = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +69,15 @@ class SliceSpec:
         """Conservative normalized functional value of x."""
         return conservative_value(integrate(x, self.functional), self.functional_norm)
 
+    def admits(self, raw):
+        """Membership of ball points with ∫x dm = raw (a float or an array):
+        raw / ‖m‖*.hi > 1 − ε, which only certified members pass."""
+        return raw / self.functional_norm.hi > 1.0 - self.epsilon
+
 
 def slice_contains(ctx: DNormContext, S: SliceSpec, x: PLFunction) -> bool:
-    if d_norm(ctx, x).hi > 1.0 + BALL_TOL:
-        raise DomainError("x is not a certified ball member")
-    return S.value(x) > 1.0 - S.epsilon
+    ball_norm(ctx, x)
+    return S.admits(integrate(x, S.functional))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def dirac_anchor(ctx: DNormContext, m: Measure) -> PLFunction | None:
         return None
 
 
-def norming_functional(ctx: DNormContext, x: PLFunction, n_terms: int = 48) -> Measure:
+def norming_functional(ctx: DNormContext, x: PLFunction) -> Measure:
     """An atomic functional of dual norm ≤ 1 nearly norming x.
 
     Takes weight 2^-n·‖x‖_n at a maximizer of |x| in the n-th interval with
@@ -129,10 +135,9 @@ def norming_functional(ctx: DNormContext, x: PLFunction, n_terms: int = 48) -> M
     lo = float(np.sqrt(np.dot(ctx.weights, s * s)))
     if lo <= 0.0:
         raise DomainError("cannot norm the zero function")
-    n_terms = min(n_terms, ctx.n_eff)
     atoms: dict[float, float] = {}
     ilo, ihi = ctx.interval_bounds
-    for n in range(1, n_terms + 1):
+    for n in range(1, min(48, ctx.n_eff) + 1):
         if s[n - 1] == 0.0:
             continue
         t_star, v_star = _argmax_abs(x, float(ilo[n - 1]), float(ihi[n - 1]))
@@ -290,13 +295,11 @@ def tent_flip_witness(
         eta = (eps - delta) / 2.0
     if eta <= 0.0:
         raise DomainError("eta must be positive")
-    xe = d_norm(ctx, x)
-    if xe.hi > 1.0 + BALL_TOL:
-        raise DomainError("x is not a certified ball member")
+    xe = ball_norm(ctx, x)
     if not xe.lo > 1.0 - delta:
         raise DomainError(f"norm lower bound {xe.lo} fails > 1-delta={1.0 - delta}")
     raw_total = integrate(x, S.functional)
-    if not conservative_value(raw_total, S.functional_norm) > 1.0 - eps:
+    if not S.admits(raw_total):
         raise DomainError("x is not a certified member of the slice")
 
     s_all = seminorms_all(ctx, x)
@@ -441,8 +444,6 @@ class ComboCertificate:
     points: tuple[float, ...]
     eta: float
     sup_norm_bound: float          # M: certified sup-norm radius of the ball
-    off_home_budget: float         # a(η) = 2η−η²: off-membership seminorm mass
-    per_pair_terms: tuple[float, float, float]  # (M√a, M√a, a) per ordered pair
     slack: float
     radius_bound: float            # sqrt(i+slack)/i: norm of every combo point
     diameter_bound: float          # 2·radius_bound
@@ -450,7 +451,7 @@ class ComboCertificate:
     empirical_consistent: bool | None = None
 
 
-def combo_slack(i: int, eta: float, m_bound: float) -> tuple[float, tuple[float, float, float]]:
+def combo_slack(i: int, eta: float, m_bound: float) -> float:
     """Total cross-term slack of the i-point combination estimate.
 
     Every slice member spends at most a(η)=2η−η² of weighted seminorm mass
@@ -459,9 +460,7 @@ def combo_slack(i: int, eta: float, m_bound: float) -> tuple[float, tuple[float,
     i(i−1)·(2M√a + a) via Cauchy-Schwarz on the three index regions.
     """
     a = 2.0 * eta - eta * eta
-    root = math.sqrt(a)
-    per_pair = (m_bound * root, m_bound * root, a)
-    return i * (i - 1) * (2.0 * m_bound * root + a), per_pair
+    return i * (i - 1) * (2.0 * m_bound * math.sqrt(a) + a)
 
 
 def max_feasible_eta(i: int, m_bound: float, slack_cap: float) -> float:
@@ -477,7 +476,6 @@ def small_diameter_combo(
     budget: int = 0,
     seed: int = 0,
     target_slack: float = 0.15,
-    max_slack: float = 1.0,
 ):
     """Slices at membership-disjoint points whose average has small norm.
 
@@ -496,11 +494,11 @@ def small_diameter_combo(
     m_bound = 1.0 / b_lo
     if eta is None:
         eta = max_feasible_eta(i, m_bound, target_slack)
-    slack, per_pair = combo_slack(i, eta, m_bound)
-    if slack > max_slack:
+    slack = combo_slack(i, eta, m_bound)
+    if slack > COMBO_MAX_SLACK:
         raise ParameterError(
-            f"eta={eta} gives slack {slack} > {max_slack}",
-            max_feasible=max_feasible_eta(i, m_bound, max_slack),
+            f"eta={eta} gives slack {slack} > {COMBO_MAX_SLACK}",
+            max_feasible=max_feasible_eta(i, m_bound, COMBO_MAX_SLACK),
         )
     slices = tuple(
         SliceSpec(Measure.dirac(t), dirac_dual_norm(ctx, t), eta) for t in pts
@@ -518,8 +516,6 @@ def small_diameter_combo(
         points=pts,
         eta=eta,
         sup_norm_bound=m_bound,
-        off_home_budget=2.0 * eta - eta * eta,
-        per_pair_terms=per_pair,
         slack=slack,
         radius_bound=bound,
         diameter_bound=2.0 * bound,
@@ -596,7 +592,6 @@ def subslice(
     delta: float,
     samples: int = 1000,
     seed: int = 0,
-    max_iter: int = 20,
 ) -> SliceSpec:
     """A depth-δ slice containing x whose membership implies membership in S.
 
@@ -608,20 +603,20 @@ def subslice(
     eps = S.epsilon
     if not 0.0 < delta < eps:
         raise DomainError("need 0 < delta < epsilon")
-    if not slice_contains(ctx, S, x):
+    xe = ball_norm(ctx, x)
+    if not S.admits(integrate(x, S.functional)):
         raise DomainError("x must be a certified member of S")
-    xe = d_norm(ctx, x)
     g = norming_functional(ctx, x)
     m_hat = S.functional.scaled(1.0 / S.functional_norm.hi)
     lam = 1.0 - delta / eps
     last = None
-    for _ in range(max_iter):
+    for _ in range(20):
         mixed = measure_combine(1.0 - lam, m_hat, lam, g)
         # both parts have dual norm ≤ 1, so 1.0 is certified; the ratio can
         # round above it when x is nearly normed, and the clamp stays sound
         fn = Enclosure(min(max(integrate(x, mixed) / xe.hi, 1e-12), 1.0), 1.0)
         Snew = SliceSpec(mixed, fn, delta)
-        contains_x = Snew.value(x) > 1.0 - delta
+        contains_x = Snew.admits(integrate(x, mixed))
         inclusion_ok = contains_x and _verify_inclusion(
             ctx, Snew, S, x, samples, seed
         )
@@ -642,9 +637,7 @@ def _verify_inclusion(ctx, Snew, S, anchor, samples, seed, grid_cells=256) -> bo
         )
     except SamplingError:
         return False
-    c_outer = gc.functional_coeffs(S.functional)
-    vals = members @ c_outer / S.functional_norm.hi
-    return bool(np.all(vals > 1.0 - S.epsilon))
+    return bool(np.all(S.admits(members @ gc.functional_coeffs(S.functional))))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +684,6 @@ def _slice_member_matrix(
     count: int,
     seed: int,
     anchor_v: np.ndarray | None = None,
-    max_rounds: int = 12,
 ):
     """Sample certified slice members as grid rows; returns (matrix, evals)."""
     coeffs = gc.functional_coeffs(S.functional)
@@ -702,15 +694,14 @@ def _slice_member_matrix(
     anchor_v = gc.rescale_to_ball(anchor_v)[0]
     evals += 1
     members = []
-    thresh = 1.0 - S.epsilon
-    if float(coeffs @ anchor_v) / S.functional_norm.hi > thresh:
+    if S.admits(float(coeffs @ anchor_v)):
         members.append(anchor_v)
     rng = np.random.default_rng(seed + 17)
     # perturbations must survive the functional-value drop after radial
     # rescale, which scales like alpha^2 for near-extremal anchors
     alpha = min(0.5, 2.0 * math.sqrt(S.epsilon))
     per_round = max(8, count // 4)
-    for _ in range(max_rounds):
+    for _ in range(12):  # sampling rounds
         if len(members) >= count:
             break
         noise = gc.random_smooth(rng, per_round, coarse=32) + gc.random_bumps(
@@ -718,8 +709,7 @@ def _slice_member_matrix(
         )
         batch = gc.rescale_to_ball(anchor_v[None, :] + alpha * noise)
         evals += per_round
-        vals = batch @ coeffs / S.functional_norm.hi
-        good = batch[vals > thresh]
+        good = batch[S.admits(batch @ coeffs)]
         members.extend(good)
         if good.shape[0] < per_round // 4:
             alpha *= 0.5
@@ -776,6 +766,8 @@ def diameter_lower_bound(
     elif isinstance(set_spec, ComboSet):
         sets = list(set_spec.slices)
         weights = list(set_spec.weights)
+        if len(weights) != len(sets):
+            raise DomainError("a combination needs one weight per slice")
         if abs(sum(weights) - 1.0) > 1e-12 or any(w <= 0 for w in weights):
             raise DomainError("combination weights must be positive and sum to 1")
         shell_tau = None
@@ -816,7 +808,9 @@ def diameter_lower_bound(
     k = int(np.argmax(lo))
     best_a, best_b = rows[ia[k]].copy(), rows[ib[k]].copy()
 
-    # local refinement: push the pair apart along their difference
+    # local refinement: push the pair apart along their difference; combination
+    # points would need per-component witnesses, so it runs on single slices
+    coeffs = gc.functional_coeffs(sets[0].functional) if len(sets) == 1 else None
     rng = np.random.default_rng(seed + 7)
     best = float(lo[k])
     while evals + 4 <= budget:
@@ -825,7 +819,7 @@ def diameter_lower_bound(
         cand_a = gc.rescale_to_ball(best_a + scale * direction)[0]
         cand_b = gc.rescale_to_ball(best_b - scale * direction)[0]
         evals += 2
-        if _feasible_single(gc, sets, cand_a) and _feasible_single(gc, sets, cand_b):
+        if coeffs is not None and all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b)):
             d_lo, _ = gc.enclosures((cand_a - cand_b)[None, :])
             evals += 1
             if float(d_lo[0]) > best:
@@ -862,13 +856,3 @@ def _flip_seed_pair(ctx, S, gc, anchor_row, shell_tau):
         return cert.achieved_distance_lo, (x_pl, cert.y)
     except (DomainError, WitnessNotFoundError):
         return None
-
-
-def _feasible_single(gc, sets, row) -> bool:
-    # refinement certifies membership only for single slices; combination
-    # points would need per-component witnesses, so refinement skips them
-    if len(sets) != 1:
-        return False
-    s = sets[0]
-    c = gc.functional_coeffs(s.functional)
-    return float(row @ c) / s.functional_norm.hi > 1.0 - s.epsilon

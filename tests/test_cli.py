@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ def files(tmp_path_factory):
     (d / "sliceset.json").write_text(
         json.dumps({"kind": "slice", "dirac": 0.5, "eps": 0.3})
     )
+    # well-formed JSON of the wrong shape
+    malformed = {
+        "list.json": [1, 2],
+        "str.json": "str",
+        "one_item.json": [1],
+        "object.json": {"a": 1},
+        "str_values.json": {"breakpoints": [0, 1], "values": ["a", "b"]},
+        "str_weight.json": {"atoms": [{"t": 0.5, "w": "x"}]},
+        "measure_3.json": {"kind": "slice", "measure": 3, "eps": 0.3},
+        "str_tau.json": {"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": "q"},
+        "no_slices.json": {"kind": "combo", "slices": []},
+        # two slices, one weight: the second slice used to be dropped silently
+        "one_weight.json": {"kind": "combo", "weights": [1.0],
+                            "slices": [{"dirac": 0.0, "eps": 0.3}, {"dirac": 1.0, "eps": 0.3}]},
+    }
+    for name, content in malformed.items():
+        (d / name).write_text(json.dumps(content))
     return d
 
 
@@ -98,6 +116,20 @@ class TestBadInputs:
             ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one.json", "--eps=inf"],
             ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=nan"],
             ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=inf"],
+            ["norm", "--fn", "{dir}/list.json"],
+            ["norm", "--fn", "{dir}/str.json"],
+            ["norm", "--fn", "{dir}/str_values.json"],
+            ["--seed", "1", "dual-norm", "--measure", "{dir}/str_weight.json"],
+            ["--seed", "1", "dual-norm", "--measure", "{dir}/list.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/list.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/str.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/measure_3.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/str_tau.json"],
+            ["--seed", "1", "op-check", "--proj", "{dir}/list.json"],
+            ["--base", "custom:@{dir}/one_item.json", "norm", "--fn", "{dir}/one.json"],
+            ["--base", "custom:@{dir}/object.json", "norm", "--fn", "{dir}/one.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/no_slices.json"],
+            ["--seed", "1", "--budget", "300", "diam", "--set", "{dir}/one_weight.json"],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):
@@ -151,7 +183,7 @@ class TestBadInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-    @pytest.mark.parametrize("flag", ["--fn", "--measure", "--set", "--proj"])
+    @pytest.mark.parametrize("flag", ["--fn", "--measure", "--set", "--proj", "--base"])
     def test_json_nested_too_deep(self, tmp_path, flag, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 5000)
@@ -160,11 +192,32 @@ class TestBadInputs:
             "--measure": ["dual-norm", "--measure", str(deep)],
             "--set": ["diam", "--set", str(deep)],
             "--proj": ["op-check", "--proj", str(deep)],
+            "--base": ["--base", f"custom:@{deep}", "norm", "--fn", str(deep)],
         }[flag]
         assert run(["--seed", "1"] + sub) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("fd", [0, 1])
+    def test_proj_file_numbers_are_not_descriptors(self, files, tmp_path, fd, capsys):
+        # open() takes an integer as a file descriptor: 0 read stdin, and 1
+        # was opened for reading and closed, leaving the process without fd 1
+        proj = tmp_path / "proj.json"
+        proj.write_text(json.dumps({"u": fd, "m": str(files / "dirac0.json")}))
+        assert run(["--seed", "1", "op-check", "--proj", str(proj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        os.fstat(1)  # still open
+
+    @pytest.mark.parametrize("key", ["norm_lo", "norm_hi"])
+    def test_set_file_bracket_is_never_read(self, tmp_path, key, capsys):
+        # a norm_hi of 1e-9 made every sampled row a "certified" member
+        spec = tmp_path / "set.json"
+        spec.write_text(json.dumps({"kind": "slice", "dirac": 0.5, "eps": 0.3, key: 1e-9}))
+        assert run(["--seed", "1", "diam", "--set", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and err.count("\n") == 1
 
 
 class TestNestedEdges:

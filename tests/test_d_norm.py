@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from banachlab.core_model import Interval, Measure, PLFunction, lin_comb
+from banachlab.core_model import Enclosure, Interval, Measure, PLFunction, lin_comb
 from banachlab.d_norm import (
     DNormContext,
+    ball_norm,
     conservative_value,
     d_norm,
     dirac_dual_norm,
@@ -15,6 +16,7 @@ from banachlab.d_norm import (
     into_unit_ball,
     seminorm,
     seminorms_all,
+    sphere_norm,
     sup_norm_bounds,
     weighted_tv_upper,
 )
@@ -186,6 +188,46 @@ class TestDualNorm:
         scaled = into_unit_ball(ctx8, PLFunction.constant(3.0))
         assert 1.0 - 1e-9 < d_norm(ctx8, scaled).hi <= 1.0
         assert scaled.values[0] == scaled.values[1] > 0.0
+
+
+def ref_require_unit(ctx, x, tol=0.05):
+    """The unit-sphere check rotundity_lab ran before sphere_norm."""
+    enc = d_norm(ctx, x)
+    gap = max(enc.lo - 1.0, 1.0 - enc.hi, 0.0)
+    if gap > tol:
+        raise DomainError(f"norm enclosure [{enc.lo}, {enc.hi}] is not within {tol} of 1")
+    return enc
+
+
+def ref_in_ball(ctx, x):
+    """The ball test slice_contains, tent_flip_witness and
+    daugavet_slice_test spelled out before ball_norm."""
+    return not d_norm(ctx, x).hi > 1.0 + 1e-9
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestBallAndSphere:
+    @pytest.mark.parametrize("levels", [8, 2])  # at levels 2 the tail parts lo from hi
+    def test_checks_match_the_old_copies(self, levels):
+        ctx = DNormContext(build_leveled(1, levels=levels))
+        rng = np.random.default_rng(21)
+        for f in [PLFunction.tent(), PLFunction.constant(1.0)] + [random_pl(rng) for _ in range(6)]:
+            e = d_norm(ctx, f)
+            scales = [1.0 / e.hi * r for r in (0.5, 0.94, 0.95, 0.951, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.05, 1.2)]
+            scales += [1.0 / e.lo * r for r in (0.95, 0.951, 1.0, 1.049, 1.05, 1.051)]
+            for a in scales:
+                x = f.scaled(a)
+                assert _outcome(sphere_norm, ctx, x) == _outcome(ref_require_unit, ctx, x)
+                ball = _outcome(ball_norm, ctx, x)
+                assert isinstance(ball, Enclosure) == ref_in_ball(ctx, x)
+                if isinstance(ball, Enclosure):
+                    assert ball == d_norm(ctx, x)
 
 
 class TestFunctionalBracket:

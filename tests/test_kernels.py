@@ -39,11 +39,13 @@ def test_sup_abs_endpoints_only():
 def test_range_abs_max_matches_loop():
     rng = np.random.default_rng(12)
     values = rng.standard_normal((7, 50))
-    starts = np.array([0, 10, 49, 20, 5])
-    ends = np.array([10, 10, 50, 45, 6])
+    values[::2, -1] = 9.0  # the row max on the last column
+    # [0, 50) and [20, 50) end at the last column with s < g-1
+    starts = np.array([0, 10, 49, 20, 5, 0, 20, 50])
+    ends = np.array([10, 10, 50, 45, 6, 50, 50, 50])
     out = _kernels.range_abs_max(values, starts, ends)
     for i in range(7):
-        for j in range(5):
+        for j in range(starts.size):
             expect = np.max(np.abs(values[i, starts[j]:ends[j]])) if ends[j] > starts[j] else 0.0
             assert out[i, j] == expect
 
@@ -80,3 +82,4 @@ def test_sup_abs_many_matches_its_old_body():
             hi = np.minimum(lo + rng.uniform(0.0, 0.3, lo.size), 1.0)
         got = _kernels.sup_abs_many(bx, by, lo, hi)
         assert got.tolist() == ref_sup_abs_many(bx, by, lo, hi).tolist()
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banachlab.core_model import Measure, PLFunction, integrate, lin_comb
-from banachlab.d_norm import d_norm, dirac_dual_norm
+from banachlab.d_norm import d_norm, dirac_dual_norm, functional_bracket
 from banachlab.errors import (
     CertificateFailure,
     ConstructionError,
@@ -10,6 +10,7 @@ from banachlab.errors import (
     WitnessNotFoundError,
 )
 from banachlab.operator_lab import (
+    NORM_BUDGET,
     OperatorExpr,
     Rank1Projection,
     c0_model_control,
@@ -55,7 +56,7 @@ class TestProjection:
             Rank1Projection(proj.direction, Measure.dirac(0.0, 7.0))
 
     def test_norm_bracket_factorizes(self, ctx8, proj):
-        enc = proj.norm_bracket(ctx8)
+        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET, 0))
         ue = d_norm(ctx8, proj.direction)
         t, w = proj.functional.atoms[0]
         de = dirac_dual_norm(ctx8, t)
@@ -85,7 +86,7 @@ class TestOperatorNorm:
             ctx8, OperatorExpr(0.0, 1.0, proj), budget=400, seed=5,
             extra_inits=(proj.direction,),
         )
-        enc = proj.norm_bracket(ctx8)
+        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET, 0))
         assert rep["lower"] <= enc.hi + 1e-9
         assert rep["lower"] >= enc.lo - 1e-6
 

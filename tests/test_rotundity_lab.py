@@ -90,6 +90,25 @@ class TestCertificate:
                 gapped.verify()
             assert exc.value.inequality == "cover of [0, 1]"
 
+    def test_certificate_holds_the_old_build(self, ctx8):
+        # the cover bounds, seminorms and cover arrays as mlur_certificate,
+        # premise_margin, verify and the scan each rebuilt them before
+        from banachlab import _kernels
+
+        for f in (PLFunction.tent(), PLFunction.tent(0.3), PLFunction.constant(1.0)):
+            x = unit(ctx8, f)
+            for eps in (0.1, 0.2):
+                cert = mlur_certificate(ctx8, x, eps)
+                lo, hi = ctx8.base.clamped_bounds
+                bounds = tuple((float(lo[n - 1]), float(hi[n - 1])) for n in cert.cover)
+                blo = np.array([b[0] for b in bounds])
+                bhi = np.array([b[1] for b in bounds])
+                sems = _kernels.sup_abs_many(x.breakpoints, x.values, blo, bhi)
+                assert cert.cover_bounds == bounds
+                assert cert.x_seminorms == tuple(float(v) for v in sems)
+                assert cert.cover_arrays[0].tolist() == blo.tolist()
+                assert cert.cover_arrays[1].tolist() == bhi.tolist()
+
     def test_min_abs_matches_the_point_loop(self):
         from banachlab.rotundity_lab import _min_abs_many
         from conftest import random_pl

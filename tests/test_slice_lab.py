@@ -51,6 +51,23 @@ class TestSliceContains:
         with pytest.raises(DomainError):
             slice_contains(ctx8, lam_slice, PLFunction.constant(3.0))
 
+    def test_admits_matches_the_old_rules(self, ctx8, lam_slice):
+        # the old exact rule S.value(x) > 1 − ε, through conservative_value,
+        # and the old grid rule values / ‖m‖*.hi > 1 − ε
+        from conftest import random_pl
+        from banachlab.gridsearch import GridContext
+
+        rng = np.random.default_rng(22)
+        fs = [PLFunction.constant(c) for c in (-1.0, 0.0, 0.5, 0.6, 1.0)]
+        fs += [random_pl(rng).scaled(0.5) for _ in range(20)]
+        for S in (lam_slice, SliceSpec(Measure.dirac(0.5, -2.0), Enclosure(2.0, 2.5), 0.3)):
+            for x in fs:
+                assert S.admits(integrate(x, S.functional)) == (S.value(x) > 1.0 - S.epsilon)
+            gc = GridContext(ctx8, S.functional, grid_cells=64)
+            rows = gc.rescale_to_ball(np.vstack([gc.random_smooth(rng, 40), np.ones(gc.size)]))
+            vals = rows @ gc.functional_coeffs(S.functional)
+            assert S.admits(vals).tolist() == (vals / S.functional_norm.hi > 1.0 - S.epsilon).tolist()
+
 
 class TestTentFlip:
     def test_constant_against_lebesgue(self, ctx8, lam_slice):

@@ -19,6 +19,7 @@ from .core_model import (
     Measure,
     function_to_dict,
     json_array,
+    json_key,
     json_number,
     json_numbers,
     json_object,
@@ -56,6 +57,10 @@ from .slice_lab import (
     subslice,
     tent_flip_witness,
 )
+
+#: largest --grid: 128 times the default, and far below the cell count
+#: whose node arrays would exhaust memory
+MAX_GRID_CELLS = 1 << 16
 
 STOCHASTIC = {
     "dual-norm",
@@ -180,19 +185,22 @@ def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
             if key in d:
                 raise ConfigError(f"{key}: a slice's ‖m‖* bracket is computed, never read")
         if "measure" in d:
-            m = measure_from_dict(d["measure"])
+            m = measure_from_dict(json_key(d, "measure", "a slice"))
         else:
-            m = Measure.dirac(json_number(d["dirac"], "dirac"))
-        return _slice_spec(ctx, m, json_number(d["eps"], "eps"), budget, seed, grid_cells)
+            m = Measure.dirac(json_number(json_key(d, "dirac", "a slice"), "dirac"))
+        eps = json_number(json_key(d, "eps", "a slice"), "eps")
+        return _slice_spec(ctx, m, eps, budget, seed, grid_cells)
 
     if kind == "ball":
         return BallSet()
     if kind == "slice":
         return SliceSet(one_slice(spec))
     if kind == "shell":
-        return ShellSliceSet(one_slice(spec), json_number(spec["tau"], "tau"))
+        tau = json_number(json_key(spec, "tau", "a shell set"), "tau")
+        return ShellSliceSet(one_slice(spec), tau)
     if kind == "combo":
-        slices = tuple(one_slice(d) for d in json_array(spec["slices"], "slices"))
+        items = json_array(json_key(spec, "slices", "a combo set"), "slices")
+        slices = tuple(one_slice(d) for d in items)
         if not slices:
             raise ConfigError("a combo set needs at least one slice")
         weights = spec.get("weights", [1.0 / len(slices)] * len(slices))
@@ -205,6 +213,10 @@ def _run(args) -> tuple[dict | str, str]:
     ctx = DNormContext(parse_base_spec(args.base))
     if not args.tol > 0.0:  # nan compares false
         raise ConfigError("--tol must be positive")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be non-negative")
+    if args.grid > MAX_GRID_CELLS:
+        raise ConfigError(f"--grid must be at most {MAX_GRID_CELLS} cells")
     seed = args.seed if args.seed is not None else 0
     cfg = {
         "base": args.base,
@@ -308,9 +320,10 @@ def _run(args) -> tuple[dict | str, str]:
         res = {"max_pointwise_gap": seminorm_rigidity_check(ctx, u, v, args.pair_tol)}
     elif args.cmd == "op-check":
         pd = json_object(read_json(args.proj), "a projection file")
-        if type(pd["u"]) is not str or type(pd["m"]) is not str:
+        u, m = (json_key(pd, key, "a projection file") for key in ("u", "m"))
+        if type(u) is not str or type(m) is not str:
             raise ConfigError('a projection file names its "u" and "m" files by strings')
-        P = Rank1Projection(load_function(pd["u"]), load_measure(pd["m"]))
+        P = Rank1Projection(load_function(u), load_measure(m))
         rep = ld2p_plus_projection_check(ctx, P, args.budget, seed)
         res = {
             "projection_norm": rep["projection_norm"],
@@ -366,7 +379,7 @@ def dispatch(argv: list[str]) -> int:
     except CertificateFailure as exc:
         print(f"certificate failure [{exc.inequality}]: {exc}", file=sys.stderr)
         return 2
-    except (BanachLabError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (BanachLabError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = payload if fmt == "csv" else reports.canonical_json(payload)

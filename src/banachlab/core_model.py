@@ -332,8 +332,8 @@ def function_to_dict(f: PLFunction) -> dict:
 
 def function_from_dict(d: dict) -> PLFunction:
     d = json_object(d, "a function")
-    return PLFunction(json_numbers(d["breakpoints"], "breakpoints"),
-                      json_numbers(d["values"], "values"))
+    return PLFunction(json_numbers(json_key(d, "breakpoints", "a function"), "breakpoints"),
+                      json_numbers(json_key(d, "values", "a function"), "values"))
 
 
 def measure_to_dict(m: Measure) -> dict:
@@ -347,7 +347,8 @@ def measure_from_dict(d: dict) -> Measure:
     atoms = []
     for a in json_array(d.get("atoms", []), "atoms"):
         a = json_object(a, "an atom")
-        atoms.append((json_number(a["t"], "an atom's t"), json_number(a["w"], "an atom's w")))
+        atoms.append((json_number(json_key(a, "t", "an atom"), "an atom's t"),
+                      json_number(json_key(a, "w", "an atom"), "an atom's w")))
     dens = d.get("density")
     return Measure(tuple(atoms), None if dens is None else function_from_dict(dens))
 
@@ -360,6 +361,13 @@ def json_object(d, what: str) -> dict:
     if type(d) is not dict:
         raise ConfigError(f"{what} must be a JSON object, got {reprlib.repr(d)}")
     return d
+
+
+def json_key(d: dict, key: str, what: str):
+    """The value under key of the JSON object d, which `what` names."""
+    if key not in d:
+        raise ConfigError(f'{what} has no "{key}" key')
+    return d[key]
 
 
 def json_array(v, what: str) -> list:
@@ -377,6 +385,13 @@ def json_number(v, what: str) -> float:
         return float(v)
     except OverflowError:  # an integer beyond the float range
         raise ConfigError(f"{what} lies beyond the float range") from None
+
+
+def json_bool(v, what: str) -> bool:
+    """v; it must be a JSON true or false."""
+    if type(v) is not bool:
+        raise ConfigError(f"{what} must be true or false, got {reprlib.repr(v)}")
+    return v
 
 
 def json_numbers(v, what: str) -> np.ndarray:

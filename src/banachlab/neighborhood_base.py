@@ -15,7 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import Enclosure, Interval, json_array, json_number, json_object, read_json
+from .core_model import (
+    Enclosure,
+    Interval,
+    json_array,
+    json_bool,
+    json_key,
+    json_number,
+    json_object,
+    read_json,
+)
 from .errors import ConfigError, DomainError, ResolutionError
 
 #: weights 2^-n underflow to exact float zero beyond this index; terms past
@@ -382,10 +391,10 @@ def parse_base_spec(spec: str) -> NeighborhoodBase:
         for d in json_array(read_json(rest[1:]), "a custom base"):
             d = json_object(d, "an interval")
             ivs.append(Interval(
-                json_number(d["left"], "an interval's left"),
-                json_number(d["right"], "an interval's right"),
-                left_open=d.get("left_open", True),
-                right_open=d.get("right_open", True),
+                json_number(json_key(d, "left", "an interval"), "an interval's left"),
+                json_number(json_key(d, "right", "an interval"), "an interval's right"),
+                left_open=json_bool(d.get("left_open", True), "an interval's left_open"),
+                right_open=json_bool(d.get("right_open", True), "an interval's right_open"),
             ))
         return build_custom(ivs, has_tail=False)
     raise ConfigError(f"unknown base spec {spec!r}")

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import BALL_TOL, DNormContext, d_norm, functional_bracket, into_unit_ball, sphere_norm
-from .errors import ConstructionError, DomainError, WitnessNotFoundError
+from .d_norm import BALL_TOL, DNormContext, d_norm, functional_bracket, sphere_norm
+from .errors import ConstructionError, DomainError
 from .gridsearch import GridContext
-from .slice_lab import (
-    SliceSpec,
-    _slice_member_matrix,
-    dirac_anchor,
-    tent_flip_witness,
-)
+from .slice_lab import SliceSpec, _slice_member_matrix, flip_from_point
 
 
 #: dual_norm budget of the functional bracket behind ‖P‖
@@ -30,6 +25,10 @@ NORM_BUDGET = 1500
 
 #: depth of the slice of P's functional whose flip witness seeds the ascent
 SEED_EPSILON = 0.04
+
+#: largest dimension of `c0_model_control`, whose oracle visits 2^(dim−1)
+#: vertices per first coordinate
+C0_MAX_DIM = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,60 +54,21 @@ class Rank1Projection:
         return Enclosure(ue.lo * functional_norm.lo, ue.hi * functional_norm.hi)
 
 
-@dataclass(frozen=True)
-class OperatorExpr:
-    """A linear combination a·I + b·P applied to PL functions."""
-
-    a: float = 1.0
-    b: float = 0.0
-    projection: Rank1Projection | None = None
-
-    def apply(self, x: PLFunction) -> PLFunction:
-        out = x.scaled(self.a)
-        if self.b != 0.0 and self.projection is not None:
-            out = lin_comb(1.0, out, self.b, self.projection.apply(x))
-        return out
-
-    def apply_grid(self, rows: np.ndarray, coeffs, vu) -> np.ndarray:
-        out = self.a * rows
-        if self.b != 0.0 and self.projection is not None:
-            out = out + self.b * (rows @ coeffs)[:, None] * vu[None, :]
-        return out
-
-
-def identity_op() -> OperatorExpr:
-    return OperatorExpr(1.0, 0.0, None)
-
-
-def identity_minus(P: Rank1Projection) -> OperatorExpr:
-    return OperatorExpr(1.0, -1.0, P)
-
-
-def operator_norm_lower(
+def i_minus_p_norm_lower(
     ctx: DNormContext,
-    T: OperatorExpr,
+    P: Rank1Projection,
     budget: int,
     seed: int,
-    grid_cells: int = 512,
     extra_inits: tuple[PLFunction, ...] = (),
 ) -> dict:
-    """Certified lower bound on ‖T‖ from a seeded multistart ascent.
+    """Certified lower bound on ‖I − P‖ from a seeded multistart ascent.
 
-    Maximizes ‖Tx‖.lo/‖x‖.hi over grid candidates; the best witness is
+    Maximizes ‖x − Px‖.lo/‖x‖.hi over grid candidates; the best witness is
     re-evaluated through the exact norm path before being reported.
     """
-    proj = () if T.projection is None else (T.projection.direction, T.projection.functional)
-    gc = GridContext(ctx, *proj, *extra_inits, grid_cells=grid_cells)
-    coeffs = (
-        gc.functional_coeffs(T.projection.functional)
-        if T.projection is not None
-        else np.zeros(gc.size)
-    )
-    vu = (
-        gc.sample_function(T.projection.direction)
-        if T.projection is not None
-        else np.zeros(gc.size)
-    )
+    gc = GridContext(ctx, P.direction, P.functional, *extra_inits)
+    coeffs = gc.functional_coeffs(P.functional)
+    vu = gc.sample_function(P.direction)
     rng = np.random.default_rng(seed)
     best_ratio = -np.inf
     best_x = None
@@ -130,8 +90,7 @@ def operator_norm_lower(
         _, hx = gc.enclosures(cands)
         keep = hx > 1e-12
         cands, hx = cands[keep], hx[keep]
-        timg = T.apply_grid(cands, coeffs, vu)
-        lt, _ = gc.enclosures(timg)
+        lt, _ = gc.enclosures(cands - (cands @ coeffs)[:, None] * vu[None, :])
         evals += 2 * cands.shape[0]
         ratios = lt / hx
         k = int(np.argmax(ratios))
@@ -140,7 +99,7 @@ def operator_norm_lower(
             best_x = cands[k].copy()
         trajectory.append(best_ratio)
     x_pl = gc.to_plfunction(best_x)
-    exact = d_norm(ctx, T.apply(x_pl)).lo / d_norm(ctx, x_pl).hi
+    exact = d_norm(ctx, lin_comb(1.0, x_pl, -1.0, P.apply(x_pl))).lo / d_norm(ctx, x_pl).hi
     return {
         "lower": float(exact),
         "evaluations": evals,
@@ -165,21 +124,10 @@ def ld2p_plus_projection_check(
     # one bracket for ‖m‖* serves ‖P‖ and the seeding slice
     mb = functional_bracket(ctx, P.functional, NORM_BUDGET, seed)
     pe = P.norm_from(ctx, mb)
-    seeds: list[PLFunction] = []
     S = SliceSpec(P.functional, mb, SEED_EPSILON)
-    try:
-        anchor = into_unit_ball(ctx, P.direction)
-        margin = S.value(anchor) - (1.0 - SEED_EPSILON)
-        if margin > 0.0:
-            cert = tent_flip_witness(
-                ctx, S, anchor, delta_target=SEED_EPSILON / 2.0, eta=margin / 2.0
-            )
-            seeds.append(cert.y)
-    except (DomainError, WitnessNotFoundError):
-        pass
-    res = operator_norm_lower(
-        ctx, identity_minus(P), budget, seed, extra_inits=tuple(seeds)
-    )
+    flip = flip_from_point(ctx, S, P.direction, SEED_EPSILON / 2.0)
+    seeds = () if flip is None else (flip[1].y,)
+    res = i_minus_p_norm_lower(ctx, P, budget, seed, extra_inits=seeds)
     upper = 1.0 + pe.hi
     lower = res["lower"]
     return {
@@ -198,7 +146,6 @@ def daugavet_slice_test(
     S: SliceSpec,
     budget: int,
     seed: int,
-    grid_cells: int = 512,
 ) -> dict:
     """Best ‖x + y‖.lo over certified slice members y found in budget.
 
@@ -206,11 +153,9 @@ def daugavet_slice_test(
     2 − ε, which is the expected behavior away from the slice.
     """
     xe = sphere_norm(ctx, x)
-    gc = GridContext(ctx, x, S.functional, grid_cells=grid_cells)
-    bump = dirac_anchor(ctx, S.functional)
-    anchor = None if bump is None else gc.sample_function(bump)
+    gc = GridContext(ctx, x, S.functional)
     count = max(16, min(128, budget // 8))
-    rows, evals = _slice_member_matrix(gc, S, count, seed, anchor_v=anchor)
+    rows, evals = _slice_member_matrix(gc, S, count, seed)
     vx = gc.sample_function(x)
     if xe.hi <= 1.0 + BALL_TOL and S.admits(integrate(x, S.functional)):
         rows = np.vstack([rows, vx[None, :]])
@@ -239,8 +184,8 @@ def c0_model_control(dim: int = 2, eps: float = 0.5) -> dict:
     e_1 (first coordinate pinched, others bounded by 1), so the equation
     ‖I − P‖ = 1 + ‖P‖ fails by gap 1 for P = e_1* ⊗ e_1.
     """
-    if dim < 1:
-        raise DomainError("dimension must be positive")
+    if not 1 <= dim <= C0_MAX_DIM:
+        raise DomainError(f"dimension must lie in [1, {C0_MAX_DIM}]")
     if not 0.0 < eps <= 1.0:
         raise DomainError("eps must lie in (0, 1]")
     if dim == 1:

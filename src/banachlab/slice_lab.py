@@ -47,6 +47,12 @@ from .gridsearch import GridContext, maximize_linear_functional
 #: largest cross-term slack `small_diameter_combo` certifies
 COMBO_MAX_SLACK = 1.0
 
+#: grid of the member samples behind the subslice inclusion and ℓ²-sum checks
+MEMBER_GRID_CELLS = 256
+
+#: dimension of the Euclidean component in `l2_sum_model_check`
+L2_MODEL_DIM = 2
+
 
 @dataclass(frozen=True, eq=False)
 class SliceSpec:
@@ -73,11 +79,6 @@ class SliceSpec:
         """Membership of ball points with ∫x dm = raw (a float or an array):
         raw / ‖m‖*.hi > 1 − ε, which only certified members pass."""
         return raw / self.functional_norm.hi > 1.0 - self.epsilon
-
-
-def slice_contains(ctx: DNormContext, S: SliceSpec, x: PLFunction) -> bool:
-    ball_norm(ctx, x)
-    return S.admits(integrate(x, S.functional))
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +141,20 @@ def norming_functional(ctx: DNormContext, x: PLFunction) -> Measure:
     for n in range(1, min(48, ctx.n_eff) + 1):
         if s[n - 1] == 0.0:
             continue
-        t_star, v_star = _argmax_abs(x, float(ilo[n - 1]), float(ihi[n - 1]))
-        weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, v_star) / lo
+        pts, vals, k = _abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
+        t_star = float(pts[k])
+        weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, float(vals[k])) / lo
         atoms[t_star] = atoms.get(t_star, 0.0) + weight
     return Measure(tuple(atoms.items()))
 
 
-def _argmax_abs(f: PLFunction, a: float, b: float) -> tuple[float, float]:
-    """Exact maximizer of |f| on [a,b] and the (signed) value there."""
+def _abs_argmax(f: PLFunction, a: float, b: float):
+    """The ends of [a,b] and the breakpoints of f inside, f's values there,
+    and the index of the largest |f|: an exact maximizer of |f| on [a,b]."""
     cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
     pts = np.concatenate([[a], cuts, [b]])
     vals = pl_eval(f.breakpoints, f.values, pts)
-    k = int(np.argmax(np.abs(vals)))
-    return float(pts[k]), float(vals[k])
+    return pts, vals, int(np.argmax(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +213,7 @@ def _near_max_component(
     maximizer of |f|."""
     if tau <= 0.0:
         return a, b
-    cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
-    pts = np.concatenate([[a], cuts, [b]])
-    vals = np.asarray(pl_eval(f.breakpoints, f.values, pts))
-    k = int(np.argmax(np.abs(vals)))
+    pts, vals, k = _abs_argmax(f, a, b)
     lo_idx = k
     while lo_idx > 0 and abs(vals[lo_idx - 1]) >= tau:
         lo_idx -= 1
@@ -404,6 +403,20 @@ def _build_flip(x: PLFunction, flips) -> PLFunction:
     return PLFunction(xs, ys)
 
 
+def flip_from_point(ctx: DNormContext, S: SliceSpec, x: PLFunction, delta: float):
+    """(x', certificate) for the flip witness of x' = x pulled into the unit
+    ball, with η half of the slice margin of x'; None when x' lies outside
+    the slice or no witness is found.  A CertificateFailure surfaces."""
+    try:
+        x = into_unit_ball(ctx, x)
+        margin = S.value(x) - (1.0 - S.epsilon)
+        if not margin > 0.0:
+            return None
+        return x, tent_flip_witness(ctx, S, x, delta, eta=margin / 2.0)
+    except (DomainError, WitnessNotFoundError):
+        return None
+
+
 # ---------------------------------------------------------------------------
 # membership-disjoint points and small combinations
 # ---------------------------------------------------------------------------
@@ -547,8 +560,6 @@ def l2_sum_model_check(
     delta: float,
     samples: int = 1000,
     seed: int = 0,
-    dim: int = 2,
-    grid_cells: int = 256,
 ) -> dict:
     """Monte-Carlo check of the slice inclusion on a two-component model.
 
@@ -558,7 +569,7 @@ def l2_sum_model_check(
     """
     radius = l2_sum_slice_inclusion(delta)
     Sd = SliceSpec(S.functional, S.functional_norm, delta)
-    gc = GridContext(ctx, Sd.functional, grid_cells=grid_cells)
+    gc = GridContext(ctx, Sd.functional, grid_cells=MEMBER_GRID_CELLS)
     members, _ = _slice_member_matrix(gc, Sd, samples, seed)
     rng = np.random.default_rng(seed + 1)
     _, hi = gc.enclosures(members)
@@ -566,8 +577,8 @@ def l2_sum_model_check(
     violations = 0
     for k in range(members.shape[0]):
         allowed = math.sqrt(max(0.0, 1.0 - hi[k] * hi[k]))
-        v = rng.standard_normal(dim)
-        v *= allowed * rng.uniform() ** (1.0 / dim) / max(np.linalg.norm(v), 1e-300)
+        v = rng.standard_normal(L2_MODEL_DIM)
+        v *= allowed * rng.uniform() ** (1.0 / L2_MODEL_DIM) / max(np.linalg.norm(v), 1e-300)
         vn = float(np.linalg.norm(v))
         max_ratio = max(max_ratio, vn / radius if radius > 0 else 0.0)
         if vn > radius + 1e-12:
@@ -629,8 +640,8 @@ def subslice(
     )
 
 
-def _verify_inclusion(ctx, Snew, S, anchor, samples, seed, grid_cells=256) -> bool:
-    gc = GridContext(ctx, Snew.functional, anchor, grid_cells=grid_cells)
+def _verify_inclusion(ctx, Snew, S, anchor, samples, seed) -> bool:
+    gc = GridContext(ctx, Snew.functional, anchor, grid_cells=MEMBER_GRID_CELLS)
     try:
         members, _ = _slice_member_matrix(
             gc, Snew, samples, seed, anchor_v=gc.sample_function(anchor)
@@ -685,12 +696,19 @@ def _slice_member_matrix(
     seed: int,
     anchor_v: np.ndarray | None = None,
 ):
-    """Sample certified slice members as grid rows; returns (matrix, evals)."""
+    """Sample certified slice members as grid rows; returns (matrix, evals).
+
+    Members perturb an anchor row.  Without one, a one-atom functional is
+    anchored at its norming bump and any other at a 400-step ascent."""
     coeffs = gc.functional_coeffs(S.functional)
     evals = 0
     if anchor_v is None:
-        val, anchor_v, used = maximize_linear_functional(gc, coeffs, 400, seed)
-        evals += used
+        bump = dirac_anchor(gc.ctx, S.functional)
+        if bump is not None:
+            anchor_v = gc.sample_function(bump)
+        else:
+            val, anchor_v, used = maximize_linear_functional(gc, coeffs, 400, seed)
+            evals += used
     anchor_v = gc.rescale_to_ball(anchor_v)[0]
     evals += 1
     members = []
@@ -785,9 +803,7 @@ def diameter_lower_bound(
     evals = 0
     component_members = []
     for j, s in enumerate(sets):
-        bump = dirac_anchor(ctx, s.functional)
-        anchor = None if bump is None else gc.sample_function(bump)
-        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j, anchor_v=anchor)
+        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j)
         evals += used
         component_members.append(rows)
 
@@ -844,15 +860,10 @@ def diameter_lower_bound(
 
 
 def _flip_seed_pair(ctx, S, gc, anchor_row, shell_tau):
-    # tent_flip_witness refuses an anchor outside the slice (eta <= 0) or
-    # with norm lo <= 1-delta by a DomainError
-    try:
-        x_pl = into_unit_ball(ctx, gc.to_plfunction(anchor_row))
-        margin = S.value(x_pl) - (1.0 - S.epsilon)
-        delta = min(0.08, S.epsilon / 2.0)
-        cert = tent_flip_witness(ctx, S, x_pl, delta, eta=margin / 2.0)
-        if shell_tau is not None and d_norm(ctx, cert.y).lo < 1.0 - shell_tau:
-            return None
-        return cert.achieved_distance_lo, (x_pl, cert.y)
-    except (DomainError, WitnessNotFoundError):
+    flip = flip_from_point(ctx, S, gc.to_plfunction(anchor_row), min(0.08, S.epsilon / 2.0))
+    if flip is None:
         return None
+    x_pl, cert = flip
+    if shell_tau is not None and d_norm(ctx, cert.y).lo < 1.0 - shell_tau:
+        return None
+    return cert.achieved_distance_lo, (x_pl, cert.y)

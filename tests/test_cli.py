@@ -9,6 +9,7 @@ from banachlab.cli import dispatch
 from banachlab.core_model import Measure, PLFunction, dump_function, dump_measure
 from banachlab.d_norm import DNormContext, d_norm
 from banachlab.neighborhood_base import build_leveled
+from banachlab.operator_lab import C0_MAX_DIM
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,12 @@ class TestBadInputs:
             ["--base", "custom:@{dir}/object.json", "norm", "--fn", "{dir}/one.json"],
             ["--seed", "1", "diam", "--set", "{dir}/no_slices.json"],
             ["--seed", "1", "--budget", "300", "diam", "--set", "{dir}/one_weight.json"],
+            ["--seed", "-1", "dual-norm", "--measure", "{dir}/dirac0.json"],
+            # one cell above the ceiling; 10^9 cells asked numpy for 7.45 GiB
+            ["--grid", str(cli.MAX_GRID_CELLS + 1), "--budget", "1", "--seed", "1",
+             "dual-norm", "--measure", "{dir}/dirac0.json"],
+            # one above the ceiling; the oracle's run time doubles per dimension
+            ["c0-control", "--dim", str(C0_MAX_DIM + 1)],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):
@@ -209,6 +216,45 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         os.fstat(1)  # still open
+
+    @pytest.mark.parametrize(
+        "flag,content,message",
+        [
+            ("--proj", {"m": "m.json"}, 'a projection file has no "u" key'),
+            ("--proj", {"u": "u.json"}, 'a projection file has no "m" key'),
+            ("--set", {"kind": "shell", "dirac": 0.5, "eps": 0.3}, 'a shell set has no "tau" key'),
+            ("--set", {"kind": "combo"}, 'a combo set has no "slices" key'),
+            ("--set", {"kind": "slice", "eps": 0.3}, 'a slice has no "dirac" key'),
+            ("--set", {"kind": "slice", "dirac": 0.5}, 'a slice has no "eps" key'),
+            ("--measure", {"atoms": [{"t": 0.5}]}, 'an atom has no "w" key'),
+            ("--measure", {"atoms": [{"w": 1.0}]}, 'an atom has no "t" key'),
+            ("--measure", {"density": {"values": [1, 1]}}, 'a function has no "breakpoints" key'),
+            ("--fn", {"breakpoints": [0, 1]}, 'a function has no "values" key'),
+            ("--base", [{"left": 0.0}], 'an interval has no "right" key'),
+            ("--base", [{"right": 1.0}], 'an interval has no "left" key'),
+        ],
+    )
+    def test_missing_key_named(self, tmp_path, flag, content, message, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        sub = {
+            "--fn": ["norm", "--fn", str(path)],
+            "--measure": ["dual-norm", "--measure", str(path)],
+            "--set": ["diam", "--set", str(path)],
+            "--proj": ["op-check", "--proj", str(path)],
+            "--base": ["--base", f"custom:@{path}", "norm", "--fn", str(path)],
+        }[flag]
+        assert run(["--seed", "1"] + sub) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_program_key_error_is_not_an_input_error(self, monkeypatch):
+        # only input errors end in exit 1; a KeyError is a fault of the program
+        def broken(dim, eps):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "c0_model_control", broken)
+        with pytest.raises(KeyError):
+            run(["c0-control"])
 
     @pytest.mark.parametrize("key", ["norm_lo", "norm_hi"])
     def test_set_file_bracket_is_never_read(self, tmp_path, key, capsys):

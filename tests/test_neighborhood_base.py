@@ -161,6 +161,16 @@ class TestCustomAndSpec:
         b = parse_base_spec(f"custom:@{path}")
         assert b.n_max == 2 and not b.has_tail
 
+    @pytest.mark.parametrize("flag", ["left_open", "right_open"])
+    def test_custom_open_flags_are_booleans(self, tmp_path, flag):
+        # a string "false" is truthy: the interval came out open
+        import json
+
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps([{"left": 0.0, "right": 1.0, flag: "false"}]))
+        with pytest.raises(ConfigError, match=f"an interval's {flag} must be true or false"):
+            parse_base_spec(f"custom:@{path}")
+
     @pytest.mark.parametrize("spec", ["leveled:i=1,levels=40", "leveled:i=40,levels=1"])
     def test_interval_cap(self, spec):
         # about 2^41 and 2^40 intervals: refused before any is built

@@ -9,16 +9,14 @@ from banachlab.errors import (
     DomainError,
     WitnessNotFoundError,
 )
+from banachlab.gridsearch import GridContext
 from banachlab.operator_lab import (
     NORM_BUDGET,
-    OperatorExpr,
     Rank1Projection,
     c0_model_control,
     daugavet_slice_test,
-    identity_minus,
-    identity_op,
+    i_minus_p_norm_lower,
     ld2p_plus_projection_check,
-    operator_norm_lower,
 )
 from banachlab.slice_lab import SliceSpec, norming_bump
 
@@ -64,31 +62,58 @@ class TestProjection:
         assert enc.hi == pytest.approx(ue.hi * abs(w) * de.hi)
 
 
+def ref_i_minus_p_norm_lower(ctx, P, budget, seed, extra_inits=()):
+    """The ascent through the generic a·I + b·P operator it replaced,
+    instantiated at I − P (a = 1, b = −1)."""
+    a, b = 1.0, -1.0
+    gc = GridContext(ctx, P.direction, P.functional, *extra_inits, grid_cells=512)
+    coeffs = gc.functional_coeffs(P.functional)
+    vu = gc.sample_function(P.direction)
+    rng = np.random.default_rng(seed)
+    best_ratio, best_x, evals, trajectory = -np.inf, None, 0, []
+    pending = [gc.sample_function(f) for f in extra_inits]
+    pending.append(np.ones(gc.size))
+    while evals < budget:
+        m = min(64, max(1, budget - evals))
+        cands = gc.random_smooth(rng, m // 2 + 1)
+        cands = np.vstack([cands, gc.random_bumps(rng, m - cands.shape[0])])[:m]
+        if pending:
+            cands = np.vstack([np.asarray(pending), cands])
+            pending = []
+        if best_x is not None:
+            cands = np.vstack([cands, best_x[None, :] + 0.05 * gc.random_smooth(rng, 4)])
+        _, hx = gc.enclosures(cands)
+        keep = hx > 1e-12
+        cands, hx = cands[keep], hx[keep]
+        timg = a * cands + b * (cands @ coeffs)[:, None] * vu[None, :]
+        lt, _ = gc.enclosures(timg)
+        evals += 2 * cands.shape[0]
+        ratios = lt / hx
+        k = int(np.argmax(ratios))
+        if float(ratios[k]) > best_ratio:
+            best_ratio = float(ratios[k])
+            best_x = cands[k].copy()
+        trajectory.append(best_ratio)
+    x_pl = gc.to_plfunction(best_x)
+    tx = lin_comb(1.0, x_pl.scaled(a), b, P.apply(x_pl))
+    exact = d_norm(ctx, tx).lo / d_norm(ctx, x_pl).hi
+    return {"lower": float(exact), "evaluations": evals, "trajectory": trajectory}
+
+
 class TestOperatorNorm:
-    def test_identity(self, ctx8):
-        rep = operator_norm_lower(ctx8, identity_op(), budget=200, seed=3)
-        assert rep["lower"] == pytest.approx(1.0, abs=1e-6)
-
-    def test_scaled_identity(self, ctx8):
-        rep = operator_norm_lower(ctx8, OperatorExpr(2.0), budget=200, seed=3)
-        assert rep["lower"] == pytest.approx(2.0, abs=1e-6)
-
     def test_monotone_in_budget(self, ctx8, proj):
-        t = identity_minus(proj)
-        small = operator_norm_lower(ctx8, t, budget=150, seed=4)
-        big = operator_norm_lower(ctx8, t, budget=600, seed=4)
+        small = i_minus_p_norm_lower(ctx8, proj, budget=150, seed=4)
+        big = i_minus_p_norm_lower(ctx8, proj, budget=600, seed=4)
         assert max(big["trajectory"]) >= max(small["trajectory"]) - 1e-12
 
-    def test_rank1_norm_within_bracket(self, ctx8, proj):
-        # with the direction itself as a start, the ascent pins the rank-1
-        # norm inside its factorized bracket from both sides
-        rep = operator_norm_lower(
-            ctx8, OperatorExpr(0.0, 1.0, proj), budget=400, seed=5,
-            extra_inits=(proj.direction,),
-        )
-        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET, 0))
-        assert rep["lower"] <= enc.hi + 1e-9
-        assert rep["lower"] >= enc.lo - 1e-6
+    @pytest.mark.parametrize("budget,seed,with_init", [(150, 4, False), (600, 7, True), (1, 2, True)])
+    def test_matches_the_generic_operator(self, ctx8, proj, budget, seed, with_init):
+        P = Rank1Projection(PLFunction.constant(1.0), Measure.lebesgue())
+        inits = (proj.direction, PLFunction.tent()) if with_init else ()
+        for Q in (proj, P):
+            got = i_minus_p_norm_lower(ctx8, Q, budget, seed, extra_inits=inits)
+            ref = ref_i_minus_p_norm_lower(ctx8, Q, budget, seed, extra_inits=inits)
+            assert got == ref
 
 
 class TestProjectionEquation:
@@ -100,12 +125,12 @@ class TestProjectionEquation:
         assert rep["lower"] <= rep["upper"] + 1e-9
 
     def test_flip_seeding_failures(self, ctx8, proj, monkeypatch):
-        from banachlab import operator_lab
+        from banachlab import slice_lab
 
         def fail_with(exc):
             def flip(*a, **k):
                 raise exc
-            monkeypatch.setattr(operator_lab, "tent_flip_witness", flip)
+            monkeypatch.setattr(slice_lab, "tent_flip_witness", flip)
 
         # a witness search that finds nothing only drops the seed
         fail_with(WitnessNotFoundError("none"))

@@ -35,22 +35,6 @@ def lam_slice(ctx8):
 
 
 class TestSliceContains:
-    def test_zero_function_outside(self, ctx8, lam_slice):
-        from banachlab.slice_lab import slice_contains
-
-        assert not slice_contains(ctx8, lam_slice, PLFunction.constant(0.0))
-
-    def test_constant_inside(self, ctx8, lam_slice):
-        from banachlab.slice_lab import slice_contains
-
-        assert slice_contains(ctx8, lam_slice, PLFunction.constant(1.0))
-
-    def test_outside_ball_rejected(self, ctx8, lam_slice):
-        from banachlab.slice_lab import slice_contains
-
-        with pytest.raises(DomainError):
-            slice_contains(ctx8, lam_slice, PLFunction.constant(3.0))
-
     def test_admits_matches_the_old_rules(self, ctx8, lam_slice):
         # the old exact rule S.value(x) > 1 − ε, through conservative_value,
         # and the old grid rule values / ‖m‖*.hi > 1 − ε

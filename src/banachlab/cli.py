@@ -215,6 +215,8 @@ def _run(args) -> tuple[dict | str, str]:
         raise ConfigError("--tol must be positive")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
+    if args.budget < 0:
+        raise ConfigError("--budget must be non-negative")
     if args.grid > MAX_GRID_CELLS:
         raise ConfigError(f"--grid must be at most {MAX_GRID_CELLS} cells")
     seed = args.seed if args.seed is not None else 0
@@ -231,6 +233,8 @@ def _run(args) -> tuple[dict | str, str]:
         enc = d_norm(ctx, f)
         res = {"lo": enc.lo, "hi": enc.hi, "tolerance_met": enc.width <= args.tol}
     elif args.cmd == "seminorms":
+        if args.max_n < 1:
+            raise ConfigError("--max-n must be >= 1")
         f = load_function(args.fn)
         top = min(args.max_n, ctx.base.n_max)
         res = {"values": [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]}

@@ -198,8 +198,7 @@ def abs_integral_cells(f: PLFunction, edges: np.ndarray) -> np.ndarray:
     vals = pl_eval(f.breakpoints, f.values, cuts)
     x0, x1, y0, y1 = cuts[:-1], cuts[1:], vals[:-1], vals[1:]
     piece = np.abs(y0 + y1) * (x1 - x0) / 2.0
-    s = np.nonzero(y0 * y1 < 0.0)[0]  # one interior sign change
-    xc = x0[s] + (x1[s] - x0[s]) * y0[s] / (y0[s] - y1[s])
+    s, xc = _kernels.zero_crossings(cuts, vals)  # one interior sign change
     piece[s] = (np.abs(y0[s]) * (xc - x0[s]) + np.abs(y1[s]) * (x1[s] - xc)) / 2.0
     return _left_to_right_sums(piece, np.searchsorted(cuts, edges[:-1]))
 

@@ -56,40 +56,17 @@ class GridContext:
         self.tail_weight = ctx.tail_weight
         self.size = self.nodes.size
 
-    def interval_geometry(self, lo: np.ndarray, hi: np.ndarray):
-        """Node ranges and endpoint cells of the intervals [lo, hi]: nodes
-        ``starts:ends`` lie inside, and each end sits in cell ``ka``/``kb``
-        at fraction ``ta``/``tb``."""
-        starts = np.searchsorted(self.nodes, lo, side="left")
-        ends = np.searchsorted(self.nodes, hi, side="right")
-        ka, ta = self._endpoint_data(lo)
-        kb, tb = self._endpoint_data(hi)
-        return starts, ends, ka, ta, kb, tb
-
     @cached_property
     def stored_geometry(self):
         """interval_geometry of the stored intervals, built on first use: the
         MLUR scan, which builds a grid only for its cover, never needs it."""
-        return self.interval_geometry(*self.ctx.interval_bounds)
-
-    def _endpoint_data(self, t: np.ndarray):
-        k = np.clip(np.searchsorted(self.nodes, t, side="right") - 1, 0, self.nodes.size - 2)
-        th = (t - self.nodes[k]) / (self.nodes[k + 1] - self.nodes[k])
-        return k, th
+        return _kernels.interval_geometry(self.nodes, *self.ctx.interval_bounds)
 
     # -- batched norms ---------------------------------------------------
 
-    def _endpoint_values(self, v2d: np.ndarray, k: np.ndarray, th: np.ndarray):
-        return v2d[:, k] * (1.0 - th) + v2d[:, k + 1] * th
-
     def seminorms(self, v2d: np.ndarray) -> np.ndarray:
         """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows."""
-        v2d = np.atleast_2d(v2d)
-        starts, ends, ka, ta, kb, tb = self.stored_geometry
-        interior = _kernels.range_abs_max(v2d, starts, ends)
-        fa = np.abs(self._endpoint_values(v2d, ka, ta))
-        fb = np.abs(self._endpoint_values(v2d, kb, tb))
-        return np.maximum(interior, np.maximum(fa, fb))
+        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry)
 
     def enclosures(self, v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Norm enclosure endpoints (lo, hi) for each row."""
@@ -123,7 +100,7 @@ class GridContext:
         if m.atoms:
             # interleaved k0, k0+1, k1, k1+1, ...: each atom in turn, as a loop adds
             t, w = np.array(m.atoms).T
-            k, th = self._endpoint_data(t)
+            k, th = _kernels.locate(g, t)
             np.add.at(c, np.stack([k, k + 1], axis=1).ravel(),
                       np.stack([w * (1.0 - th), w * th], axis=1).ravel())
         rho = m.density
@@ -136,7 +113,7 @@ class GridContext:
             edges = np.union1d(g, rho.breakpoints)
             a, b = edges[:-1], edges[1:]
             t = np.stack([a, 0.5 * (a + b), b], axis=1)
-            kk, s = self._endpoint_data(t)
+            kk, s = _kernels.locate(g, t)
             rv = pl_eval(rho.breakpoints, rho.values, t)
             scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
             idx = np.stack([kk, kk + 1], axis=2)

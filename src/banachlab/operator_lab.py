@@ -66,6 +66,8 @@ def i_minus_p_norm_lower(
     Maximizes ‖x − Px‖.lo/‖x‖.hi over grid candidates; the best witness is
     re-evaluated through the exact norm path before being reported.
     """
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     gc = GridContext(ctx, P.direction, P.functional, *extra_inits)
     coeffs = gc.functional_coeffs(P.functional)
     vu = gc.sample_function(P.direction)

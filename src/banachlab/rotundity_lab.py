@@ -11,7 +11,7 @@ what they achieve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -75,25 +75,12 @@ class MLURCertificate:
         if lo[order[0]] > 0.0 or reach[-1] < 1.0 or np.any(lo[order[1:]] > reach[:-1]):
             raise CertificateFailure("the cover intervals leave a gap in [0, 1]",
                                      inequality="cover of [0, 1]")
-        bound = self.epsilon + float(np.max(np.array(self.x_seminorms) - _min_abs_many(
+        bound = self.epsilon + float(np.max(np.array(self.x_seminorms) - _kernels.min_abs_many(
             self.x.breakpoints, self.x.values, lo, hi)))
         if not bound <= self.conclusion_bound:
             raise CertificateFailure(f"conclusion {bound} exceeds {self.conclusion_bound}",
                                      inequality="MLUR conclusion bound")
         return bound
-
-
-def _min_abs_many(bx, by, lo, hi):
-    """Exact min of |f| over each [lo[i], hi[i]], f the PL interpolant of
-    (bx, by): 0 where f changes sign there, else its smallest magnitude at
-    an end or an interior breakpoint."""
-    at_ends = np.stack([pl_eval(bx, by, lo), pl_eval(bx, by, hi)], axis=1)
-    ia = np.searchsorted(bx, lo, side="right")
-    ib = np.searchsorted(bx, hi, side="left")
-    pad = np.append(by, 0.0)  # the spare column of range_reduce
-    mn = np.minimum(at_ends.min(axis=1), _kernels.range_reduce(np.minimum, pad, ia, ib, np.inf))
-    mx = np.maximum(at_ends.max(axis=1), _kernels.range_reduce(np.maximum, pad, ia, ib, -np.inf))
-    return np.maximum(np.maximum(mn, -mx), 0.0)
 
 
 def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCertificate:
@@ -161,10 +148,10 @@ def mlur_adversarial_search(
     vx = gc.sample_function(cert.x)
     # cover indices can pass n_eff, so the geometry comes from the bounds
     lo, hi, allowed = cert.cover_arrays
-    starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
+    geometry = _kernels.interval_geometry(nodes, lo, hi)
+    starts, ends = geometry[:2]
     suspect = _suspect_intervals(starts, ends, nodes.size)
     width = int(np.max(ends - starts))
-    offsets = np.arange(width)
 
     rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
@@ -181,27 +168,7 @@ def mlur_adversarial_search(
                 if alive.size == 0:
                     break
                 j = suspect[peaks, which]
-                idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
-                valid = idx < ends[j][:, None]
-                # the window of interval j, then the cells holding its ends
-                vy_g = rows.values(alive, np.column_stack([idx, ka[j], ka[j] + 1, kb[j], kb[j] + 1]))
-                ya0, ya1, yb0, yb1 = vy_g[:, width:].T
-                vy_g = vy_g[:, :width]
-                vx_g = vx[idx]
-                sup_pm = np.zeros(alive.size)
-                for sign in (1.0, -1.0):
-                    v = np.abs(vx_g + sign * vy_g)
-                    v[~valid] = 0.0
-                    interior = v.max(axis=1)
-                    ea = np.abs(
-                        (vx[ka[j]] + sign * ya0) * (1.0 - ta[j])
-                        + (vx[ka[j] + 1] + sign * ya1) * ta[j]
-                    )
-                    eb = np.abs(
-                        (vx[kb[j]] + sign * yb0) * (1.0 - tb[j])
-                        + (vx[kb[j] + 1] + sign * yb1) * tb[j]
-                    )
-                    sup_pm = np.maximum(sup_pm, np.maximum(interior, np.maximum(ea, eb)))
+                sup_pm = _screen_sup(vx, geometry, j, width, partial(rows.values, alive))
                 keep = sup_pm <= allowed[j]  # premise not yet refuted there
                 alive = alive[keep]
                 peaks = peaks[keep]
@@ -216,6 +183,22 @@ def mlur_adversarial_search(
         "counterexamples": counterexamples,
         "survivors_full_checked": survivors_checked,
     }
+
+
+def _screen_sup(vx, geometry, j, width, read):
+    """max(sup|x + y|, sup|x − y|) over cover interval j[i] for each sample i,
+    bit for bit as `MLURCertificate.premise_margin` gets it; no interval holds
+    more than width nodes, and read(cols) gives sample i's y at cols[i]."""
+    starts, ends, ka, ta, kb, tb = geometry
+    idx = np.minimum(starts[j][:, None] + np.arange(width)[None, :], vx.size - 1)
+    # the window of interval j, then the cells holding its ends
+    cols = np.column_stack([idx, ka[j], ka[j] + 1, kb[j], kb[j] + 1])
+    w = vx[cols] + np.array([1.0, -1.0])[:, None, None] * read(cols)  # x + y, x − y
+    v = np.abs(w[..., :width])
+    v[:, idx >= ends[j][:, None]] = 0.0
+    ea = np.abs(_kernels.blend(w[..., width], w[..., width + 1], ta[j]))
+    eb = np.abs(_kernels.blend(w[..., width + 2], w[..., width + 3], tb[j]))
+    return np.maximum(v.max(axis=2), np.maximum(ea, eb)).max(axis=0)
 
 
 def _suspect_intervals(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
@@ -244,15 +227,9 @@ def _adversarial_blocks(rng, nodes, m, eps2):
     if np.any(smooth):
         xs = np.linspace(0.0, 1.0, 33)
         coarse = rng.standard_normal((int(smooth.sum()), 33))
-        # linear interpolation of all rows at once, in place; xs[k] = k/32
-        # exactly, so the coarse cell of a node is floor(32·t)
-        pos = np.minimum((32.0 * nodes).astype(np.int64), 31)
-        th = (nodes - xs[pos]) / (xs[pos + 1] - xs[pos])
-        wave = coarse[:, pos]
-        wave *= 1.0 - th
-        upper = coarse[:, pos + 1]
-        upper *= th
-        wave += upper
+        # linear interpolation of all rows at once, in place
+        pos, th = _kernels.locate(xs, nodes)
+        wave = _kernels.blend(coarse[:, pos], coarse[:, pos + 1], th)
         wave *= amps[smooth][:, None]
     sa = signs * amps
     # noisy (smooth) samples before each sample: their rows in noise (wave)
@@ -376,6 +353,8 @@ def mlur_modulus(
     """
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise DomainError("epsilon must be finite and nonnegative")
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     if epsilon == 0.0:
         return 0.0
     gc = GridContext(ctx, x, grid_cells=grid_cells)
@@ -436,6 +415,8 @@ def seminorm_rigidity_check(
     Requires |‖u‖_n − ‖v‖_n| ≤ tol on every stored index; the return value
     is then bounded by 2·osc + tol ≤ 4ε + tol at the stored resolution ε.
     """
+    if not tol >= 0.0:  # nan compares false, and would pass every pair
+        raise DomainError("tol must be >= 0")
     su = seminorms_all(ctx, u)
     sv = seminorms_all(ctx, v)
     bad = np.nonzero(np.abs(su - sv) > tol)[0]
@@ -444,21 +425,13 @@ def seminorm_rigidity_check(
             f"seminorms differ by more than {tol} at indices {tuple(int(b) + 1 for b in bad[:8])}",
             offending=tuple(int(b) + 1 for b in bad),
         )
-    grid = np.union1d(u.breakpoints, v.breakpoints)
-    du = np.abs(pl_eval(u.breakpoints, u.values, grid))
-    dv = np.abs(pl_eval(v.breakpoints, v.values, grid))
     # | |u|-|v| | is PL on the merged grid refined by zero crossings; its
     # max over [0,1] is attained at a merged breakpoint or a crossing,
-    # where one of the two terms vanishes and the other is linear, so the
-    # breakpoint scan plus crossing scan below is exact
-    candidates = [float(np.max(np.abs(du - dv)))]
-    for f, g in ((u, v), (v, u)):
-        for k in range(f.breakpoints.size - 1):
-            y0, y1 = f.values[k], f.values[k + 1]
-            if y0 * y1 < 0.0:
-                t = f.breakpoints[k] + (f.breakpoints[k + 1] - f.breakpoints[k]) * y0 / (y0 - y1)
-                candidates.append(abs(abs(f.eval(float(t))) - abs(g.eval(float(t)))))
-    return float(max(candidates))
+    # where one of the two terms vanishes and the other is linear, so
+    # evaluating at those points is exact
+    t = np.concatenate([np.union1d(u.breakpoints, v.breakpoints)]
+                       + [_kernels.zero_crossings(f.breakpoints, f.values)[1] for f in (u, v)])
+    return float(np.max(np.abs(np.abs(u.eval(t)) - np.abs(v.eval(t)))))
 
 
 def modulated_sawtooth(x: PLFunction, scale: float, grid_cells: int = 2048) -> PLFunction:
@@ -538,6 +511,8 @@ def non_octahedral_gap(
     the sup from reaching 2; the report records the best value found and
     the seminorm profile gap, never a refutation certificate.
     """
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     if np.any(u.values < 0.0) or np.any(v.values < 0.0):
         raise DomainError("u and v must be nonnegative")
     if (

@@ -507,6 +507,8 @@ def small_diameter_combo(
     m_bound = 1.0 / b_lo
     if eta is None:
         eta = max_feasible_eta(i, m_bound, target_slack)
+    if not 0.0 < eta < 1.0:  # the slack takes the square root of 2η − η²
+        raise DomainError("eta must lie in (0, 1)")
     slack = combo_slack(i, eta, m_bound)
     if slack > COMBO_MAX_SLACK:
         raise ParameterError(

@@ -23,6 +23,10 @@ def files(tmp_path_factory):
     (d / "sliceset.json").write_text(
         json.dumps({"kind": "slice", "dirac": 0.5, "eps": 0.3})
     )
+    ctx = DNormContext(build_leveled(1, levels=8))  # the default --base
+    for name, f in (("one_unit.json", PLFunction.constant(1.0)), ("tent_unit.json", PLFunction.tent())):
+        dump_function(f.scaled(1.0 / d_norm(ctx, f).hi), str(d / name))
+    (d / "proj.json").write_text(json.dumps({"u": str(d / "one.json"), "m": str(d / "dirac0.json")}))
     # well-formed JSON of the wrong shape
     malformed = {
         "list.json": [1, 2],
@@ -137,6 +141,21 @@ class TestBadInputs:
              "dual-norm", "--measure", "{dir}/dirac0.json"],
             # one above the ceiling; the oracle's run time doubles per dimension
             ["c0-control", "--dim", str(C0_MAX_DIM + 1)],
+            # budget 0 reported "inf", "-inf" or an unrelated error; a negative
+            # budget ran as some other budget
+            ["--budget", "0", "--seed", "1", "mlur-modulus", "--fn", "{dir}/one_unit.json", "--eps", "0.1"],
+            ["--budget", "0", "--seed", "1", "octa-gap", "--fn", "{dir}/one_unit.json",
+             "--fn2", "{dir}/tent_unit.json"],
+            ["--budget", "0", "--seed", "1", "op-check", "--proj", "{dir}/proj.json"],
+            ["--budget", "-5", "--seed", "1", "diam", "--set", "{dir}/sliceset.json"],
+            ["--budget", "-5", "--seed", "1", "combo-diam", "--i", "2"],
+            ["--budget", "-5", "--seed", "1", "octa-local", "--fn", "{dir}/one_unit.json", "--eps", "0.5"],
+            ["--budget", "-5", "--seed", "1", "mlur-modulus", "--fn", "{dir}/one_unit.json", "--eps", "0.1"],
+            ["--seed", "1", "combo-diam", "--i", "2", "--eta", "-0.5"],
+            ["seminorms", "--fn", "{dir}/one.json", "--max-n", "0"],
+            ["seminorms", "--fn", "{dir}/one.json", "--max-n", "-3"],
+            # nan passed the seminorm premise for every pair
+            ["rigidity", "--fn", "{dir}/one.json", "--fn2", "{dir}/tent.json", "--pair-tol", "nan"],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):
@@ -294,6 +313,21 @@ class TestNestedEdges:
         assert run(["--budget", "0", "--seed", "1", "nested", "--op", "slice"], out) == 0
         res = json.loads(out.read_text())["results"]
         assert res["members"] == 2 and res["best_distance"] == 2.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["combo-diam", "--i", "2"],
+            ["diam", "--set", "{dir}/sliceset.json"],
+            ["octa-local", "--fn", "{dir}/one_unit.json", "--eps", "0.5"],
+        ],
+    )
+    def test_zero_budget_stays_valid(self, files, argv, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["--budget", "0", "--seed", "1"] + [a.replace("{dir}", str(files)) for a in argv]
+        assert run(argv, out) == 0
+        if argv[4] == "combo-diam":  # budget 0 skips only the empirical check
+            assert json.loads(out.read_text())["results"]["empirical_diameter"] is None
 
 
 class TestWitnessAndReports:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from banachlab import _kernels
 from banachlab.core_model import Measure, PLFunction, pl_eval
 from banachlab.d_norm import DNormContext
 from banachlab.errors import DomainError
@@ -70,8 +71,30 @@ class TestIntervalGeometry:
         lo, hi = lo[idx - 1], hi[idx - 1]
         x = random_pl(np.random.default_rng(5))
         gc = GridContext(ctx, x, grid_cells=512)
-        for a, b in zip(gc.interval_geometry(lo, hi), ref_interval_geometry(gc.nodes, lo, hi)):
+        got = _kernels.interval_geometry(gc.nodes, lo, hi)
+        for a, b in zip(got, ref_interval_geometry(gc.nodes, lo, hi)):
             assert a.tolist() == b.tolist()
+
+
+def ref_seminorms(gc, v2d):
+    """The body seminorms ran before it shared _kernels.sup_abs_rows, with its
+    _endpoint_values blend."""
+    starts, ends, ka, ta, kb, tb = ref_interval_geometry(gc.nodes, *gc.ctx.interval_bounds)
+    interior = _kernels.range_abs_max(v2d, starts, ends)
+    fa = np.abs(v2d[:, ka] * (1.0 - ta) + v2d[:, ka + 1] * ta)
+    fb = np.abs(v2d[:, kb] * (1.0 - tb) + v2d[:, kb + 1] * tb)
+    return np.maximum(interior, np.maximum(fa, fb))
+
+
+@pytest.mark.parametrize("cells", [1, 64, 300, 512])
+def test_seminorms_match_the_old_blend(ctx8, cells):
+    rng = np.random.default_rng(cells)
+    for _ in range(5):
+        gc = GridContext(ctx8, random_pl(rng), grid_cells=cells)
+        v2d = rng.standard_normal((6, gc.size))
+        v2d[0] = gc.sample_function(random_pl(rng))
+        got, ref = gc.seminorms(v2d), ref_seminorms(gc, v2d)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_atom_coeffs_match_the_loop(ctx8):

@@ -83,3 +83,39 @@ def test_sup_abs_many_matches_its_old_body():
         got = _kernels.sup_abs_many(bx, by, lo, hi)
         assert got.tolist() == ref_sup_abs_many(bx, by, lo, hi).tolist()
 
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_grid(rng, cells):
+    """A uniform grid of `cells` cells refined by a few random points."""
+    return np.union1d(np.linspace(0.0, 1.0, cells + 1), rng.uniform(0.0, 1.0, int(rng.integers(0, 6))))
+
+
+def ref_pl_eval(bx, by, t):
+    """pl_eval's body before it called locate and blend."""
+    t = np.asarray(t, dtype=np.float64)
+    k = np.clip(np.searchsorted(bx, t, side="right") - 1, 0, bx.shape[0] - 2)
+    x0, x1 = bx[k], bx[k + 1]
+    y0, y1 = by[k], by[k + 1]
+    th = (t - x0) / (x1 - x0)
+    out = y0 * (1.0 - th) + y1 * th
+    out = np.where(t == x0, y0, out)
+    out = np.where(t == x1, y1, out)
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64, 512])
+def test_pl_eval_matches_its_old_body(cells):
+    rng = np.random.default_rng(cells)
+    for _ in range(20):
+        bx = random_grid(rng, cells)
+        by = rng.standard_normal(bx.size)
+        by[rng.random(bx.size) < 0.3] = -0.0  # the override keeps this sign
+        t = np.concatenate([bx, np.nextafter(bx, 0.5), rng.uniform(0.0, 1.0, 50)])
+        assert same_bits(pl_eval(bx, by, t), ref_pl_eval(bx, by, t))
+        for s in t[::7]:  # scalars, as PLFunction.eval passes them
+            assert same_bits(pl_eval(bx, by, s), ref_pl_eval(bx, by, s))

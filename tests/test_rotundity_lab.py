@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from banachlab._kernels import interval_geometry
 from banachlab.core_model import PLFunction, lin_comb
 from banachlab.d_norm import DNormContext, d_norm
 from banachlab.errors import CertificateFailure, DomainError, PremiseError, ResolutionError
@@ -110,7 +111,7 @@ class TestCertificate:
                 assert cert.cover_arrays[1].tolist() == bhi.tolist()
 
     def test_min_abs_matches_the_point_loop(self):
-        from banachlab.rotundity_lab import _min_abs_many
+        from banachlab._kernels import min_abs_many
         from conftest import random_pl
 
         rng = np.random.default_rng(12)
@@ -125,7 +126,7 @@ class TestCertificate:
                 pts = np.concatenate([[s], f.breakpoints[(f.breakpoints > s) & (f.breakpoints < e)], [e]])
                 v = f.eval(pts)
                 ref.append(0.0 if v.min() <= 0.0 <= v.max() else float(np.min(np.abs(v))))
-            assert _min_abs_many(f.breakpoints, f.values, lo, hi).tolist() == ref
+            assert min_abs_many(f.breakpoints, f.values, lo, hi).tolist() == ref
 
 
 class TestApply:
@@ -246,6 +247,40 @@ class TestRigidity:
             seminorm_rigidity_check(ctx8, u, v, tol=1e-6)
         assert exc.value.offending
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_tolerance_must_be_nonnegative(self, ctx8, tol):
+        # nan passed the premise for every pair: abs(su − sv) > nan is false
+        with pytest.raises(DomainError, match="tol must be >= 0"):
+            seminorm_rigidity_check(ctx8, PLFunction.constant(1.0), PLFunction.tent(), tol)
+
+    def test_matches_the_crossing_loop(self, ctx8):
+        from conftest import random_pl
+
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            u = random_pl(rng, n_interior=int(rng.integers(0, 10)))
+            v = random_pl(rng, n_interior=int(rng.integers(0, 10)))
+            # an infinite tolerance lets any pair through the premise
+            assert seminorm_rigidity_check(ctx8, u, v, np.inf) == ref_rigidity_gap(u, v)
+
+
+def ref_rigidity_gap(u, v):
+    """The breakpoint scan and per-piece crossing loop seminorm_rigidity_check
+    ran before it shared _kernels.zero_crossings."""
+    from banachlab.core_model import pl_eval
+
+    grid = np.union1d(u.breakpoints, v.breakpoints)
+    du = np.abs(pl_eval(u.breakpoints, u.values, grid))
+    dv = np.abs(pl_eval(v.breakpoints, v.values, grid))
+    candidates = [float(np.max(np.abs(du - dv)))]
+    for f, g in ((u, v), (v, u)):
+        for k in range(f.breakpoints.size - 1):
+            y0, y1 = f.values[k], f.values[k + 1]
+            if y0 * y1 < 0.0:
+                t = f.breakpoints[k] + (f.breakpoints[k + 1] - f.breakpoints[k]) * y0 / (y0 - y1)
+                candidates.append(abs(abs(f.eval(float(t))) - abs(g.eval(float(t)))))
+    return float(max(candidates))
+
 
 class TestOctahedral:
     def test_constant_witness(self, ctx8):
@@ -314,7 +349,7 @@ def _cover_geometry(ctx, cert):
     gc = GridContext(ctx, cert.x, grid_cells=512)
     lo = np.array([b[0] for b in cert.cover_bounds])
     hi = np.array([b[1] for b in cert.cover_bounds])
-    starts, ends = gc.interval_geometry(lo, hi)[:2]
+    starts, ends = interval_geometry(gc.nodes, lo, hi)[:2]
     return starts, ends, gc.size
 
 
@@ -423,7 +458,7 @@ def ref_scan(ctx, cert, samples, seed, grid_cells):
     vx = gc.sample_function(cert.x)
     lo = np.array([b[0] for b in cert.cover_bounds])
     hi = np.array([b[1] for b in cert.cover_bounds])
-    starts, ends, ka, ta, kb, tb = gc.interval_geometry(lo, hi)
+    starts, ends, ka, ta, kb, tb = interval_geometry(gc.nodes, lo, hi)
     allowed = np.array(cert.x_seminorms) + cert.epsilon
     suspect = _suspect_intervals(starts, ends, nodes.size)
     offsets = np.arange(int(np.max(ends - starts)))
@@ -550,3 +585,85 @@ def test_lazy_scan_on_a_triple_overlap(monkeypatch):
     ctx = DNormContext(build_custom([Interval(0.0, 0.5), Interval(0.1, 0.6), Interval(0.45, 1.0)]))
     cert = mlur_certificate(ctx, unit(ctx, PLFunction.constant(1.0)), 0.1)
     assert_scan_matches_reference(ctx, cert, 2000, 1, 512, monkeypatch)
+
+
+@pytest.mark.parametrize("grid_cells", [1, 64, 300, 512])
+def test_blocks_match_the_floor_rule_on_random_grids(grid_cells):
+    # ref_adversarial_blocks finds a node's coarse cell as floor(32·t)
+    from banachlab.gridsearch import grid_nodes
+    from banachlab.rotundity_lab import _adversarial_blocks
+    from conftest import random_pl
+
+    rng = np.random.default_rng(grid_cells)
+    for _ in range(3):
+        nodes = grid_nodes(grid_cells, random_pl(rng, n_interior=int(rng.integers(0, 12))))
+        seed = int(rng.integers(1 << 30))
+        got = full_rows(_adversarial_blocks(np.random.default_rng(seed), nodes, 1024, 0.2))
+        ref = np.vstack(list(ref_adversarial_blocks(np.random.default_rng(seed), nodes, 1024, 0.2)))
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.fixture(scope="module")
+def screen_case():
+    """A levels-9 certificate, a scan grid and its cover geometry, and random
+    rows y on the grid, each paired with every cover interval.  Cover ends
+    are dyadic, so on 300 cells most fall between nodes, and steep linear
+    rows put the sup of |x ± y| at an end."""
+    from banachlab.gridsearch import GridContext
+    from banachlab.neighborhood_base import build_leveled
+    from conftest import smooth_positive_pl
+
+    ctx = DNormContext(build_leveled(1, levels=9))
+    rng = np.random.default_rng(21)
+    cert = mlur_certificate(ctx, unit(ctx, smooth_positive_pl(rng)), 0.1)
+    gc = GridContext(ctx, cert.x, grid_cells=300)
+    lo, hi, _ = cert.cover_arrays
+    geometry = interval_geometry(gc.nodes, lo, hi)
+    y = 0.3 * rng.standard_normal((12, gc.size))
+    y[:4] = gc.random_bumps(rng, 4, amp=0.3)
+    y[8:] = rng.uniform(-8.0, 8.0, (4, 1)) * (gc.nodes - rng.uniform(0.0, 1.0, (4, 1)))
+    pairs = np.arange(y.shape[0]).repeat(lo.size)  # row of each (row, interval) pair
+    j = np.tile(np.arange(lo.size), y.shape[0])
+    return cert, gc, geometry, y, pairs, j
+
+
+def screen(case):
+    from banachlab.rotundity_lab import _screen_sup
+
+    cert, gc, geometry, y, pairs, j = case
+    width = int(np.max(geometry[1] - geometry[0]))
+    vx = gc.sample_function(cert.x)
+    return _screen_sup(vx, geometry, j, width, lambda cols: y[pairs[:, None], cols])
+
+
+def test_screen_matches_the_old_cover_ends(screen_case):
+    # the inline ea/eb of the scan before it called _kernels.blend
+    cert, gc, geometry, y, pairs, j = screen_case
+    starts, ends, ka, ta, kb, tb = geometry
+    vx = gc.sample_function(cert.x)
+    ref = np.zeros(j.size)
+    for sign in (1.0, -1.0):
+        w = vx[None, :] + sign * y[pairs]
+        interior = np.array([np.max(np.abs(w[i, starts[m]:ends[m]]), initial=0.0)
+                             for i, m in enumerate(j)])
+        ea = np.abs((vx[ka[j]] + sign * y[pairs, ka[j]]) * (1.0 - ta[j])
+                    + (vx[ka[j] + 1] + sign * y[pairs, ka[j] + 1]) * ta[j])
+        eb = np.abs((vx[kb[j]] + sign * y[pairs, kb[j]]) * (1.0 - tb[j])
+                    + (vx[kb[j] + 1] + sign * y[pairs, kb[j] + 1]) * tb[j])
+        ref = np.maximum(ref, np.maximum(interior, np.maximum(ea, eb)))
+    assert screen(screen_case).tobytes() == ref.tobytes()
+
+
+def test_screen_matches_the_premise_path(screen_case):
+    # per cover interval, the max(‖x+y‖_m, ‖x−y‖_m) behind premise_margin
+    from banachlab import _kernels
+
+    cert, gc, geometry, y, pairs, j = screen_case
+    lo, hi, _ = cert.cover_arrays
+    ref = []
+    for row in y:
+        yf = gc.to_plfunction(row)
+        plus, minus = lin_comb(1.0, cert.x, 1.0, yf), lin_comb(1.0, cert.x, -1.0, yf)
+        ref.append(np.maximum(_kernels.sup_abs_many(plus.breakpoints, plus.values, lo, hi),
+                              _kernels.sup_abs_many(minus.breakpoints, minus.values, lo, hi)))
+    assert screen(screen_case).tobytes() == np.concatenate(ref).tobytes()

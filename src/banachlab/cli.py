@@ -171,11 +171,11 @@ def _parse_vec(text: str | None) -> np.ndarray:
     return vec
 
 
-def _slice_spec(ctx, m: Measure, eps: float, budget: int, seed: int, grid_cells: int):
-    return SliceSpec(m, functional_bracket(ctx, m, budget, seed, grid_cells), eps)
+def _slice_spec(ctx, m: Measure, eps: float, budget: int, seed: int):
+    return SliceSpec(m, functional_bracket(ctx, m, budget, seed), eps)
 
 
-def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
+def _set_from_json(ctx, path: str, budget: int, seed: int):
     spec = json_object(read_json(path), "a set file")
     kind = spec.get("kind", "slice")
 
@@ -189,7 +189,7 @@ def _set_from_json(ctx, path: str, budget: int, seed: int, grid_cells: int):
         else:
             m = Measure.dirac(json_number(json_key(d, "dirac", "a slice"), "dirac"))
         eps = json_number(json_key(d, "eps", "a slice"), "eps")
-        return _slice_spec(ctx, m, eps, budget, seed, grid_cells)
+        return _slice_spec(ctx, m, eps, budget, seed)
 
     if kind == "ball":
         return BallSet()
@@ -217,6 +217,8 @@ def _run(args) -> tuple[dict | str, str]:
         raise ConfigError("--seed must be non-negative")
     if args.budget < 0:
         raise ConfigError("--budget must be non-negative")
+    if args.grid < 1:
+        raise ConfigError("grid_cells must be >= 1")
     if args.grid > MAX_GRID_CELLS:
         raise ConfigError(f"--grid must be at most {MAX_GRID_CELLS} cells")
     seed = args.seed if args.seed is not None else 0
@@ -240,12 +242,12 @@ def _run(args) -> tuple[dict | str, str]:
         res = {"values": [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]}
     elif args.cmd == "dual-norm":
         m = load_measure(args.measure)
-        br = dual_norm(ctx, m, budget=args.budget, seed=seed, grid_cells=args.grid)
+        br = dual_norm(ctx, m, budget=args.budget, seed=seed)
         res = {"lower": br.lower, "upper": br.upper, "evaluations": br.evaluations}
     elif args.cmd == "slice-witness":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget, seed, args.grid)
+        S = _slice_spec(ctx, m, args.eps, args.budget, seed)
         cert = tent_flip_witness(ctx, S, x, args.delta, eta=args.eta)
         res = {
             "N": cert.N,
@@ -259,7 +261,7 @@ def _run(args) -> tuple[dict | str, str]:
             "functional_norm": S.functional_norm,
         }
     elif args.cmd == "diam":
-        sp = _set_from_json(ctx, args.set_spec, args.budget, seed, args.grid)
+        sp = _set_from_json(ctx, args.set_spec, args.budget, seed)
         est = diameter_lower_bound(ctx, sp, args.budget, seed, grid_cells=args.grid)
         if args.format == "csv":
             rows = [[i, v] for i, v in enumerate(est.pair_distances)]
@@ -287,7 +289,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "subslice":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget, seed, args.grid)
+        S = _slice_spec(ctx, m, args.eps, args.budget, seed)
         Snew = subslice(ctx, S, x, args.delta, seed=seed)
         res = {
             "functional": Snew.functional,

@@ -4,7 +4,8 @@ For a base (D_n) the seminorms are ‖f‖_n = sup_{D_n} |f| and the norm is
 (Σ 2^-n ‖f‖_n²)^(1/2).  Truncation is handled by enclosures: every unseen
 seminorm is bounded by ‖f‖_∞, giving a tail of width 2^-N.  Dual norms of
 measures come either from the closed dirac formula 1/sqrt(w(t)) or from a
-seeded projected-ascent lower bound paired with a certified upper bound;
+finite split program over the first stored terms, whose split certifies the
+upper end and whose dual point, made a PL function, the lower;
 `functional_bracket` picks between the two.
 """
 
@@ -28,6 +29,37 @@ RESCALE_SAFETY = 1.0 + 1e-12
 #: tolerances of the unit-ball and unit-sphere checks below
 BALL_TOL = 1e-9
 SPHERE_TOL = 0.05
+
+#: stored terms the dual-norm program keeps; doubled while some cell of the
+#: measure's mass has no member among them
+PROGRAM_TERMS = 64
+#: relative duality gap at which the program's sweeps stop
+PROGRAM_GAP = 1e-6
+#: width of the ramps between the program witness's cells
+WITNESS_RAMP = 1e-6
+
+
+def _closure_weights(base: NeighborhoodBase, points: np.ndarray) -> np.ndarray:
+    """``base.weight(t).lo`` at each of the increasing points, bit for bit.
+
+    A point's terms 2^-n, n ascending over its closure members, make one row
+    of a (points × count) array per member count, and one ``np.sum`` along
+    the rows adds each as ``base.weight``'s ``np.sum`` adds its 1-d array.
+    """
+    lo, hi = base.clamped_bounds
+    starts = np.searchsorted(points, lo, side="left")
+    counts = np.searchsorted(points, hi, side="right") - starts
+    # one (point, n) pair per member, sorted by point and then by n
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    order = np.argsort(at, kind="stable")
+    terms = np.ldexp(1.0, -np.repeat(np.arange(1, lo.size + 1), counts)[order])
+    members = np.bincount(at, minlength=points.size)
+    first = np.cumsum(members) - members
+    out = np.zeros(points.size)
+    for k in np.unique(members[members > 0]):
+        rows = np.flatnonzero(members == k)
+        out[rows] = terms[first[rows, None] + np.arange(k)].sum(axis=1)
+    return out
 
 
 class DNormContext:
@@ -71,8 +103,7 @@ class DNormContext:
         pts = self._cell_edges
         mids = 0.5 * (pts[:-1] + pts[1:])
         probes = np.unique(np.concatenate([pts, mids]))
-        wlo = np.array([self.base.weight(float(t)).lo for t in probes])
-        return probes, wlo
+        return probes, _closure_weights(self.base, probes)
 
     def min_weight(self) -> tuple[float, float]:
         probes, wlo = self._weight_probes
@@ -222,23 +253,174 @@ class DualNormBracket:
         return Enclosure(self.lower, self.upper)
 
 
+def _program_cells(ctx: DNormContext, m: Measure, terms: int):
+    """Cells of the dual-norm program over the first `terms` stored closures.
+
+    The edges are 0, 1, the closures' ends, the atoms and the points where
+    the density changes sign.  Returns the edges, the closure-member
+    matrices of the open cells between them and of the edges, the |m| mass
+    of each open cell and the atom weight at each edge (0 where none is).
+    """
+    lo, hi = (b[:terms] for b in ctx.base.clamped_bounds)
+    rho = m.density
+    points = [np.array([0.0, 1.0]), lo, hi, np.array([t for t, _ in m.atoms])]
+    if rho is not None:
+        points += [_kernels.zero_crossings(rho.breakpoints, rho.values)[1],
+                   rho.breakpoints[rho.values == 0.0]]
+    edges = np.unique(np.concatenate(points))
+    cell_in = (lo <= edges[:-1, None]) & (edges[1:, None] <= hi)
+    edge_in = (lo <= edges[:, None]) & (edges[:, None] <= hi)
+    cell_mass = np.zeros(edges.size - 1) if rho is None else abs_integral_cells(rho, edges)
+    edge_w = np.zeros(edges.size)
+    for t, w in m.atoms:
+        edge_w[np.searchsorted(edges, t)] = w
+    return edges, cell_in, edge_in, cell_mass, edge_w
+
+
+def _water_fill(mass: float, rest: list, terms: list) -> tuple[list, float]:
+    """The shares of `mass` over the stored terms n = k + 1 of `terms`, whose
+    other loads are `rest`, that minimise Σ 2^n (rest + share)², and their
+    level: every loaded term ends at the level of 2^n·load, and no unloaded
+    one below it.  Plain floats: a class has too few members for numpy."""
+    price = [math.ldexp(r, k + 1) for r, k in zip(rest, terms)]
+    order = sorted(range(len(terms)), key=price.__getitem__)
+    carried, width = mass, 0.0
+    for j, i in enumerate(order):
+        carried += rest[i]
+        width += math.ldexp(1.0, -terms[i] - 1)
+        level = carried / width
+        if j + 1 == len(order) or level <= price[order[j + 1]]:
+            break
+    return [max(math.ldexp(level, -k - 1) - r, 0.0) for r, k in zip(rest, terms)], level
+
+
+def _split_program(ctx: DNormContext, m: Measure, budget: int):
+    """The dual-norm program of m over the first PROGRAM_TERMS stored terms,
+    or more while some cell or atom of m's mass has no member among them.
+
+    Returns a certified upper bound for ‖m‖*, the PL witness of the lower
+    end (not yet in the ball) and the sweeps spent.
+    """
+    terms = min(PROGRAM_TERMS, ctx.n_eff)
+    while True:
+        edges, cell_in, edge_in, cell_mass, edge_w = _program_cells(ctx, m, terms)
+        members = np.vstack([cell_in, edge_in])
+        mass = np.concatenate([cell_mass, np.abs(edge_w)])
+        covered = members[mass > 0.0].any(axis=1).all()
+        if covered or terms == ctx.n_eff:
+            break
+        terms = min(2 * terms, ctx.n_eff)
+    if not covered:
+        raise DomainError("mass outside the stored cover")
+    # classes: the mass cells and atoms with one closure-member set, the
+    # heaviest first, which is the order the sweeps converge fastest in
+    sets, cls = np.unique(members[mass > 0.0], axis=0, return_inverse=True)
+    mu = np.bincount(cls.ravel(), weights=mass[mass > 0.0])
+    heavy = np.argsort(-mu, kind="stable")
+    sets, mu = sets[heavy], mu[heavy]
+    pc, pk = np.nonzero(sets)  # (class, term) pairs, by class and then term
+    first = np.searchsorted(pc, np.arange(mu.size))
+    spans = list(zip(first.tolist(), np.append(first[1:], pc.size).tolist()))
+    class_terms = [pk[a:b].tolist() for a, b in spans]
+    shares = [[0.0] * len(k) for k in class_terms]
+    n = np.arange(1, terms + 1)
+    load = [0.0] * terms
+    levels = np.zeros(mu.size)
+    for sweep in range(1, budget + 1):
+        # Gauss–Seidel: each class in turn re-splits its mass over its terms
+        for c, k in enumerate(class_terms):
+            rest = [max(load[i] - x, 0.0) for i, x in zip(k, shares[c])]
+            shares[c], levels[c] = _water_fill(float(mu[c]), rest, k)
+            for i, r, x in zip(k, rest, shares[c]):
+                load[i] = r + x
+        share = np.array([x for row in shares for x in row])
+        loads = np.bincount(pk, weights=share, minlength=terms)
+        # the dual point: each term at the highest level of its classes,
+        # the least s with min over each class's terms at its level, scaled
+        # onto the sphere.  A class's level is the lowest price 2^n·T_n of
+        # its terms when it was last water-filled.
+        s = np.zeros(terms)
+        np.maximum.at(s, pk, levels[pc])
+        s /= math.sqrt(np.dot(np.ldexp(s, -n), s))
+        primal = math.sqrt(np.dot(np.ldexp(loads, n), loads))
+        dual = float(np.dot(mu, np.minimum.reduceat(s[pk], first)))
+        if primal - dual <= PROGRAM_GAP * primal:
+            break
+        load = loads.tolist()  # re-summed, so no rounding drift builds up
+    # certify: each class's shares carry at least its mass (a deficit goes to
+    # its first term), then round up by 8 ulps per term of every sum the
+    # masses and loads took, far above their float error
+    deficit = np.maximum(mu - np.add.reduceat(share, first), 0.0)
+    load = np.bincount(np.concatenate([pk, pk[first]]), np.concatenate([share, deficit]), terms)
+    pieces = edges.size + terms + (0 if m.density is None else m.density.breakpoints.size)
+    slack = 1.0 + 8.0 * math.ulp(1.0) * pieces
+    upper = math.sqrt(np.dot(np.ldexp(load, n), load)) * slack
+    return upper, _program_witness(m, s, edges, cell_in, edge_in, edge_w), sweep
+
+
+def _program_witness(m, s, edges, cell_in, edge_in, edge_w) -> PLFunction:
+    """x = sign(m)·min over the closure members of s, as a PL function: each
+    edge takes its own members' minimum, and each cell at least 3 ramp
+    widths wide holds its value between ramps of WITNESS_RAMP."""
+
+    def lowest(members):
+        v = np.where(members, s, np.inf).min(axis=1)
+        return np.where(np.isinf(v), 0.0, v)
+
+    a, b = edges[:-1], edges[1:]
+    rho = m.density
+    sign = np.zeros(a.size) if rho is None else np.sign(rho.eval(0.5 * (a + b)))
+    # an edge keeps the sign its cells share and is 0 between opposite
+    # signs; an atom's edge takes the atom's sign
+    left, right = np.append(sign[:1], sign), np.append(sign, sign[-1:])
+    edge_sign = np.where(edge_w != 0.0, np.sign(edge_w), np.where(left == right, left, 0.0))
+    wide = b - a >= 3.0 * WITNESS_RAMP
+    inner = (sign * lowest(cell_in))[wide]
+    bx = np.concatenate([edges, a[wide] + WITNESS_RAMP, b[wide] - WITNESS_RAMP])
+    by = np.concatenate([edge_sign * lowest(edge_in), inner, inner])
+    o = np.argsort(bx, kind="stable")
+    return PLFunction(bx[o], by[o])
+
+
+def _unscale(value: float, scale: float, toward: float) -> float:
+    """value / scale, moved one ulp toward `toward` when the quotient
+    underflows into the subnormals and rounds the other way."""
+    q = value / scale
+    back = q * scale  # exact: a power of two takes q back into the normal range
+    if (back < value and toward > q) or (back > value and toward < q):
+        q = math.nextafter(q, toward)
+    return q
+
+
 def dual_norm(
     ctx: DNormContext,
     m: Measure,
     budget: int = 2000,
     seed: int = 0,
-    grid_cells: int = 512,
 ) -> DualNormBracket:
     """Bracket sup{∫x dm : ‖x‖_D ≤ 1} for a measure m.
 
-    The lower bound is the best value of a seeded multistart ascent over
-    grid PL functions, radially rescaled through the norm enclosure's hi so
-    every reported witness is certified feasible.  The upper bound is the
-    weighted total-variation bound.  Both are computed for m scaled by the
-    power of two that puts its largest weight or density value in [1/2, 1):
-    every step is linear and the scaling exact, so the bits are m's own
-    wherever those neither overflow nor underflow.
+    Over the first PROGRAM_TERMS stored terms (more, until every cell of m's
+    mass has a member), |∫x dm| ≤ Σ_c |m|(c)·min_{n: cl D_n ⊇ c} ‖x‖_n for
+    the cells c cut at the closures' ends, the atoms and the density's sign
+    changes.  Splitting each cell's mass over its members into loads T_n
+    gives ‖m‖* ≤ sqrt(Σ 2^n T_n²) by Cauchy–Schwarz; Gauss–Seidel sweeps of
+    water-filling, one class of cells with one member set at a time,
+    minimise it until the relative duality gap is at most PROGRAM_GAP or
+    `budget` sweeps are spent.  `evaluations` counts the sweeps.
+
+    The upper end is the smaller of that bound, rounded outward, and the
+    weighted total-variation bound.  The lower end is ∫x dm, computed
+    exactly, for the program's dual point x made a PL function and put in
+    the unit ball through its exact norm enclosure.  Both are computed for
+    m scaled by the power of two that puts its largest weight or density
+    value in [1/2, 1): every step is linear and the scaling exact, so the
+    bits are m's own wherever those neither overflow nor underflow.  Where
+    the scaling back underflows, both ends are rounded outward.  `seed`
+    is kept for the callers' signature and no longer changes the result.
     """
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
     if m.is_zero():
         raise DomainError("dual norm of the zero measure")
     peaks = [abs(w) for _, w in m.atoms]
@@ -247,34 +429,22 @@ def dual_norm(
     # a finite scale (exponent >= -1022); dividing by it overflows to inf
     scale = math.ldexp(1.0, -max(math.frexp(max(peaks))[1], -1022))
     ms = m.scaled(scale)
-    upper = weighted_tv_upper(ctx, ms) / scale
+    tv_upper = weighted_tv_upper(ctx, ms)
+    program, x, sweeps = _split_program(ctx, ms, budget)
+    upper = _unscale(min(tv_upper, program), scale, math.inf)
     if not np.isfinite(upper):
         raise DomainError(f"dual norm upper bound is not finite ({upper})")
-    from .gridsearch import GridContext, maximize_linear_functional
-
-    gc = GridContext(ctx, ms, grid_cells=grid_cells)
-    coeffs = gc.functional_coeffs(ms)
-    # the pointwise bound |x(t)| <= ‖x‖/sqrt(w(t)) is tight at the optimum,
-    # so the sign-matched inverse-sqrt-weight profile is a strong start
-    wp = np.maximum(gc.weight_profile(), 1e-30)
-    profile = np.where(coeffs >= 0.0, 1.0, -1.0) / np.sqrt(wp)
-    value, v_best, used = maximize_linear_functional(
-        gc, coeffs, budget, seed, extra_inits=(profile,)
-    )
-    # re-certify on the exact path: rescale so the exact hi is inside the ball
-    witness = into_unit_ball(ctx, gc.to_plfunction(v_best))
-    lower = float(integrate(witness, ms)) / scale
+    witness = into_unit_ball(ctx, x)
+    lower = _unscale(float(integrate(witness, ms)), scale, -math.inf)
     if lower > upper + 1e-12:
         raise CertificateFailure(
             f"feasible value {lower} exceeds certified upper bound {upper}",
             inequality="dual norm bracket consistency",
         )
-    return DualNormBracket(float(min(lower, upper)), float(upper), witness, used)
+    return DualNormBracket(float(min(lower, upper)), float(upper), witness, sweeps)
 
 
-def functional_bracket(
-    ctx: DNormContext, m: Measure, budget: int, seed: int, grid_cells: int = 512
-) -> Enclosure:
+def functional_bracket(ctx: DNormContext, m: Measure, budget: int, seed: int) -> Enclosure:
     """Certified bracket for ‖m‖*: |w| times the dirac formula for one
     isolated atom, the dual_norm bracket for anything else."""
     if len(m.atoms) == 1 and m.density is None:
@@ -285,4 +455,4 @@ def functional_bracket(
             pass
         else:
             return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi)
-    return dual_norm(ctx, m, budget=budget, seed=seed, grid_cells=grid_cells).as_enclosure()
+    return dual_norm(ctx, m, budget=budget, seed=seed).as_enclosure()

@@ -131,13 +131,6 @@ class GridContext:
             out[i] = np.interp(self.nodes, xs, ys[i])
         return out
 
-    def weight_profile(self) -> np.ndarray:
-        """Stored weight w_lo at every node (closure membership)."""
-        lo, hi = self.ctx.base.clamped_bounds
-        inside = (lo[:, None] <= self.nodes[None, :]) & (self.nodes[None, :] <= hi[:, None])
-        w = np.ldexp(1.0, -np.arange(1, lo.size + 1, dtype=np.int64))
-        return w @ inside
-
     def random_bumps(self, rng: np.random.Generator, count: int, amp: float = 1.0):
         """Batch of single hat bumps at random positions/widths/signs."""
         centers = rng.uniform(0.02, 0.98, count)
@@ -152,7 +145,6 @@ def maximize_linear_functional(
     coeffs: np.ndarray,
     budget: int,
     seed: int,
-    extra_inits: tuple[np.ndarray, ...] = (),
 ) -> tuple[float, np.ndarray, int]:
     """Maximize c·v over the unit ball by projected ascent with multistart.
 
@@ -169,7 +161,6 @@ def maximize_linear_functional(
     d = coeffs / np.max(np.abs(coeffs))
     rng = np.random.default_rng(seed)
     inits = [coeffs.copy(), np.ones(gc.size)]
-    inits.extend(np.asarray(e, dtype=np.float64) for e in extra_inits)
     n_random = max(0, min(4, budget // 50 - len(inits)))
     if n_random:
         inits.extend(gc.random_smooth(rng, n_random))

@@ -831,13 +831,13 @@ def diameter_lower_bound(
     coeffs = gc.functional_coeffs(sets[0].functional) if len(sets) == 1 else None
     rng = np.random.default_rng(seed + 7)
     best = float(lo[k])
-    while evals + 4 <= budget:
+    while coeffs is not None and evals + 4 <= budget:
         direction = best_a - best_b
         scale = 0.1 * rng.uniform()
         cand_a = gc.rescale_to_ball(best_a + scale * direction)[0]
         cand_b = gc.rescale_to_ball(best_b - scale * direction)[0]
         evals += 2
-        if coeffs is not None and all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b)):
+        if all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b)):
             d_lo, _ = gc.enclosures((cand_a - cand_b)[None, :])
             evals += 1
             if float(d_lo[0]) > best:

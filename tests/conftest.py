@@ -62,7 +62,7 @@ def make_slice_pair(ctx, rng, eps=None):
 
     Functionals rotate through single diracs at dyadic points, two-atom
     combinations at {0,1} (both with tight closed-form norm brackets), and
-    density measures whose bracket comes from the ascent (workable only at
+    density measures whose bracket comes from dual_norm (workable only at
     larger eps).  x is a near-extremal member nudged by a random PL
     perturbation, renormalized exactly.
     """
@@ -103,7 +103,7 @@ def make_slice_pair(ctx, rng, eps=None):
         )
         x0 = x0.scaled(1.0 / (d_norm(ctx, x0).hi * (1.0 + 1e-12)))
         eps = float(rng.uniform(0.1, 0.5)) if eps is None else eps
-    else:  # density functional, bracket from the ascent
+    else:  # density functional, bracket from dual_norm
         # conservative membership divides by the certified upper bound, so
         # these slices are only populated at larger eps
         dens = smooth_positive_pl(rng)

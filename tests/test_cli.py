@@ -182,7 +182,7 @@ class TestBadInputs:
         assert err.startswith("error: grid_cells must be >= 1") and err.count("\n") == 1
 
     def test_overflowing_witness(self, tmp_path, capsys):
-        # the ascent runs on an exact power-of-two rescale, so a density near
+        # dual_norm runs on an exact power-of-two rescale, so a density near
         # the float limit gets a finite bracket
         m = tmp_path / "huge_density.json"
         out = tmp_path / "r.json"
@@ -450,21 +450,17 @@ class TestDeterminism:
         assert len(lines) > 1
 
 
-class TestSliceBracket:
-    def test_grid_reaches_the_functional_bracket(self, files, monkeypatch):
-        original, seen = cli.functional_bracket, []
-
-        def recording(ctx, m, budget, seed, grid_cells):
-            seen.append(grid_cells)
-            return original(ctx, m, budget, seed, grid_cells)
-
-        monkeypatch.setattr(cli, "functional_bracket", recording)
-        code = run(
-            ["--seed", "2", "--grid", "64", "slice-witness", "--measure",
-             str(files / "dirac_half.json"), "--fn", str(files / "one.json"),
-             "--eps", "0.3", "--delta", "0.15"]
-        )
-        assert code == 0 and seen == [64]
+class TestDualNormGrid:
+    def test_grid_leaves_dual_norm_unchanged(self, files, tmp_path):
+        # the dual-norm program cuts cells at the base and the measure alone
+        reports_by_grid = {}
+        for cells in ("64", "512"):
+            out = tmp_path / f"g{cells}.json"
+            assert run(["--seed", "2", "--grid", cells, "dual-norm",
+                        "--measure", str(files / "leb.json")], out) == 0
+            reports_by_grid[cells] = out.read_bytes().replace(
+                f'"grid":{cells},'.encode(), b"")
+        assert reports_by_grid["64"] == reports_by_grid["512"]
 
 
 def test_canonical_json_escapes_control_characters():

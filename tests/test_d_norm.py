@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from banachlab.core_model import Enclosure, Interval, Measure, PLFunction, lin_comb
+from banachlab.core_model import Enclosure, Interval, Measure, PLFunction, integrate, lin_comb
 from banachlab.d_norm import (
     DNormContext,
     ball_norm,
@@ -236,11 +237,11 @@ class TestFunctionalBracket:
         got = functional_bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100, seed=0)
         assert (got.lo, got.hi) == (2.5 * enc.lo, 2.5 * enc.hi)
 
-    @pytest.mark.parametrize("grid_cells", [512, 64])
-    def test_non_isolated_dirac_takes_dual_norm(self, ctx8, grid_cells):
+    @pytest.mark.parametrize("budget", [512, 64])
+    def test_non_isolated_dirac_takes_dual_norm(self, ctx8, budget):
         m = Measure.dirac(1 / 3)
-        got = functional_bracket(ctx8, m, budget=200, seed=1, grid_cells=grid_cells)
-        ref = dual_norm(ctx8, m, budget=200, seed=1, grid_cells=grid_cells)
+        got = functional_bracket(ctx8, m, budget=budget, seed=1)
+        ref = dual_norm(ctx8, m, budget=budget, seed=1)
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
     def test_density_takes_dual_norm(self, ctx8):
@@ -250,7 +251,7 @@ class TestFunctionalBracket:
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
     def test_other_errors_propagate(self):
-        # isolated, but outside every stored interval: no fallback to the ascent
+        # isolated, but outside every stored interval: no fallback to dual_norm
         ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
         with pytest.raises(DomainError, match="no stored weight"):
             functional_bracket(ctx, Measure.dirac(0.8), budget=50, seed=0)
@@ -348,3 +349,131 @@ def test_functional_coeffs_bit_identical(ctx8, grid64, rho):
     # density breakpoints inside grid cells, and on the nodes as dual_norm builds it
     for gc in (grid64, GridContext(ctx8, rho, grid_cells=64)):
         assert gc.functional_coeffs(m).tolist() == ref_functional_coeffs(gc, m).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the dual-norm program
+# ---------------------------------------------------------------------------
+
+
+def ref_weight_probes(ctx):
+    """One base.weight call per probe, as _weight_probes used to make."""
+    pts = np.unique(np.concatenate([[0.0, 1.0], *ctx.base.clamped_bounds]))
+    probes = np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
+    return probes, np.array([ctx.base.weight(float(t)).lo for t in probes])
+
+
+def random_custom_base():
+    rng = np.random.default_rng(12)
+    lefts = rng.uniform(-0.05, 0.95, 300)
+    return build_custom([Interval(a, a + rng.uniform(0.06, 0.5)) for a in lefts])
+
+
+@pytest.mark.parametrize(
+    "base",
+    [build_leveled(i, levels=levels) for i, levels in ((1, 8), (1, 9), (1, 12), (2, 9), (2, 12), (3, 8))]
+    + [random_custom_base()],
+)
+def test_weight_probes_bit_identical(base):
+    ctx = DNormContext(base)
+    probes, wlo = ctx._weight_probes
+    ref_probes, ref_wlo = ref_weight_probes(ctx)
+    assert probes.tobytes() == ref_probes.tobytes()
+    assert wlo.tobytes() == ref_wlo.tobytes()
+
+
+PROGRAM_MEASURES = [
+    Measure.dirac(0.0),
+    Measure(((0.0, 1.0), (1.0, 0.8))),
+    Measure(((0.0, 1.0), (1.0, -1.2))),
+    Measure(((0.0, 0.9), (0.25, -1.1), (0.5, 1.3), (1.0, 0.7))),
+    Measure.lebesgue(),
+    Measure(density=PLFunction(np.linspace(0.0, 1.0, 9),
+                               np.array([0.4, 0.9, 0.5, 0.7, 0.3, 0.8, 0.6, 1.0, 0.35]))),
+    Measure(((0.3, -0.6), (0.5, 1.0)), PLFunction(np.array([0.0, 0.4, 1.0]), np.array([1.0, -0.5, 0.8]))),
+]
+
+
+def test_program_takes_more_terms_where_the_first_leave_mass_uncovered():
+    # the first 70 intervals lie inside [0, 0.445]; only the last two reach 1
+    ivs = [Interval(0.005 * k, 0.005 * k + 0.1) for k in range(70)]
+    ctx = DNormContext(build_custom(ivs + [Interval(0.4, 1.0), Interval(0.0, 1.0)]))
+    for m in (Measure.lebesgue(), Measure.dirac(0.9, -1.0)):
+        br = dual_norm(ctx, m, budget=500, seed=0)
+        assert 0.0 < br.lower <= br.upper <= br.lower * (1.0 + 1e-5)
+        assert br.upper <= weighted_tv_upper(ctx, m)
+
+
+@pytest.fixture(scope="module")
+def ctx12():
+    return DNormContext(build_leveled(1, levels=12))
+
+
+@pytest.mark.parametrize("k", range(len(PROGRAM_MEASURES)))
+def test_program_brackets_agree_at_levels_8_and_12(ctx8, ctx12, k):
+    m = PROGRAM_MEASURES[k]
+    b8, b12 = dual_norm(ctx8, m, budget=500, seed=1), dual_norm(ctx12, m, budget=500, seed=1)
+    assert b12.lower == pytest.approx(b8.lower, rel=1e-6)
+    assert b12.upper == pytest.approx(b8.upper, rel=1e-6)
+    for br in (b8, b12):
+        assert br.upper <= br.lower * (1.0 + 1e-5)
+
+
+def test_lebesgue_bracket_is_tight(ctx8):
+    br = dual_norm(ctx8, Measure.lebesgue(), budget=500, seed=1)
+    assert 1.0800 < br.lower <= br.upper < 1.0801
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx8", "ctx12"])
+def test_isolated_dirac_brackets_close(ctx_name, request):
+    ctx = request.getfixturevalue(ctx_name)
+    for t in (0.0, 0.25, 0.375, 0.5, 0.8125, 1.0):
+        for w in (1.0, -2.5, 0.7):
+            m = Measure.dirac(t, w)
+            br = dual_norm(ctx, m, budget=300, seed=1)
+            # the upper end keeps the bits of the weighted total-variation bound
+            assert br.upper == weighted_tv_upper(ctx, m)
+            assert br.upper - br.lower <= 4.0 * math.ulp(br.upper)
+
+
+def test_no_unit_ball_member_beats_the_upper_end(ctx8):
+    rng = np.random.default_rng(11)
+    for m in PROGRAM_MEASURES:
+        br = dual_norm(ctx8, m, budget=500, seed=1)
+        for _ in range(60):
+            g = random_pl(rng)
+            # random members, and witnesses nudged within the bracket's width
+            for x in (g, lin_comb(1.0, br.witness, 0.01 * rng.uniform(), g)):
+                x = x.scaled(1.0 / d_norm(ctx8, x).hi)
+                assert integrate(x, m) <= br.upper
+                assert integrate(x.scaled(-1.0), m) <= br.upper
+
+
+atom_lists = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0)), max_size=4, unique_by=lambda a: a[0]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=pl_densities(), atoms=atom_lists)
+def test_program_bracket_on_random_measures(ctx8, rho, atoms):
+    m = Measure(tuple(atoms), rho)
+    # a norm that underflows has no positive certified lower end; the
+    # subnormal range is test_subnormal_brackets_round_outward's
+    assume(weighted_tv_upper(ctx8, m) >= 2.0**-1000)
+    br = dual_norm(ctx8, m, budget=500, seed=1)
+    assert 0.0 < br.lower <= br.upper <= weighted_tv_upper(ctx8, m) * (1.0 + 1e-12)
+    assert d_norm(ctx8, br.witness).hi <= 1.0
+    # the lower end is the witness's exact value
+    assert integrate(br.witness, m) == pytest.approx(br.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1040, 1070, 1073])
+def test_subnormal_brackets_round_outward(ctx8, k):
+    # m scaled by 2^-k: the same program bits, scaled back into the subnormals
+    for m in (Measure.lebesgue(), Measure.dirac(1 / 3), Measure(((0.0, 1.0), (1.0, -1.0)))):
+        ref = dual_norm(ctx8, m, budget=500, seed=1)
+        br = dual_norm(ctx8, m.scaled(math.ldexp(1.0, -k)), budget=500, seed=1)
+        assert 0.0 <= br.lower <= br.upper
+        assert math.ldexp(br.lower, k) <= ref.lower
+        assert math.ldexp(br.upper, k) >= ref.upper

@@ -10,6 +10,7 @@ from banachlab.errors import CertificateFailure, DomainError, ParameterError
 from banachlab.neighborhood_base import build_leveled
 from banachlab.slice_lab import (
     BallSet,
+    ComboSet,
     ShellSliceSet,
     SliceSet,
     SliceSpec,
@@ -316,6 +317,14 @@ class TestDiameter:
         assert est.value <= 2.0 + 1e-9
         # the truncation term plus the float slack of the radial rescale
         assert est.value >= 2.0 - 2.0 ** (-ctx8.base.n_max / 2) - 1e-10
+
+    def test_combo_spends_nothing_on_refinement(self):
+        # a combination has no one functional to keep a refined pair inside
+        # its set, so no refinement runs and no evaluation is counted for it
+        ctx = DNormContext(build_leveled(2, levels=8))
+        slices, _, _ = small_diameter_combo(ctx, 2)
+        est = diameter_lower_bound(ctx, ComboSet(slices, (0.5, 0.5)), 5000, 1)
+        assert est.evaluations == 2226
 
     def test_combo_consistent_with_bound(self):
         ctx = DNormContext(build_leveled(2, levels=8))

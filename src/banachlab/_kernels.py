@@ -28,8 +28,8 @@ def locate(bx: np.ndarray, t):
 def blend(y0, y1, th):
     """y0·(1 − th) + y1·th in place: y0 and y1 must be fresh float arrays
     (or scalars), both are overwritten, and the result is y0.  Every PL value
-    between breakpoints comes from here, so the MLUR scan's screen and the
-    exact premise path round alike by construction, not by coincidence."""
+    between breakpoints comes from here, so every path that evaluates one
+    rounds alike by construction, not by coincidence."""
     y0 *= 1.0 - th
     y1 *= th
     y0 += y1

@@ -208,13 +208,26 @@ def dirac_dual_norm(ctx: DNormContext, t: float) -> Enclosure:
     return Enclosure(1.0 / np.sqrt(w.hi), 1.0 / np.sqrt(w.lo))
 
 
+def _pow2_scale(m: Measure) -> float:
+    """The power of two that puts m's largest weight or density value in
+    [1/2, 1); at most 2^1022, as 2^1074 for the least subnormal overflows."""
+    peaks = [abs(w) for _, w in m.atoms]
+    if m.density is not None:
+        peaks.append(float(np.max(np.abs(m.density.values))))
+    return math.ldexp(1.0, -max(math.frexp(max(peaks, default=0.0))[1], -1022))
+
+
 def weighted_tv_upper(ctx: DNormContext, m: Measure) -> float:
     """Certified upper bound for the dual norm of a measure.
 
     Pointwise |x(t)| ≤ ‖x‖_D / sqrt(w_lo(t)), so |∫x dm| ≤ ∫ d|m| / sqrt(w_lo).
     Exact because w_lo is piecewise constant and |density| integrates in
     closed form.  Always at least as tight as total_variation / b_lo.
+    Computed for m scaled by `_pow2_scale`, as `dual_norm` is, and rounded
+    up where the scaling back underflows.
     """
+    scale = _pow2_scale(m)
+    m = m.scaled(scale)
     total = 0.0
     for t, w in m.atoms:
         wt = ctx.base.weight(t).lo
@@ -228,7 +241,7 @@ def weighted_tv_upper(ctx: DNormContext, m: Measure) -> float:
         terms = abs_integral_cells(m.density, pts) / np.sqrt(wlo)
         # np.cumsum adds left to right, continuing the atom sum
         total = np.cumsum(np.concatenate(([total], terms)))[-1]
-    return float(total)
+    return _unscale(float(total), scale, math.inf)
 
 
 def conservative_value(raw: float, functional_norm: Enclosure) -> float:
@@ -423,15 +436,10 @@ def dual_norm(
         raise DomainError("budget must be >= 1")
     if m.is_zero():
         raise DomainError("dual norm of the zero measure")
-    peaks = [abs(w) for _, w in m.atoms]
-    if m.density is not None:
-        peaks.append(float(np.max(np.abs(m.density.values))))
-    # a finite scale (exponent >= -1022); dividing by it overflows to inf
-    scale = math.ldexp(1.0, -max(math.frexp(max(peaks))[1], -1022))
+    scale = _pow2_scale(m)
     ms = m.scaled(scale)
-    tv_upper = weighted_tv_upper(ctx, ms)
     program, x, sweeps = _split_program(ctx, ms, budget)
-    upper = _unscale(min(tv_upper, program), scale, math.inf)
+    upper = min(weighted_tv_upper(ctx, m), _unscale(program, scale, math.inf))
     if not np.isfinite(upper):
         raise DomainError(f"dual norm upper bound is not finite ({upper})")
     witness = into_unit_ball(ctx, x)

@@ -4,14 +4,17 @@ The midpoint-rotundity certificate packages the oscillation argument: a
 cover by intervals shorter than ε over the Lipschitz bound of x turns the
 seminorm premise ‖x±y‖_m ≤ ‖x‖_m + ε into the uniform conclusion
 ‖y‖_∞ ≤ 2ε, for every y whatsoever.  The adversarial scan hunts for
-counterexamples; the remaining operations are seeded searches that report
-what they achieve.
+counterexamples, and refutes each sample y with sup|y| > 2ε at the node k
+where |y| peaks, against the first cover interval m whose closure holds k.
+As |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|, no sample survives that
+node on a verified certificate.  The remaining operations are seeded
+searches that report what they achieve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .d_norm import DNormContext, d_norm, seminorms_all, sphere_norm
 from .errors import CertificateFailure, DomainError, PremiseError, WitnessNotFoundError
 from .gridsearch import GridContext, grid_nodes, hat_at, hats
 
-#: scan samples built and screened at once: on a grid of a few hundred nodes
+#: scan samples built and refuted at once: on a grid of a few hundred nodes
 #: a block stays under the 4 MiB from which numpy asks for huge pages, which
 #: made the scan's peak memory jump ~4 MB from run to run
 SCAN_BLOCK_ROWS = 256
@@ -138,20 +141,18 @@ def mlur_adversarial_search(
     Candidates live on a shared grid refining x's breakpoints, so premise
     seminorms are exact.  Samples come from `_adversarial_blocks`: noise and
     wave samples as full node rows, bump and plateau samples (half the draw)
-    as hat parameters evaluated only at the nodes the scan reads.  Samples
-    whose sup already meets the conclusion are skipped; the rest are refuted
-    fast at the cover interval holding their first maximising node, and
-    anything that survives gets its full row and an exact check.
+    as hat parameters.  A sample with sup|y| ≤ 2ε meets the conclusion.  Any
+    other is refuted at the node k where |y| peaks: k lies in the closure of
+    cover interval m = holder[k], the first one holding it, so the premise
+    asks max(|x(k) + y(k)|, |x(k) − y(k)|) ≤ ‖x‖_m + ε, with the bits the
+    exact path gets there.  A certificate that passes `verify` leaves no
+    survivor, as |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|; a survivor of
+    a forged bound gets its full row and an exact check.
     """
-    gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
-    nodes = gc.nodes
-    vx = gc.sample_function(cert.x)
-    # cover indices can pass n_eff, so the geometry comes from the bounds
-    lo, hi, allowed = cert.cover_arrays
-    geometry = _kernels.interval_geometry(nodes, lo, hi)
-    starts, ends = geometry[:2]
-    suspect = _suspect_intervals(starts, ends, nodes.size)
-    width = int(np.max(ends - starts))
+    nodes = grid_nodes(grid_cells, cert.x)
+    vx = cert.x.eval(nodes)
+    _, hi, allowed = cert.cover_arrays
+    holder = _holders(nodes, hi)
 
     rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
@@ -163,19 +164,11 @@ def mlur_adversarial_search(
         m = min(chunk, samples - scanned)
         scanned += m
         for rows in _adversarial_blocks(rng, nodes, m, eps2):
-            alive, peaks = rows.candidates(eps2)
-            for which in (0, 1):
-                if alive.size == 0:
-                    break
-                j = suspect[peaks, which]
-                sup_pm = _screen_sup(vx, geometry, j, width, partial(rows.values, alive))
-                keep = sup_pm <= allowed[j]  # premise not yet refuted there
-                alive = alive[keep]
-                peaks = peaks[keep]
-            for row in alive:
+            cands, k, y = rows.peaks(eps2)
+            keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= allowed[holder[k]]
+            for row in cands[keep]:
                 survivors_checked += 1
-                y_pl = PLFunction(nodes, rows.row(row))
-                app = apply_certificate(cert, y_pl)
+                app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
                 if app.premise and not app.conclusion:
                     counterexamples += 1
     return {
@@ -185,30 +178,12 @@ def mlur_adversarial_search(
     }
 
 
-def _screen_sup(vx, geometry, j, width, read):
-    """max(sup|x + y|, sup|x − y|) over cover interval j[i] for each sample i,
-    bit for bit as `MLURCertificate.premise_margin` gets it; no interval holds
-    more than width nodes, and read(cols) gives sample i's y at cols[i]."""
-    starts, ends, ka, ta, kb, tb = geometry
-    idx = np.minimum(starts[j][:, None] + np.arange(width)[None, :], vx.size - 1)
-    # the window of interval j, then the cells holding its ends
-    cols = np.column_stack([idx, ka[j], ka[j] + 1, kb[j], kb[j] + 1])
-    w = vx[cols] + np.array([1.0, -1.0])[:, None, None] * read(cols)  # x + y, x − y
-    v = np.abs(w[..., :width])
-    v[:, idx >= ends[j][:, None]] = 0.0
-    ea = np.abs(_kernels.blend(w[..., width], w[..., width + 1], ta[j]))
-    eb = np.abs(_kernels.blend(w[..., width + 2], w[..., width + 3], tb[j]))
-    return np.maximum(v.max(axis=2), np.maximum(ea, eb)).max(axis=0)
-
-
-def _suspect_intervals(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
-    """Per node, the first cover interval holding it, then the next if that
-    holds it too, else the first again.  Interval j holds nodes
-    starts[j]:ends[j]; both rise with j, so node k's intervals are first..last."""
-    k = np.arange(size)
-    first = np.searchsorted(ends, k, side="right")
-    last = np.searchsorted(starts, k, side="right") - 1
-    return np.stack([first, np.minimum(first + 1, last)], axis=1)
+def _holders(nodes: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per node, the first cover interval whose closure holds it.  No node
+    from ends[j] on lies in interval j; both ends of the intervals rise with
+    j, so node k's first interval is the first j with ends[j] > k."""
+    ends = np.searchsorted(nodes, hi, side="right")
+    return np.searchsorted(ends, np.arange(nodes.size), side="right")
 
 
 def _adversarial_blocks(rng, nodes, m, eps2):
@@ -267,72 +242,39 @@ class _ScanRows:
         self.slot = np.where(noisy, np.cumsum(noisy), noisy.sum() + np.cumsum(smooth)) - 1
         self.full = full
 
-    def _hat_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Bump or plateau samples rows[i] at columns cols[i]."""
-        r = rows.reshape(rows.shape + (1,) * (cols.ndim - 1))
-        h = hat_at(self.col_nodes[cols], self.centers[r], self.widths[r])
-        return self.sa[r] * np.where(self.plateau[r], np.clip(2.0 * h, 0.0, 1.0), h)
-
-    def values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Samples rows[i] at columns cols[i]."""
-        out = np.empty(cols.shape)
-        lazy = self.lazy[rows]
-        f = ~lazy
-        out[f] = self.full[self.slot[rows[f]][:, None], cols[f]]
-        out[lazy] = self._hat_values(rows[lazy], cols[lazy])
-        return out
+    def _hat_values(self, rows, cols) -> np.ndarray:
+        """Bump or plateau samples rows at columns cols, broadcast together."""
+        h = hat_at(self.col_nodes[cols], self.centers[rows], self.widths[rows])
+        return self.sa[rows] * np.where(self.plateau[rows], np.clip(2.0 * h, 0.0, 1.0), h)
 
     def row(self, r: int) -> np.ndarray:
-        return self.values(np.array([r]), np.arange(self.col_nodes.size)[None, :])[0]
+        if self.lazy[r]:
+            return self._hat_values(r, np.arange(self.col_nodes.size))
+        return self.full[self.slot[r]]
 
-    def candidates(self, eps2: float) -> tuple[np.ndarray, np.ndarray]:
-        """Samples with sup|y| > eps2, and the first column attaining each
-        one's sup, as np.argmax of the full row would give it.
+    def peaks(self, eps2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples with sup|y| > eps2, a column where each one's |y| peaks,
+        and y there.
 
-        A hat does not decrease in its node up to the centre, nor increase
-        after it, and rounding keeps that order.  So a bump or plateau has
-        its sup at column `left`, the last one reading a node at or left of
-        the centre, or at left+1, and its first column is found by bisection
-        below that; plateaus tie over a whole run of columns."""
-        sup = np.empty(self.lazy.size)
-        a = np.abs(self.full)
-        full_peaks = np.argmax(a, axis=1)
-        sup[~self.lazy] = a[np.arange(a.shape[0]), full_peaks][self.slot[~self.lazy]]
+        A noise or wave row peaks at its np.argmax.  A hat does not decrease
+        in its node up to the centre, nor increase after it, and rounding
+        keeps that order.  So a bump or plateau peaks at column `left`, the
+        last one reading a node at or left of the centre, or at left+1."""
+        col = np.empty(self.lazy.size, dtype=np.int64)
+        y = np.empty(self.lazy.size)
+        fr = np.nonzero(~self.lazy)[0]
+        slot = self.slot[fr]
+        col[fr] = np.argmax(np.abs(self.full), axis=1)[slot]
+        y[fr] = self.full[slot, col[fr]]
         lz = np.nonzero(self.lazy)[0]
         left = np.clip(np.searchsorted(self.col_nodes, self.centers[lz], side="right") - 1,
                        0, self.col_nodes.size - 2)
-        y = np.abs(self._hat_values(lz, np.stack([left, left + 1], axis=1)))
-        sup[lz] = np.maximum(y[:, 0], y[:, 1])
-        cands = np.nonzero(sup > eps2)[0]
-        peaks = np.empty(cands.size, dtype=np.int64)
-        f = ~self.lazy[cands]
-        peaks[f] = full_peaks[self.slot[cands[f]]]
-        sel = sup[lz] > eps2
-        rows, left, y = lz[sel], left[sel], y[sel]
-        right = y[:, 1] > y[:, 0]  # on a tie the first column may lie further left
-        hi = np.where(right, left + 1, left)
-        lo = np.where(right, hi, 0)
-        # probe first where the formula puts a plateau's edge: its value
-        # saturates from 1 − |t − c|/w ≥ 1/2 on
-        c, w = self.centers[rows], self.widths[rows]
-        guess = np.where(self.plateau[rows], np.searchsorted(self.col_nodes, c - 0.5 * w), hi)
-        peaks[~f] = self._first_reaching(rows, np.maximum(y[:, 0], y[:, 1]), lo, hi, guess)
-        return cands, peaks
-
-    def _first_reaching(self, rows, target, lo, hi, guess):
-        """Per bump or plateau sample, the first column in [lo, hi] where |y|
-        reaches target, given that |y| does not decrease there and reaches
-        it at hi.  Bisection, whose first two steps probe guess−1 and guess."""
-        probes = [guess - 1, guess]
-        act = np.nonzero(lo < hi)[0]
-        while act.size:
-            a, b = lo[act], hi[act]
-            mid = np.clip(probes.pop(0)[act], a, b - 1) if probes else (a + b) // 2
-            ge = np.abs(self._hat_values(rows[act], mid)) >= target[act]
-            hi[act[ge]] = mid[ge]
-            lo[act[~ge]] = mid[~ge] + 1
-            act = act[lo[act] < hi[act]]
-        return lo
+        pair = self._hat_values(lz[:, None], np.stack([left, left + 1], axis=1))
+        right = np.abs(pair[:, 1]) > np.abs(pair[:, 0])
+        col[lz] = left + right
+        y[lz] = np.where(right, pair[:, 1], pair[:, 0])
+        cands = np.nonzero(np.abs(y) > eps2)[0]
+        return cands, col[cands], y[cands]
 
 
 def mlur_modulus(

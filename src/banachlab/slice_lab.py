@@ -794,18 +794,21 @@ def diameter_lower_bound(
     else:
         raise DomainError(f"unknown set spec {set_spec!r}")
 
-    # the grid refines every functional and the norming bump of each atom
-    bumps = [dirac_anchor(ctx, Measure.dirac(t)) for s in sets for t, _ in s.functional.atoms]
+    # the norming bump of each atom, signed like its weight: the grid
+    # refines them all, and a one-atom slice's members perturb its bump
+    bumps = [[dirac_anchor(ctx, Measure.dirac(t, w)) for t, w in s.functional.atoms] for s in sets]
     gc = GridContext(
-        ctx, *(s.functional for s in sets), *(b for b in bumps if b is not None),
+        ctx, *(s.functional for s in sets), *(b for row in bumps for b in row if b is not None),
         grid_cells=grid_cells,
     )
 
     per_slice = max(8, min(64, budget // (4 * len(sets))))
     evals = 0
     component_members = []
-    for j, s in enumerate(sets):
-        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j)
+    for j, (s, row) in enumerate(zip(sets, bumps)):
+        one = len(row) == 1 and row[0] is not None and s.functional.density is None
+        anchor_v = gc.sample_function(row[0]) if one else None
+        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j, anchor_v)
         evals += used
         component_members.append(rows)
 

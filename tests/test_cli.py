@@ -9,7 +9,6 @@ from banachlab.cli import dispatch
 from banachlab.core_model import Measure, PLFunction, dump_function, dump_measure
 from banachlab.d_norm import DNormContext, d_norm
 from banachlab.neighborhood_base import build_leveled
-from banachlab.operator_lab import C0_MAX_DIM
 
 
 @pytest.fixture(scope="module")
@@ -139,8 +138,7 @@ class TestBadInputs:
             # one cell above the ceiling; 10^9 cells asked numpy for 7.45 GiB
             ["--grid", str(cli.MAX_GRID_CELLS + 1), "--budget", "1", "--seed", "1",
              "dual-norm", "--measure", "{dir}/dirac0.json"],
-            # one above the ceiling; the oracle's run time doubles per dimension
-            ["c0-control", "--dim", str(C0_MAX_DIM + 1)],
+            ["c0-control", "--dim", "0"],
             # budget 0 reported "inf", "-inf" or an unrelated error; a negative
             # budget ran as some other budget
             ["--budget", "0", "--seed", "1", "mlur-modulus", "--fn", "{dir}/one_unit.json", "--eps", "0.1"],
@@ -368,6 +366,14 @@ class TestWitnessAndReports:
         assert run(["c0-control", "--dim", "2", "--eps", "0.5"], out) == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["max_distance"] == 1.0
+
+    @pytest.mark.parametrize("dim", [17, 10 ** 6])
+    def test_c0_control_in_any_dimension(self, tmp_path, dim):
+        # the closed form has no vertex loop, so no dimension ceiling
+        out = tmp_path / "c0.json"
+        assert run(["c0-control", "--dim", str(dim), "--eps", "0.5"], out) == 0
+        rep = json.loads(out.read_text())["results"]
+        assert rep["dim"] == dim and rep["max_distance"] == 1.0 and rep["equation_gap"] == 1.0
 
     def test_nested_product(self, tmp_path):
         out = tmp_path / "n.json"

@@ -333,8 +333,14 @@ def cells8(ctx8):
 @settings(max_examples=40, deadline=None)
 @given(rho=pl_densities())
 def test_weighted_tv_upper_bit_identical(ctx8, cells8, rho):
+    from banachlab.d_norm import _pow2_scale, _unscale
+
     for m in (Measure(density=rho), Measure(((0.25, -1.5), (0.5, 0.75)), rho)):
-        assert weighted_tv_upper(ctx8, m) == ref_weighted_tv_upper(ctx8, cells8, m)
+        # the sum runs on m scaled by a power of two, so that it cannot
+        # underflow; unscaled it gave 0 for the density [0, 5e-324]
+        scale = _pow2_scale(m)
+        ref = _unscale(ref_weighted_tv_upper(ctx8, cells8, m.scaled(scale)), scale, math.inf)
+        assert weighted_tv_upper(ctx8, m) == ref
 
 
 @pytest.fixture(scope="module")
@@ -477,3 +483,15 @@ def test_subnormal_brackets_round_outward(ctx8, k):
         assert 0.0 <= br.lower <= br.upper
         assert math.ldexp(br.lower, k) <= ref.lower
         assert math.ldexp(br.upper, k) >= ref.upper
+
+
+def test_weighted_tv_upper_rounds_subnormal_measures_up(ctx8):
+    # the density rising from 0 to 5e-324 is the unit ramp times 2^-1074;
+    # unscaled, every term of its bound underflowed to 0
+    ramp = Measure(density=PLFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+    for m in (ramp, Measure.lebesgue(), Measure(((0.0, 1.0), (1.0, -1.0)), ramp.density)):
+        ref = weighted_tv_upper(ctx8, m)
+        for k in (1040, 1070, 1074):
+            assert math.ldexp(weighted_tv_upper(ctx8, m.scaled(math.ldexp(1.0, -k))), k) >= ref
+    zero = Measure(((0.5, 0.0),), PLFunction(np.array([0.0, 1.0]), np.array([0.0, 0.0])))
+    assert weighted_tv_upper(ctx8, zero) == 0.0

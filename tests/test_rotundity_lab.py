@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from banachlab._kernels import interval_geometry
 from banachlab.core_model import PLFunction, lin_comb
 from banachlab.d_norm import DNormContext, d_norm
 from banachlab.errors import CertificateFailure, DomainError, PremiseError, ResolutionError
@@ -330,57 +329,44 @@ class TestOctahedral:
         assert plus > 1.95 and minus > 1.95
 
 
-def ref_suspects(starts, ends, size):
-    """The node_to_cover loop the MLUR scan ran before it used searchsorted."""
-    node_to_cover = [[] for _ in range(size)]
-    for j in range(starts.size):
-        for k in range(starts[j], ends[j]):
-            node_to_cover[k].append(j)
-    suspect = np.zeros((size, 2), dtype=np.int64)
-    for k, lst in enumerate(node_to_cover):
-        suspect[k, 0] = lst[0] if lst else 0
-        suspect[k, 1] = lst[1] if len(lst) > 1 else suspect[k, 0]
-    return suspect
+def ref_holders(nodes, lo, hi):
+    """The first cover interval whose closure holds each node, by a loop."""
+    return [next(j for j in range(lo.size) if lo[j] <= t <= hi[j]) for t in nodes]
 
 
-def _cover_geometry(ctx, cert):
-    from banachlab.gridsearch import GridContext
-
-    gc = GridContext(ctx, cert.x, grid_cells=512)
-    lo = np.array([b[0] for b in cert.cover_bounds])
-    hi = np.array([b[1] for b in cert.cover_bounds])
-    starts, ends = interval_geometry(gc.nodes, lo, hi)[:2]
-    return starts, ends, gc.size
-
-
+# the suspect interval of a node, where the scan refutes a sample peaking
+# there, is its holder: the first cover interval whose closure holds it
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
 def test_suspects_match_the_loop_on_level_covers(eps):
+    from banachlab.gridsearch import grid_nodes
     from banachlab.neighborhood_base import build_leveled
-    from banachlab.rotundity_lab import _suspect_intervals
+    from banachlab.rotundity_lab import _holders
 
     ctx = DNormContext(build_leveled(1, levels=9))
     cert = mlur_certificate(ctx, unit(ctx, PLFunction.tent()), eps)
-    starts, ends, size = _cover_geometry(ctx, cert)
-    got = _suspect_intervals(starts, ends, size)
-    assert got.tolist() == ref_suspects(starts, ends, size).tolist()
+    lo, hi, _ = cert.cover_arrays
+    for grid_cells in (512, 300, 1):
+        nodes = grid_nodes(grid_cells, cert.x)
+        assert _holders(nodes, hi).tolist() == ref_holders(nodes, lo, hi)
 
 
 def test_suspects_match_the_loop_on_a_triple_overlap():
     # the greedy cover keeps all three intervals, and 0.47 lies in each
     from banachlab.core_model import Interval
+    from banachlab.gridsearch import grid_nodes
     from banachlab.neighborhood_base import build_custom
-    from banachlab.rotundity_lab import _suspect_intervals
+    from banachlab.rotundity_lab import _holders
 
     ctx = DNormContext(build_custom([Interval(0.0, 0.5), Interval(0.1, 0.6), Interval(0.45, 1.0)]))
     cert = mlur_certificate(ctx, unit(ctx, PLFunction.constant(1.0)), 0.1)
     assert cert.cover == (1, 2, 3)
-    starts, ends, size = _cover_geometry(ctx, cert)
-    k = int(np.searchsorted(np.linspace(0.0, 1.0, 513), 0.47))
-    assert all(starts[j] <= k < ends[j] for j in range(3))
-    got = _suspect_intervals(starts, ends, size)
-    assert got.tolist() == ref_suspects(starts, ends, size).tolist()
+    lo, hi, _ = cert.cover_arrays
+    nodes = grid_nodes(512, cert.x)
+    k = int(np.searchsorted(nodes, 0.47))
+    assert all(lo[j] <= nodes[k] <= hi[j] for j in range(3))
+    assert _holders(nodes, hi).tolist() == ref_holders(nodes, lo, hi)
     rep = mlur_adversarial_search(ctx, cert, samples=2000, seed=1)
-    assert rep["counterexamples"] == 0
+    assert rep["counterexamples"] == rep["survivors_full_checked"] == 0
 
 
 def test_flat_bumps_match_the_loop():
@@ -402,11 +388,7 @@ def test_flat_bumps_match_the_loop():
 
 def full_rows(blocks):
     """Every sample of the scan blocks as its full row, in draw order."""
-    rows = []
-    for blk in blocks:
-        n = blk.sa.size
-        rows.append(blk.values(np.arange(n), np.tile(np.arange(blk.col_nodes.size), (n, 1))))
-    return np.vstack(rows)
+    return np.vstack([blk.row(r) for blk in blocks for r in range(blk.sa.size)])
 
 
 def ref_adversarial_blocks(rng, nodes, m, eps2, block_rows=256):
@@ -447,125 +429,79 @@ def ref_adversarial_blocks(rng, nodes, m, eps2, block_rows=256):
         yield out
 
 
-def ref_scan(ctx, cert, samples, seed, grid_cells):
-    """The full-row scan: its report, and per block the candidates, their
-    argmax nodes and the survivors' rows."""
-    from banachlab.gridsearch import GridContext
-    from banachlab.rotundity_lab import _suspect_intervals
-
-    gc = GridContext(ctx, cert.x, grid_cells=grid_cells)
-    nodes = gc.nodes
-    vx = gc.sample_function(cert.x)
-    lo = np.array([b[0] for b in cert.cover_bounds])
-    hi = np.array([b[1] for b in cert.cover_bounds])
-    starts, ends, ka, ta, kb, tb = interval_geometry(gc.nodes, lo, hi)
-    allowed = np.array(cert.x_seminorms) + cert.epsilon
-    suspect = _suspect_intervals(starts, ends, nodes.size)
-    offsets = np.arange(int(np.max(ends - starts)))
-    rng = np.random.default_rng(seed)
-    eps2 = cert.conclusion_bound
-    scanned = counterexamples = 0
-    blocks, survivors = [], []
-    while scanned < samples:
-        m = min(1024, samples - scanned)
-        scanned += m
-        for vy in ref_adversarial_blocks(rng, nodes, m, eps2):
-            cands = np.nonzero(np.max(np.abs(vy), axis=1) > eps2)[0]
-            argmax_nodes = np.argmax(np.abs(vy[cands]), axis=1)
-            blocks.append((cands.tolist(), argmax_nodes.tolist()))
-            alive, nodes_alive = cands, argmax_nodes
-            for which in (0, 1):
-                if alive.size == 0:
-                    break
-                j = suspect[nodes_alive, which]
-                idx = np.minimum(starts[j][:, None] + offsets[None, :], nodes.size - 1)
-                valid = idx < ends[j][:, None]
-                vx_g = vx[idx]
-                vy_g = vy[alive[:, None], idx]
-                sup_pm = np.zeros(alive.size)
-                for sign in (1.0, -1.0):
-                    v = np.abs(vx_g + sign * vy_g)
-                    v[~valid] = 0.0
-                    ea = np.abs((vx[ka[j]] + sign * vy[alive, ka[j]]) * (1.0 - ta[j])
-                                + (vx[ka[j] + 1] + sign * vy[alive, ka[j] + 1]) * ta[j])
-                    eb = np.abs((vx[kb[j]] + sign * vy[alive, kb[j]]) * (1.0 - tb[j])
-                                + (vx[kb[j] + 1] + sign * vy[alive, kb[j] + 1]) * tb[j])
-                    sup_pm = np.maximum(sup_pm, np.maximum(v.max(axis=1), np.maximum(ea, eb)))
-                keep = sup_pm <= allowed[j]
-                alive, nodes_alive = alive[keep], nodes_alive[keep]
-            for row in alive:
-                survivors.append(vy[row].tolist())
-                app = apply_certificate(cert, PLFunction(nodes, vy[row]))
-                if app.premise and not app.conclusion:
-                    counterexamples += 1
-    report = {"scanned": scanned, "counterexamples": counterexamples,
-              "survivors_full_checked": len(survivors)}
-    return report, blocks, survivors
-
-
-def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells, monkeypatch):
+def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells):
+    """The scan's rows equal the full-row generator's; its candidates, and
+    |y| at each one's peak, equal the full rows' max|y|; and its
+    counterexamples equal an exact check of every candidate, with no screen.
+    A certificate that passes verify leaves no survivor."""
     from banachlab import rotundity_lab
     from banachlab.gridsearch import grid_nodes
 
-    ref_report, ref_blocks, ref_survivors = ref_scan(ctx, cert, samples, seed, grid_cells)
-    # the same draws, block by block: rows, candidates and their argmax nodes
     nodes = grid_nodes(grid_cells, cert.x)
+    eps2 = cert.conclusion_bound
     rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    blocks = []
+    counterexamples = 0
     for a in range(0, samples, 1024):
         m = min(1024, samples - a)
-        new = list(rotundity_lab._adversarial_blocks(rng_new, nodes, m, cert.conclusion_bound))
-        ref = np.vstack(list(ref_adversarial_blocks(rng_ref, nodes, m, cert.conclusion_bound)))
+        new = list(rotundity_lab._adversarial_blocks(rng_new, nodes, m, eps2))
+        ref = np.vstack(list(ref_adversarial_blocks(rng_ref, nodes, m, eps2)))
         assert full_rows(new).tolist() == ref.tolist()
-        blocks += [tuple(v.tolist() for v in blk.candidates(cert.conclusion_bound)) for blk in new]
-    assert blocks == ref_blocks
-    # the survivors, in order, through the search itself
-    survivors = []
-
-    def recording(c, y):
-        survivors.append(y.values.tolist())
-        return apply_certificate(c, y)
-
-    monkeypatch.setattr(rotundity_lab, "apply_certificate", recording)
+        peaks = [blk.peaks(eps2) for blk in new]
+        offsets = np.cumsum([0] + [blk.sa.size for blk in new])
+        cands = np.concatenate([c + o for (c, _, _), o in zip(peaks, offsets)])
+        y = np.concatenate([y for _, _, y in peaks])
+        cols = np.concatenate([k for _, k, _ in peaks])
+        sup = np.max(np.abs(ref), axis=1)
+        assert cands.tolist() == np.nonzero(sup > eps2)[0].tolist()
+        assert np.abs(y).tolist() == sup[cands].tolist()
+        assert y.tolist() == ref[cands, cols].tolist()
+        for row in ref[cands]:
+            app = apply_certificate(cert, PLFunction(nodes, row))
+            counterexamples += app.premise and not app.conclusion
     report = mlur_adversarial_search(ctx, cert, samples=samples, seed=seed, grid_cells=grid_cells)
-    assert survivors == ref_survivors
-    assert report == ref_report
+    assert report["scanned"] == samples
+    assert report["counterexamples"] == counterexamples
+    assert report["survivors_full_checked"] >= counterexamples
+    try:
+        cert.verify()
+    except CertificateFailure:
+        return report
+    assert report["survivors_full_checked"] == 0
     return report
 
 
 @pytest.mark.parametrize("grid_cells", [512, 300, 64, 1])
 @pytest.mark.parametrize("divisor", [2.0, 4.0])
-def test_lazy_scan_matches_full_rows_on_forged_bounds(ctx8, grid_cells, divisor, monkeypatch):
+def test_lazy_scan_matches_full_rows_on_forged_bounds(ctx8, grid_cells, divisor):
     import dataclasses
 
     cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
     forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
     # fewer samples where the forged bound leaves many survivors to check
     samples = int(6000 / divisor)
-    rep = assert_scan_matches_reference(ctx8, forged, samples, 8, grid_cells, monkeypatch)
-    # on the 3-node grid the bound / 2 leaves no survivor at this seed
-    assert rep["survivors_full_checked"] > 0 or (grid_cells, divisor) == (1, 2.0)
+    rep = assert_scan_matches_reference(ctx8, forged, samples, 8, grid_cells)
+    assert rep["survivors_full_checked"] > 0
 
 
 @pytest.mark.parametrize("grid_cells", [512, 300, 64, 1])
-def test_lazy_scan_matches_full_rows(ctx8, grid_cells, monkeypatch):
+def test_lazy_scan_matches_full_rows(ctx8, grid_cells):
     cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
-    rep = assert_scan_matches_reference(ctx8, cert, 3000, 5, grid_cells, monkeypatch)
+    rep = assert_scan_matches_reference(ctx8, cert, 3000, 5, grid_cells)
     assert rep["counterexamples"] == 0
 
 
 @pytest.mark.parametrize("divisor", [1.0, 2.0])
-def test_lazy_scan_on_the_two_node_grid(ctx8, divisor, monkeypatch):
+def test_lazy_scan_on_the_two_node_grid(ctx8, divisor):
     # a constant x adds no breakpoint, so one cell gives the nodes 0 and 1,
     # and both end columns read node 1
     import dataclasses
 
     cert = mlur_certificate(ctx8, PLFunction.constant(1.0), 0.1)
     forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
-    assert_scan_matches_reference(ctx8, forged, 3000, 2, 1, monkeypatch)
+    assert_scan_matches_reference(ctx8, forged, 3000, 2, 1)
 
 
-def test_lazy_scan_on_near_tied_nodes(ctx8, monkeypatch):
+def test_lazy_scan_on_near_tied_nodes(ctx8):
     # breakpoints one ulp below the grid nodes k/512 put pairs of nodes whose
     # hats round alike; np.argmax takes the first of each tie
     import dataclasses
@@ -575,16 +511,16 @@ def test_lazy_scan_on_near_tied_nodes(ctx8, monkeypatch):
     cert = mlur_certificate(ctx8, x, 0.1)
     for divisor in (1.0, 2.0):
         forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / divisor)
-        assert_scan_matches_reference(ctx8, forged, 3000, 11, 512, monkeypatch)
+        assert_scan_matches_reference(ctx8, forged, 3000, 11, 512)
 
 
-def test_lazy_scan_on_a_triple_overlap(monkeypatch):
+def test_lazy_scan_on_a_triple_overlap():
     from banachlab.core_model import Interval
     from banachlab.neighborhood_base import build_custom
 
     ctx = DNormContext(build_custom([Interval(0.0, 0.5), Interval(0.1, 0.6), Interval(0.45, 1.0)]))
     cert = mlur_certificate(ctx, unit(ctx, PLFunction.constant(1.0)), 0.1)
-    assert_scan_matches_reference(ctx, cert, 2000, 1, 512, monkeypatch)
+    assert_scan_matches_reference(ctx, cert, 2000, 1, 512)
 
 
 @pytest.mark.parametrize("grid_cells", [1, 64, 300, 512])
@@ -603,67 +539,49 @@ def test_blocks_match_the_floor_rule_on_random_grids(grid_cells):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-@pytest.fixture(scope="module")
-def screen_case():
-    """A levels-9 certificate, a scan grid and its cover geometry, and random
-    rows y on the grid, each paired with every cover interval.  Cover ends
-    are dyadic, so on 300 cells most fall between nodes, and steep linear
-    rows put the sup of |x ± y| at an end."""
-    from banachlab.gridsearch import GridContext
+def test_screen_matches_the_premise_path():
+    # the scan screens a sample by max(|x(k) + y(k)|, |x(k) − y(k)|) at one
+    # node k: those are the bits of x ± y at k on the exact premise path,
+    # whose sup over k's holder, or any interval holding k, is at least that
+    from banachlab._kernels import sup_abs_many
+    from banachlab.gridsearch import grid_nodes
     from banachlab.neighborhood_base import build_leveled
+    from banachlab.rotundity_lab import _holders
     from conftest import smooth_positive_pl
 
     ctx = DNormContext(build_leveled(1, levels=9))
     rng = np.random.default_rng(21)
     cert = mlur_certificate(ctx, unit(ctx, smooth_positive_pl(rng)), 0.1)
-    gc = GridContext(ctx, cert.x, grid_cells=300)
     lo, hi, _ = cert.cover_arrays
-    geometry = interval_geometry(gc.nodes, lo, hi)
-    y = 0.3 * rng.standard_normal((12, gc.size))
-    y[:4] = gc.random_bumps(rng, 4, amp=0.3)
-    y[8:] = rng.uniform(-8.0, 8.0, (4, 1)) * (gc.nodes - rng.uniform(0.0, 1.0, (4, 1)))
-    pairs = np.arange(y.shape[0]).repeat(lo.size)  # row of each (row, interval) pair
-    j = np.tile(np.arange(lo.size), y.shape[0])
-    return cert, gc, geometry, y, pairs, j
-
-
-def screen(case):
-    from banachlab.rotundity_lab import _screen_sup
-
-    cert, gc, geometry, y, pairs, j = case
-    width = int(np.max(geometry[1] - geometry[0]))
-    vx = gc.sample_function(cert.x)
-    return _screen_sup(vx, geometry, j, width, lambda cols: y[pairs[:, None], cols])
-
-
-def test_screen_matches_the_old_cover_ends(screen_case):
-    # the inline ea/eb of the scan before it called _kernels.blend
-    cert, gc, geometry, y, pairs, j = screen_case
-    starts, ends, ka, ta, kb, tb = geometry
-    vx = gc.sample_function(cert.x)
-    ref = np.zeros(j.size)
-    for sign in (1.0, -1.0):
-        w = vx[None, :] + sign * y[pairs]
-        interior = np.array([np.max(np.abs(w[i, starts[m]:ends[m]]), initial=0.0)
-                             for i, m in enumerate(j)])
-        ea = np.abs((vx[ka[j]] + sign * y[pairs, ka[j]]) * (1.0 - ta[j])
-                    + (vx[ka[j] + 1] + sign * y[pairs, ka[j] + 1]) * ta[j])
-        eb = np.abs((vx[kb[j]] + sign * y[pairs, kb[j]]) * (1.0 - tb[j])
-                    + (vx[kb[j] + 1] + sign * y[pairs, kb[j] + 1]) * tb[j])
-        ref = np.maximum(ref, np.maximum(interior, np.maximum(ea, eb)))
-    assert screen(screen_case).tobytes() == ref.tobytes()
-
-
-def test_screen_matches_the_premise_path(screen_case):
-    # per cover interval, the max(‖x+y‖_m, ‖x−y‖_m) behind premise_margin
-    from banachlab import _kernels
-
-    cert, gc, geometry, y, pairs, j = screen_case
-    lo, hi, _ = cert.cover_arrays
-    ref = []
+    nodes = grid_nodes(300, cert.x)  # cover ends mostly between nodes
+    vx = cert.x.eval(nodes)
+    holder = _holders(nodes, hi)
+    y = 0.3 * rng.standard_normal((8, nodes.size))
+    y[4:] = rng.uniform(-8.0, 8.0, (4, 1)) * (nodes - rng.uniform(0.0, 1.0, (4, 1)))
     for row in y:
-        yf = gc.to_plfunction(row)
-        plus, minus = lin_comb(1.0, cert.x, 1.0, yf), lin_comb(1.0, cert.x, -1.0, yf)
-        ref.append(np.maximum(_kernels.sup_abs_many(plus.breakpoints, plus.values, lo, hi),
-                              _kernels.sup_abs_many(minus.breakpoints, minus.values, lo, hi)))
-    assert screen(screen_case).tobytes() == np.concatenate(ref).tobytes()
+        yf = PLFunction(nodes, row)
+        for sign, node_values in ((1.0, vx + row), (-1.0, vx - row)):
+            f = lin_comb(1.0, cert.x, sign, yf)
+            assert f.breakpoints.tolist() == nodes.tolist()
+            assert f.values.tolist() == node_values.tolist()
+            assert np.all(sup_abs_many(f.breakpoints, f.values, lo, hi)[holder] >= np.abs(node_values))
+
+
+def test_scan_checks_a_sample_on_the_premise_bound(ctx8, monkeypatch):
+    # a plateau of height ε on a constant x meets the premise with equality
+    # at its peak, so under a bound forged below ε it is a counterexample
+    # that the scan must check, not refute
+    import dataclasses
+
+    from banachlab import rotundity_lab
+
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.constant(1.0)), 0.1)
+    forged = dataclasses.replace(cert, conclusion_bound=0.05)
+
+    def one_plateau(rng, nodes, m, eps2):
+        kind, sa, centers, widths = np.array([1]), np.array([0.1]), np.array([0.5]), np.array([0.2])
+        yield rotundity_lab._ScanRows(nodes, kind, sa, centers, widths, np.empty((0, nodes.size)))
+
+    monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", one_plateau)
+    rep = mlur_adversarial_search(ctx8, forged, samples=1, seed=0)
+    assert rep == {"scanned": 1, "counterexamples": 1, "survivors_full_checked": 1}

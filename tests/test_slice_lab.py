@@ -326,6 +326,26 @@ class TestDiameter:
         est = diameter_lower_bound(ctx, ComboSet(slices, (0.5, 0.5)), 5000, 1)
         assert est.evaluations == 2226
 
+    def test_each_norming_bump_built_once(self, ctx8, monkeypatch):
+        # the grid and a one-atom slice's anchor share one bump per atom
+        from banachlab import slice_lab
+
+        ctx2 = DNormContext(build_leveled(2, levels=8))
+        combo, _, _ = small_diameter_combo(ctx2, 2)
+        calls = []
+
+        def counting(ctx, t):
+            calls.append(t)
+            return norming_bump(ctx, t)
+
+        monkeypatch.setattr(slice_lab, "norming_bump", counting)
+        S = SliceSpec(Measure.dirac(0.5, -1.0), dirac_dual_norm(ctx8, 0.5), 0.3)
+        diameter_lower_bound(ctx8, SliceSet(S), budget=400, seed=1)
+        assert calls == [0.5]
+        calls.clear()
+        diameter_lower_bound(ctx2, ComboSet(combo, (0.5, 0.5)), 400, 1)
+        assert calls == [t for s in combo for t, _ in s.functional.atoms]
+
     def test_combo_consistent_with_bound(self):
         ctx = DNormContext(build_leveled(2, levels=8))
         slices, bound, cert = small_diameter_combo(ctx, 2, budget=1500, seed=9)

@@ -2,8 +2,9 @@
 
 The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
-piecewise-linear f.  It runs as ``searchsorted`` plus one ``reduceat``
-(`range_reduce`) over whole arrays of intervals.
+piecewise-linear f.  ``searchsorted`` finds the nodes inside each interval,
+and `range_reduce` takes the max of |f| over them from a doubling table,
+built for a block of rows at a time so the table stays in cache.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 HAS_NUMBA = False  # read by the environment stamp of perfbench/run.py
+
+#: bytes of doubling table per block of rows in `sup_abs_rows`: a block's
+#: table and gathers stay in cache, and far below the 4 MiB from which numpy
+#: asks for huge pages
+BLOCK_BYTES = 2 << 20
 
 
 def backend_name() -> str:
@@ -21,7 +27,13 @@ def locate(bx: np.ndarray, t):
     """Cell k and fraction th of each point t on the increasing breakpoints
     bx: bx[k] <= t < bx[k + 1], the last cell also holding bx[-1], and
     th = (t − bx[k]) / (bx[k + 1] − bx[k])."""
-    k = np.clip(np.searchsorted(bx, t, side="right") - 1, 0, bx.shape[0] - 2)
+    return _fraction(bx, t, np.searchsorted(bx, t, side="right") - 1)
+
+
+def _fraction(bx, t, k):
+    """`locate` from k = searchsorted(bx, t, side="right") − 1 (np.clip costs
+    more than the two ufuncs)."""
+    k = np.minimum(np.maximum(k, 0), bx.shape[0] - 2)
     return k, (t - bx[k]) / (bx[k + 1] - bx[k])
 
 
@@ -62,19 +74,28 @@ def interval_geometry(bx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     starts = np.searchsorted(bx, lo, side="left")
     ends = np.searchsorted(bx, hi, side="right")
     ka, ta = locate(bx, lo)
-    kb, tb = locate(bx, hi)
+    kb, tb = _fraction(bx, hi, ends - 1)
     return starts, ends, ka, ta, kb, tb
 
 
 def sup_abs_rows(values: np.ndarray, geometry) -> np.ndarray:
     """Exact sup of |f| over each interval of an `interval_geometry`, for each
     float row f of values on its breakpoints.  No override: an end on a
-    breakpoint blends to its value up to the sign of a zero, which |·| drops."""
+    breakpoint blends to its value up to the sign of a zero, which |·| drops.
+    Rows go through in blocks whose doubling table fills BLOCK_BYTES, into
+    one C-contiguous (rows, intervals) array."""
     starts, ends, ka, ta, kb, tb = geometry
-    interior = range_abs_max(values, starts, ends)
-    fa = np.abs(blend(values[:, ka], values[:, ka + 1], ta))
-    fb = np.abs(blend(values[:, kb], values[:, kb + 1], tb))
-    return np.maximum(interior, np.maximum(fa, fb))
+    rows, g = values.shape
+    depth = int(np.max(ends - starts, initial=1)).bit_length()
+    block = max(1, BLOCK_BYTES // (8 * depth * g))
+    out = np.empty((rows, starts.shape[0]))
+    for r in range(0, rows, block):
+        v = values[r:r + block]
+        interior = range_abs_max(v, starts, ends)
+        fa = np.abs(blend(v[:, ka], v[:, ka + 1], ta))
+        fb = np.abs(blend(v[:, kb], v[:, kb + 1], tb))
+        np.maximum(interior, np.maximum(fa, fb, out=fa), out=out[r:r + block])
+    return out
 
 
 def sup_abs_many(bx, by, lo, hi):
@@ -95,9 +116,8 @@ def min_abs_many(bx, by, lo, hi):
     starts, ends, ka, ta, kb, tb = interval_geometry(bx, lo, hi)
     fa = blend(by[ka], by[ka + 1], ta)
     fb = blend(by[kb], by[kb + 1], tb)
-    pad = np.append(by, 0.0)  # the spare column of range_reduce
-    mn = np.minimum(np.minimum(fa, fb), range_reduce(np.minimum, pad, starts, ends, np.inf))
-    mx = np.maximum(np.maximum(fa, fb), range_reduce(np.maximum, pad, starts, ends, -np.inf))
+    mn = np.minimum(np.minimum(fa, fb), range_reduce(np.minimum, by[None], starts, ends, np.inf)[0])
+    mx = np.maximum(np.maximum(fa, fb), range_reduce(np.maximum, by[None], starts, ends, -np.inf)[0])
     return np.maximum(np.maximum(mn, -mx), 0.0)
 
 
@@ -109,22 +129,36 @@ def range_abs_max(values, starts, ends):
     endpoint magnitudes, which are nonnegative.
     """
     values = np.asarray(values, dtype=np.float64)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    # |values| and the spare column of range_reduce, in one buffer
-    padded = np.empty((values.shape[0], values.shape[1] + 1))
-    np.abs(values, out=padded[:, :-1])
-    padded[:, -1] = 0.0
-    return range_reduce(np.maximum, padded, starts, ends, 0.0)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    return range_reduce(np.maximum, np.abs(values), starts, ends, 0.0)
 
 
-def range_reduce(ufunc, padded, starts, ends, empty):
-    """``ufunc.reduce(padded[..., s:e])`` per index range [s, e), 0 <= s and
-    e <= g, or ``empty`` where e <= s.  ``padded`` holds g columns and a spare
-    one no range reads, as reduceat needs every index, g too, in bounds."""
-    idx = np.empty(2 * starts.shape[0], dtype=np.int64)
-    idx[0::2] = starts
-    idx[1::2] = np.maximum(ends, starts)
-    out = ufunc.reduceat(padded, idx, axis=-1)[..., 0::2]
-    out[..., ends <= starts] = empty
+def range_reduce(ufunc, values, starts, ends, empty):
+    """``ufunc.reduce(values[:, s:e], axis=1)`` per index range [s, e),
+    0 <= s and e <= g for the g columns of the 2-D values, or ``empty``
+    where e <= s.
+
+    A doubling (sparse) table: level j holds ufunc over 2^j consecutive
+    nodes, and a range of length L is ufunc of the two level-⌊log2 L⌋
+    entries at its ends, which overlap (Bender and Farach-Colton, "The LCA
+    Problem Revisited", 2000).  ufunc is np.maximum or np.minimum, which
+    round nothing, so the overlap changes no bit.  The table is node-major,
+    so each entry read is one contiguous row of values.T."""
+    rows, g = values.shape
+    length = np.maximum(ends - starts, 1)
+    level = np.frexp(length)[1] - 1
+    depth = int(level.max(initial=0)) + 1
+    table = np.empty((depth, g, rows))
+    table[0] = values.T
+    for j in range(1, depth):
+        h = 1 << (j - 1)
+        m = g - 2 * h + 1
+        ufunc(table[j - 1, :m], table[j - 1, h:h + m], out=table[j, :m])
+    flat = table.reshape(depth * g, rows)
+    first = level * g + starts
+    # an empty range reads a row it then overwrites; clip keeps s = g in bounds
+    out = ufunc(flat.take(first, 0, mode="clip"),
+                flat.take(first + length - (1 << level), 0, mode="clip")).T
+    out[:, ends <= starts] = empty
     return out

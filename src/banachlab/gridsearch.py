@@ -2,9 +2,10 @@
 
 Optimizers and samplers work on value vectors over a fixed grid; the grid
 contains every breakpoint of the functions involved, so grid arithmetic is
-exact PL arithmetic.  Seminorms of whole batches reduce to one range-max
-kernel call plus two endpoint interpolations, which is what makes budgets
-of 10^4..10^5 norm evaluations cheap.
+exact PL arithmetic.  Seminorms of whole batches go through
+`_kernels.sup_abs_rows` in cache-sized blocks of rows: per block, one range
+max from a doubling table plus two endpoint interpolations, which is what
+makes budgets of 10^4..10^5 norm evaluations cheap.
 """
 
 from __future__ import annotations

@@ -143,16 +143,18 @@ def mlur_adversarial_search(
     wave samples as full node rows, bump and plateau samples (half the draw)
     as hat parameters.  A sample with sup|y| ≤ 2ε meets the conclusion.  Any
     other is refuted at the node k where |y| peaks: k lies in the closure of
-    cover interval m = holder[k], the first one holding it, so the premise
+    cover interval m, the first one listed that holds it, so the premise
     asks max(|x(k) + y(k)|, |x(k) − y(k)|) ≤ ‖x‖_m + ε, with the bits the
     exact path gets there.  A certificate that passes `verify` leaves no
     survivor, as |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|; a survivor of
-    a forged bound gets its full row and an exact check.
+    a forged bound or cover gets its full row and an exact check.
     """
     nodes = grid_nodes(grid_cells, cert.x)
     vx = cert.x.eval(nodes)
-    _, hi, allowed = cert.cover_arrays
-    holder = _holders(nodes, hi)
+    lo, hi, allowed = cert.cover_arrays
+    # the premise bounds no node outside the cover: +inf sends its samples
+    # to the exact check
+    limit = np.append(allowed, np.inf)[_holders(nodes, lo, hi)]
 
     rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
@@ -165,7 +167,7 @@ def mlur_adversarial_search(
         scanned += m
         for rows in _adversarial_blocks(rng, nodes, m, eps2):
             cands, k, y = rows.peaks(eps2)
-            keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= allowed[holder[k]]
+            keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= limit[k]
             for row in cands[keep]:
                 survivors_checked += 1
                 app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
@@ -178,12 +180,11 @@ def mlur_adversarial_search(
     }
 
 
-def _holders(nodes: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per node, the first cover interval whose closure holds it.  No node
-    from ends[j] on lies in interval j; both ends of the intervals rise with
-    j, so node k's first interval is the first j with ends[j] > k."""
-    ends = np.searchsorted(nodes, hi, side="right")
-    return np.searchsorted(ends, np.arange(nodes.size), side="right")
+def _holders(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per node, the first listed cover interval whose closure holds it, in
+    any cover order; lo.size for a node that none holds."""
+    held = (lo <= nodes[:, None]) & (nodes[:, None] <= hi)
+    return np.where(held.any(axis=1), np.argmax(held, axis=1), lo.size)
 
 
 def _adversarial_blocks(rng, nodes, m, eps2):

@@ -119,3 +119,168 @@ def test_pl_eval_matches_its_old_body(cells):
         assert same_bits(pl_eval(bx, by, t), ref_pl_eval(bx, by, t))
         for s in t[::7]:  # scalars, as PLFunction.eval passes them
             assert same_bits(pl_eval(bx, by, s), ref_pl_eval(bx, by, s))
+
+
+# -- the doubling table against the reduceat bodies it replaced ----------------
+
+
+def ref_range_reduce(ufunc, padded, starts, ends, empty):
+    """range_reduce's reduceat body: ``padded`` holds g columns and a spare
+    one no range reads, as reduceat needs every index, g too, in bounds."""
+    idx = np.empty(2 * starts.shape[0], dtype=np.int64)
+    idx[0::2] = starts
+    idx[1::2] = np.maximum(ends, starts)
+    out = ufunc.reduceat(padded, idx, axis=-1)[..., 0::2]
+    out[..., ends <= starts] = empty
+    return out
+
+
+def ref_range_abs_max(values, starts, ends):
+    """range_abs_max's body over ref_range_reduce."""
+    values = np.asarray(values, dtype=np.float64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    padded = np.empty((values.shape[0], values.shape[1] + 1))
+    np.abs(values, out=padded[:, :-1])
+    padded[:, -1] = 0.0
+    return ref_range_reduce(np.maximum, padded, starts, ends, 0.0)
+
+
+def ref_sup_abs_rows(values, geometry):
+    """sup_abs_rows' body before it went through blocks of rows."""
+    starts, ends, ka, ta, kb, tb = geometry
+    interior = ref_range_abs_max(values, starts, ends)
+    fa = np.abs(_kernels.blend(values[:, ka], values[:, ka + 1], ta))
+    fb = np.abs(_kernels.blend(values[:, kb], values[:, kb + 1], tb))
+    return np.maximum(interior, np.maximum(fa, fb))
+
+
+def ref_min_abs_many(bx, by, lo, hi):
+    """min_abs_many's body over ref_range_reduce."""
+    starts, ends, ka, ta, kb, tb = _kernels.interval_geometry(bx, lo, hi)
+    fa = _kernels.blend(by[ka], by[ka + 1], ta)
+    fb = _kernels.blend(by[kb], by[kb + 1], tb)
+    pad = np.append(by, 0.0)
+    mn = np.minimum(np.minimum(fa, fb), ref_range_reduce(np.minimum, pad, starts, ends, np.inf))
+    mx = np.maximum(np.maximum(fa, fb), ref_range_reduce(np.maximum, pad, starts, ends, -np.inf))
+    return np.maximum(np.maximum(mn, -mx), 0.0)
+
+
+BASES = [(1, 8), (2, 8), (3, 8), (4, 8), (1, 12)]
+GRIDS = [1, 2, 64, 256, 512, "refined"]
+
+
+@pytest.fixture(scope="module", params=BASES, ids=lambda b: f"i{b[0]}-levels{b[1]}")
+def base_ctx(request):
+    from banachlab.d_norm import DNormContext
+    from banachlab.neighborhood_base import build_leveled
+
+    i, levels = request.param
+    return DNormContext(build_leveled(i, levels=levels))
+
+
+def grid_context(ctx, cells, rng):
+    """The uniform grid of `cells` cells, or 512 cells refined by a random PL."""
+    from banachlab.gridsearch import GridContext
+
+    if cells == "refined":
+        return GridContext(ctx, random_pl(rng, 40), grid_cells=512)
+    return GridContext(ctx, grid_cells=cells)
+
+
+def awkward_rows(rng, rows, g):
+    """Random rows, with NaN, ±0.0 and constant rows among them."""
+    values = rng.standard_normal((rows, g))
+    values[1::5, rng.integers(g)] = np.nan
+    values[2::5] = np.where(rng.random((values[2::5].shape)) < 0.5, -0.0, 0.0)
+    values[3::5] = 0.75
+    zero = rng.random(values[4::5].shape) < 0.3
+    values[4::5][zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    return values
+
+
+def edge_ranges(g):
+    """Empty ranges (s = e, e < s, s = e = g), one-node ranges at both ends
+    and the full grid."""
+    starts = np.array([0, 1, g, g - 1, 0, g - 1, 0])
+    ends = np.array([0, 0, g, g, 1, g, g])
+    return starts, ends
+
+
+def block_rows(g, starts, ends):
+    """Rows per block of sup_abs_rows: its doubling table fills BLOCK_BYTES."""
+    depth = int(np.max(ends - starts, initial=1)).bit_length()
+    return max(1, _kernels.BLOCK_BYTES // (8 * depth * g))
+
+
+@pytest.mark.parametrize("cells", GRIDS)
+def test_range_reduce_matches_reduceat(base_ctx, cells):
+    rng = np.random.default_rng(20)
+    gc = grid_context(base_ctx, cells, rng)
+    starts, ends = (np.concatenate(p) for p in zip(gc.stored_geometry[:2], edge_ranges(gc.size)))
+    values = awkward_rows(rng, 12, gc.size)
+    padded = np.concatenate([values, np.zeros((12, 1))], axis=1)
+    for ufunc, empty in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+        got = _kernels.range_reduce(ufunc, values, starts, ends, empty)
+        assert np.array_equal(got, ref_range_reduce(ufunc, padded, starts, ends, empty), equal_nan=True)
+    got = _kernels.range_abs_max(values, starts, ends)
+    assert same_bits(got, ref_range_abs_max(values, starts, ends))
+
+
+@pytest.mark.parametrize("cells", GRIDS)
+def test_sup_abs_rows_matches_reduceat(base_ctx, cells, monkeypatch):
+    rng = np.random.default_rng(21)
+    gc = grid_context(base_ctx, cells, rng)
+    geometry = gc.stored_geometry
+    block = block_rows(gc.size, *geometry[:2])
+    if block > 1000:
+        # a block of a 2- or 3-node grid holds 10^5 rows: a smaller
+        # BLOCK_BYTES brings its edges within reach of the reference
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", _kernels.BLOCK_BYTES * 7 // block)
+        block = block_rows(gc.size, *geometry[:2])
+    calls = []
+    traced = _kernels.range_abs_max
+    monkeypatch.setattr(_kernels, "range_abs_max", lambda v, *a: calls.append(v.shape[0]) or traced(v, *a))
+    counts = [1, block - 1, block, block + 1] + ([2016] if cells == 512 else [])
+    for rows in filter(None, counts):
+        values = awkward_rows(rng, rows, gc.size)
+        calls.clear()
+        got = _kernels.sup_abs_rows(values, geometry)
+        assert got.flags.c_contiguous
+        assert same_bits(got, ref_sup_abs_rows(values, geometry))
+        assert calls == [block] * (rows // block) + [rows % block] * (rows % block > 0)
+
+
+@pytest.mark.parametrize("cells", GRIDS)
+def test_min_abs_many_matches_reduceat(base_ctx, cells):
+    rng = np.random.default_rng(22)
+    gc = grid_context(base_ctx, cells, rng)
+    lo, hi = base_ctx.interval_bounds
+    for by in awkward_rows(rng, 10, gc.size):
+        got = _kernels.min_abs_many(gc.nodes, by, lo, hi)
+        # equal up to the sign of a zero, which max and min may take from
+        # either operand
+        assert np.array_equal(got, ref_min_abs_many(gc.nodes, by, lo, hi), equal_nan=True)
+
+
+def test_enclosures_peak_memory():
+    # the blocked kernel allocates one seminorm matrix, and enclosures one
+    # more for its square; the reduceat body peaked near 6 of them
+    import tracemalloc
+
+    from banachlab.d_norm import DNormContext
+    from banachlab.gridsearch import GridContext
+    from banachlab.neighborhood_base import build_leveled
+
+    ctx = DNormContext(build_leveled(2, levels=8))
+    gc = GridContext(ctx, grid_cells=512)
+    values = np.random.default_rng(23).standard_normal((2016, gc.size))
+    gc.stored_geometry  # built before the measurement
+    tracemalloc.start()
+    try:
+        gc.enclosures(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    seminorm_bytes = 8 * values.shape[0] * ctx.interval_bounds[0].size
+    assert peak <= 2 * seminorm_bytes + (4 << 20)

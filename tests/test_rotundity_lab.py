@@ -347,7 +347,7 @@ def test_suspects_match_the_loop_on_level_covers(eps):
     lo, hi, _ = cert.cover_arrays
     for grid_cells in (512, 300, 1):
         nodes = grid_nodes(grid_cells, cert.x)
-        assert _holders(nodes, hi).tolist() == ref_holders(nodes, lo, hi)
+        assert _holders(nodes, lo, hi).tolist() == ref_holders(nodes, lo, hi)
 
 
 def test_suspects_match_the_loop_on_a_triple_overlap():
@@ -364,7 +364,7 @@ def test_suspects_match_the_loop_on_a_triple_overlap():
     nodes = grid_nodes(512, cert.x)
     k = int(np.searchsorted(nodes, 0.47))
     assert all(lo[j] <= nodes[k] <= hi[j] for j in range(3))
-    assert _holders(nodes, hi).tolist() == ref_holders(nodes, lo, hi)
+    assert _holders(nodes, lo, hi).tolist() == ref_holders(nodes, lo, hi)
     rep = mlur_adversarial_search(ctx, cert, samples=2000, seed=1)
     assert rep["counterexamples"] == rep["survivors_full_checked"] == 0
 
@@ -555,7 +555,7 @@ def test_screen_matches_the_premise_path():
     lo, hi, _ = cert.cover_arrays
     nodes = grid_nodes(300, cert.x)  # cover ends mostly between nodes
     vx = cert.x.eval(nodes)
-    holder = _holders(nodes, hi)
+    holder = _holders(nodes, lo, hi)
     y = 0.3 * rng.standard_normal((8, nodes.size))
     y[4:] = rng.uniform(-8.0, 8.0, (4, 1)) * (nodes - rng.uniform(0.0, 1.0, (4, 1)))
     for row in y:
@@ -585,3 +585,50 @@ def test_scan_checks_a_sample_on_the_premise_bound(ctx8, monkeypatch):
     monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", one_plateau)
     rep = mlur_adversarial_search(ctx8, forged, samples=1, seed=0)
     assert rep == {"scanned": 1, "counterexamples": 1, "survivors_full_checked": 1}
+
+
+def reorder(cert, perm):
+    """cert with its cover listed in the order perm."""
+    import dataclasses
+
+    fields = ("cover", "cover_bounds", "x_seminorms")
+    return dataclasses.replace(cert, **{f: tuple(getattr(cert, f)[i] for i in perm) for f in fields})
+
+
+@pytest.mark.parametrize("order", ["rising", "reversed", "shuffled"])
+def test_scan_on_unsorted_covers(ctx8, order):
+    # verify accepts a cover in any order, and so must the scan: each node's
+    # holder is the first listed interval whose closure holds it
+    from banachlab.gridsearch import grid_nodes
+    from banachlab.rotundity_lab import _holders
+
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    n = len(cert.cover)
+    perm = {"rising": np.arange(n), "reversed": np.arange(n)[::-1],
+            "shuffled": np.random.default_rng(7).permutation(n)}[order]
+    moved = reorder(cert, perm)
+    assert moved.verify() == cert.verify()
+    lo, hi, _ = moved.cover_arrays
+    nodes = grid_nodes(512, moved.x)
+    holder = _holders(nodes, lo, hi)
+    held = (lo[:, None] <= nodes) & (nodes <= hi[:, None])
+    assert np.all(held[holder, np.arange(nodes.size)])
+    assert holder.tolist() == ref_holders(nodes, lo, hi)
+    if order == "rising":  # the rule of rising covers: the first interval ending past k
+        ends = np.searchsorted(nodes, hi, side="right")
+        assert holder.tolist() == np.searchsorted(ends, np.arange(nodes.size), side="right").tolist()
+    rep = assert_scan_matches_reference(ctx8, moved, 3000, 5, 512)
+    assert rep["counterexamples"] == 0
+
+
+def test_scan_checks_samples_in_a_cover_gap(ctx8):
+    # no interval of a gapped cover holds the nodes in the gap, so the
+    # premise bounds nothing there: a sample peaking in the gap is not
+    # refuted but checked exactly
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    lo, hi, _ = cert.cover_arrays
+    gapped = reorder(cert, np.nonzero((hi < 0.4) | (lo > 0.6))[0])
+    with pytest.raises(CertificateFailure, match="gap"):
+        gapped.verify()
+    rep = assert_scan_matches_reference(ctx8, gapped, 3000, 5, 512)
+    assert rep["counterexamples"] > 0

@@ -63,8 +63,6 @@ from .slice_lab import (
 MAX_GRID_CELLS = 1 << 16
 
 STOCHASTIC = {
-    "dual-norm",
-    "slice-witness",
     "diam",
     "combo-diam",
     "subslice",
@@ -171,11 +169,11 @@ def _parse_vec(text: str | None) -> np.ndarray:
     return vec
 
 
-def _slice_spec(ctx, m: Measure, eps: float, budget: int, seed: int):
-    return SliceSpec(m, functional_bracket(ctx, m, budget, seed), eps)
+def _slice_spec(ctx, m: Measure, eps: float, budget: int):
+    return SliceSpec(m, functional_bracket(ctx, m, budget), eps)
 
 
-def _set_from_json(ctx, path: str, budget: int, seed: int):
+def _set_from_json(ctx, path: str, budget: int):
     spec = json_object(read_json(path), "a set file")
     kind = spec.get("kind", "slice")
 
@@ -189,7 +187,7 @@ def _set_from_json(ctx, path: str, budget: int, seed: int):
         else:
             m = Measure.dirac(json_number(json_key(d, "dirac", "a slice"), "dirac"))
         eps = json_number(json_key(d, "eps", "a slice"), "eps")
-        return _slice_spec(ctx, m, eps, budget, seed)
+        return _slice_spec(ctx, m, eps, budget)
 
     if kind == "ball":
         return BallSet()
@@ -242,12 +240,12 @@ def _run(args) -> tuple[dict | str, str]:
         res = {"values": [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]}
     elif args.cmd == "dual-norm":
         m = load_measure(args.measure)
-        br = dual_norm(ctx, m, budget=args.budget, seed=seed)
+        br = dual_norm(ctx, m, budget=args.budget)
         res = {"lower": br.lower, "upper": br.upper, "evaluations": br.evaluations}
     elif args.cmd == "slice-witness":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget, seed)
+        S = _slice_spec(ctx, m, args.eps, args.budget)
         cert = tent_flip_witness(ctx, S, x, args.delta, eta=args.eta)
         res = {
             "N": cert.N,
@@ -261,7 +259,7 @@ def _run(args) -> tuple[dict | str, str]:
             "functional_norm": S.functional_norm,
         }
     elif args.cmd == "diam":
-        sp = _set_from_json(ctx, args.set_spec, args.budget, seed)
+        sp = _set_from_json(ctx, args.set_spec, args.budget)
         est = diameter_lower_bound(ctx, sp, args.budget, seed, grid_cells=args.grid)
         if args.format == "csv":
             rows = [[i, v] for i, v in enumerate(est.pair_distances)]
@@ -289,7 +287,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "subslice":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget, seed)
+        S = _slice_spec(ctx, m, args.eps, args.budget)
         Snew = subslice(ctx, S, x, args.delta, seed=seed)
         res = {
             "functional": Snew.functional,

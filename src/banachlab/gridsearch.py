@@ -5,7 +5,9 @@ contains every breakpoint of the functions involved, so grid arithmetic is
 exact PL arithmetic.  Seminorms of whole batches go through
 `_kernels.sup_abs_rows` in cache-sized blocks of rows: per block, one range
 max from a doubling table plus two endpoint interpolations, which is what
-makes budgets of 10^4..10^5 norm evaluations cheap.
+makes budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor,
+its norming element, is no search: `maximize_linear_functional` samples
+the witness of `d_norm.dual_norm`'s lower end on the grid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import Measure, PLFunction, pl_eval
-from .d_norm import RESCALE_SAFETY, DNormContext
+from .d_norm import RESCALE_SAFETY, DNormContext, dual_norm
 from .errors import DomainError
 from . import _kernels
 
@@ -141,50 +143,7 @@ class GridContext:
         return (signs * amps)[:, None] * hats(self.nodes, centers, widths)
 
 
-def maximize_linear_functional(
-    gc: GridContext,
-    coeffs: np.ndarray,
-    budget: int,
-    seed: int,
-) -> tuple[float, np.ndarray, int]:
-    """Maximize c·v over the unit ball by projected ascent with multistart.
-
-    The objective is linear, so each step moves along the fixed objective
-    direction and retracts radially onto the ball (valid for any norm).
-    Deterministic in (budget, seed); returns best value, witness, and the
-    number of norm evaluations spent.
-    """
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    cn = float(np.linalg.norm(coeffs))
-    if cn == 0.0:
-        raise DomainError("zero functional")
-    d = coeffs / np.max(np.abs(coeffs))
-    rng = np.random.default_rng(seed)
-    inits = [coeffs.copy(), np.ones(gc.size)]
-    n_random = max(0, min(4, budget // 50 - len(inits)))
-    if n_random:
-        inits.extend(gc.random_smooth(rng, n_random))
-    evals = 0
-    best_val = -np.inf
-    best_v = inits[0]
-    per_start = max(1, budget // max(1, len(inits)))
-    for v0 in inits:
-        if evals >= budget:
-            break
-        v = gc.rescale_to_ball(v0)[0]
-        evals += 1
-        val = float(coeffs @ v)
-        if val > best_val:
-            best_val, best_v = val, v.copy()
-        step0 = 0.25 * (1.0 + np.max(np.abs(v)))
-        it = 0
-        while it < per_start and evals < budget:
-            step = step0 / np.sqrt(1.0 + it)
-            v = gc.rescale_to_ball(v + step * d)[0]
-            evals += 1
-            val = float(coeffs @ v)
-            if val > best_val:
-                best_val, best_v = val, v.copy()
-            it += 1
-    return best_val, best_v, evals
+def maximize_linear_functional(gc: GridContext, m: Measure) -> np.ndarray:
+    """A norming element of m on the grid: the node values of the witness of
+    `dual_norm`'s lower end, the program's dual point in the unit ball."""
+    return gc.sample_function(dual_norm(gc.ctx, m).witness)

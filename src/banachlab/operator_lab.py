@@ -119,7 +119,7 @@ def ld2p_plus_projection_check(
     slice reaches diameter 2.
     """
     # one bracket for ‖m‖* serves ‖P‖ and the seeding slice
-    mb = functional_bracket(ctx, P.functional, NORM_BUDGET, seed)
+    mb = functional_bracket(ctx, P.functional, NORM_BUDGET)
     pe = P.norm_from(ctx, mb)
     S = SliceSpec(P.functional, mb, SEED_EPSILON)
     flip = flip_from_point(ctx, S, P.direction, SEED_EPSILON / 2.0)

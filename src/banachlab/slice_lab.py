@@ -390,16 +390,15 @@ def tent_flip_witness(
 
 
 def _build_flip(x: PLFunction, flips) -> PLFunction:
+    """x on its breakpoints outside the flips and on each flip's three
+    points, with the value at each midpoint negated."""
     inside = np.zeros(x.breakpoints.size, dtype=bool)
     for r, _, t in flips:
         inside |= (x.breakpoints > r) & (x.breakpoints < t)
-    pts = set(x.breakpoints[~inside].tolist())
-    flip_nodes = {}
-    for r, s, t in flips:
-        pts.update((r, s, t))
-        flip_nodes[s] = -x.eval(s)
-    xs = np.array(sorted(pts))
-    ys = np.array([flip_nodes.get(p, x.eval(p)) for p in xs])
+    xs = np.union1d(x.breakpoints[~inside], np.ravel(flips))
+    ys = x.eval(xs)
+    mid = np.searchsorted(xs, [s for _, s, _ in flips])
+    ys[mid] = -ys[mid]
     return PLFunction(xs, ys)
 
 
@@ -701,18 +700,18 @@ def _slice_member_matrix(
     """Sample certified slice members as grid rows; returns (matrix, evals).
 
     Members perturb an anchor row.  Without one, a one-atom functional is
-    anchored at its norming bump and any other at a 400-step ascent."""
+    anchored at its norming bump and any other at the dual-norm program's
+    witness, sampled on the grid; the one rescale below counts as the
+    anchor's evaluation."""
     coeffs = gc.functional_coeffs(S.functional)
-    evals = 0
     if anchor_v is None:
         bump = dirac_anchor(gc.ctx, S.functional)
         if bump is not None:
             anchor_v = gc.sample_function(bump)
         else:
-            val, anchor_v, used = maximize_linear_functional(gc, coeffs, 400, seed)
-            evals += used
+            anchor_v = maximize_linear_functional(gc, S.functional)
     anchor_v = gc.rescale_to_ball(anchor_v)[0]
-    evals += 1
+    evals = 1
     members = []
     if S.admits(float(coeffs @ anchor_v)):
         members.append(anchor_v)

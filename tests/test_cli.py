@@ -75,7 +75,27 @@ class TestBasics:
         assert run(["norm", "--fn", "/nonexistent.json"]) == 1
 
     def test_seed_mandatory_for_stochastic(self, files):
-        assert run(["dual-norm", "--measure", str(files / "dirac0.json")]) == 1
+        assert run(["diam", "--set", str(files / "sliceset.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual-norm", "--measure", "{dir}/leb.json"],
+            ["slice-witness", "--measure", "{dir}/dirac_half.json", "--fn", "{dir}/one.json",
+             "--eps", "0.3", "--delta", "0.15"],
+            ["slice-witness", "--measure", "{dir}/leb.json", "--fn", "{dir}/one_unit.json",
+             "--eps", "0.45", "--delta", "0.1"],
+        ],
+    )
+    def test_seed_optional_where_nothing_is_sampled(self, files, argv, tmp_path):
+        # neither the ‖m‖* bracket nor the flip witness draws a random number
+        argv = [a.replace("{dir}", str(files)) for a in argv]
+        results = []
+        for seed in ([], ["--seed", "7"]):
+            out = tmp_path / "r.json"
+            assert run(seed + argv, out) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
 
     def test_csv_limited_to_diam(self, files):
         assert run(["--format", "csv", "norm", "--fn", str(files / "one.json")]) == 1
@@ -326,6 +346,16 @@ class TestNestedEdges:
         assert run(argv, out) == 0
         if argv[4] == "combo-diam":  # budget 0 skips only the empirical check
             assert json.loads(out.read_text())["results"]["empirical_diameter"] is None
+
+    @pytest.mark.parametrize("seed,evaluations", [("1", 45), ("2", 37)])
+    def test_zero_budget_diam_still_samples(self, files, seed, evaluations, tmp_path):
+        # 8 members per slice at any budget: 1 anchor rescale, 8 rescales per
+        # sampling round (seed 1 takes two rounds, seed 2 one), 28 pair distances
+        out = tmp_path / "d.json"
+        argv = ["--budget", "0", "--seed", seed, "diam", "--set", str(files / "sliceset.json")]
+        assert run(argv, out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert (res["feasible_samples"], res["evaluations"]) == (8, evaluations)
 
 
 class TestWitnessAndReports:

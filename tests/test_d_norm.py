@@ -234,27 +234,27 @@ class TestBallAndSphere:
 class TestFunctionalBracket:
     def test_isolated_dirac_takes_the_formula(self, ctx8):
         enc = dirac_dual_norm(ctx8, 0.0)
-        got = functional_bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100, seed=0)
+        got = functional_bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100)
         assert (got.lo, got.hi) == (2.5 * enc.lo, 2.5 * enc.hi)
 
     @pytest.mark.parametrize("budget", [512, 64])
     def test_non_isolated_dirac_takes_dual_norm(self, ctx8, budget):
         m = Measure.dirac(1 / 3)
-        got = functional_bracket(ctx8, m, budget=budget, seed=1)
-        ref = dual_norm(ctx8, m, budget=budget, seed=1)
+        got = functional_bracket(ctx8, m, budget=budget)
+        ref = dual_norm(ctx8, m, budget=budget)
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
     def test_density_takes_dual_norm(self, ctx8):
         m = Measure(((0.0, 1.0),), PLFunction.tent())
-        got = functional_bracket(ctx8, m, budget=200, seed=2)
-        ref = dual_norm(ctx8, m, budget=200, seed=2)
+        got = functional_bracket(ctx8, m, budget=200)
+        ref = dual_norm(ctx8, m, budget=200)
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
     def test_other_errors_propagate(self):
         # isolated, but outside every stored interval: no fallback to dual_norm
         ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
         with pytest.raises(DomainError, match="no stored weight"):
-            functional_bracket(ctx, Measure.dirac(0.8), budget=50, seed=0)
+            functional_bracket(ctx, Measure.dirac(0.8), budget=50)
 
 
 def test_conservative_value_directions():

@@ -54,7 +54,7 @@ class TestProjection:
             Rank1Projection(proj.direction, Measure.dirac(0.0, 7.0))
 
     def test_norm_bracket_factorizes(self, ctx8, proj):
-        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET, 0))
+        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET))
         ue = d_norm(ctx8, proj.direction)
         t, w = proj.functional.atoms[0]
         de = dirac_dual_norm(ctx8, t)

@@ -362,3 +362,98 @@ class TestDiameter:
             ctx8, ShellSliceSet(lam_slice, tau=0.5), budget=1500, seed=8
         )
         assert est.value > 0.0
+
+
+def ref_build_flip(x, flips):
+    """The point-by-point loop `_build_flip` ran before it evaluated x once."""
+    inside = np.zeros(x.breakpoints.size, dtype=bool)
+    for r, _, t in flips:
+        inside |= (x.breakpoints > r) & (x.breakpoints < t)
+    pts = set(x.breakpoints[~inside].tolist())
+    flip_nodes = {}
+    for r, s, t in flips:
+        pts.update((r, s, t))
+        flip_nodes[s] = -x.eval(s)
+    xs = np.array(sorted(pts))
+    ys = np.array([flip_nodes.get(p, x.eval(p)) for p in xs])
+    return PLFunction(xs, ys)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_build_flip_matches_the_point_loop(seed, monkeypatch):
+    # every flip built on the benchmark's witness inputs, compared by bytes
+    from pathlib import Path
+
+    from banachlab import slice_lab
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WITNESS_COUNT, make_ctx, witness_inputs
+
+    calls = []
+    real = slice_lab._build_flip
+    monkeypatch.setattr(
+        slice_lab, "_build_flip", lambda x, flips: calls.append((x, flips)) or real(x, flips)
+    )
+    ctx = make_ctx(1, 8)
+    rng = np.random.default_rng([seed, 1])
+    for k in range(WITNESS_COUNT):
+        S, x, delta, eta = witness_inputs(ctx, rng, k)
+        tent_flip_witness(ctx, S, x, delta, eta=eta)
+    assert len(calls) >= WITNESS_COUNT
+    for x, flips in calls:
+        got, ref = real(x, flips), ref_build_flip(x, flips)
+        assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+        assert got.values.tobytes() == ref.values.tobytes()
+
+
+def _mixture():
+    """−0.5·δ_0.3 + (1 − 2t)dt: a signed atom on a signed density."""
+    return Measure(((0.3, -0.5),), PLFunction(np.array([0.0, 1.0]), np.array([1.0, -1.0])))
+
+
+ANCHOR_MEASURES = {
+    "lebesgue": Measure.lebesgue(),
+    "density": Measure((), PLFunction(np.array([0.0, 0.3, 1.0]), np.array([0.5, 2.0, 1.0]))),
+    "two_atoms": Measure(((0.0, 1.0), (1.0, 0.7))),
+    "mixture": _mixture(),
+}
+
+
+class TestSliceAnchor:
+    """A slice whose functional is not one isolated atom is anchored at the
+    dual-norm program's witness, sampled on the member grid."""
+
+    @pytest.fixture(scope="class")
+    def contexts(self, ctx8):
+        return {8: ctx8, 12: DNormContext(build_leveled(1, levels=12))}
+
+    @pytest.mark.parametrize("cells", [256, 512])
+    @pytest.mark.parametrize("levels", [8, 12])
+    @pytest.mark.parametrize("name", list(ANCHOR_MEASURES))
+    def test_anchor_nearly_norms_the_functional(self, contexts, levels, cells, name):
+        from banachlab.gridsearch import GridContext
+        from banachlab.slice_lab import _slice_member_matrix
+
+        ctx, m = contexts[levels], ANCHOR_MEASURES[name]
+        br = dual_norm(ctx, m)
+        # ε = 0.45 admits the anchor, so it is the first member
+        S = SliceSpec(m, br.as_enclosure(), 0.45)
+        gc = GridContext(ctx, m, grid_cells=cells)
+        rows, evals = _slice_member_matrix(gc, S, 8, 1)
+        assert d_norm(ctx, gc.to_plfunction(rows[0])).hi <= 1.0
+        assert integrate(gc.to_plfunction(rows[0]), m) >= 0.995 * br.lower
+        # one evaluation for the anchor, then 8 per sampling round
+        assert (evals - 1) % 8 == 0
+
+    @pytest.mark.parametrize(
+        "name,eps",
+        [("lebesgue", 0.02), ("lebesgue", 0.05),
+         ("mixture", 0.02), ("mixture", 0.1), ("mixture", 0.2)],
+    )
+    def test_thin_slices_have_members(self, ctx8, name, eps):
+        # an anchor well below ‖m‖* lies outside a slice this thin, and no
+        # perturbation of it lands inside: "no feasible slice member found"
+        m = ANCHOR_MEASURES[name]
+        S = SliceSpec(m, dual_norm(ctx8, m).as_enclosure(), eps)
+        est = diameter_lower_bound(ctx8, SliceSet(S), budget=2000, seed=1)
+        assert 0.0 < est.value <= 2.0

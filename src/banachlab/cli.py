@@ -65,7 +65,6 @@ MAX_GRID_CELLS = 1 << 16
 STOCHASTIC = {
     "diam",
     "combo-diam",
-    "subslice",
     "mlur-modulus",
     "octa-local",
     "octa-gap",
@@ -288,7 +287,7 @@ def _run(args) -> tuple[dict | str, str]:
         m = load_measure(args.measure)
         x = load_function(args.fn)
         S = _slice_spec(ctx, m, args.eps, args.budget)
-        Snew = subslice(ctx, S, x, args.delta, seed=seed)
+        Snew = subslice(ctx, S, x, args.delta)
         res = {
             "functional": Snew.functional,
             "functional_norm": Snew.functional_norm,

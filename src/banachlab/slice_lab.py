@@ -5,7 +5,9 @@ subintervals by the PL path through the negated midpoint value; exact
 re-evaluation of the three certificate inequalities (slice membership,
 distance > 2−2δ, norm domination) is the only thing trusted.  Convex
 combinations of dirac slices at membership-disjoint points get a certified
-norm bound sqrt(i+slack)/i from three tail estimates.
+norm bound sqrt(i+slack)/i from three tail estimates.  A subslice mixes the
+normalized functional m̂ with one nearly norming x at weight λ ≤ 1 − δ/ε;
+since both have dual norm ≤ 1, mixed(y) > 1−δ ⇒ m̂(y) > 1 − δ/(1−λ) ≥ 1 − ε.
 """
 
 from __future__ import annotations
@@ -46,12 +48,6 @@ from .gridsearch import GridContext, maximize_linear_functional
 
 #: largest cross-term slack `small_diameter_combo` certifies
 COMBO_MAX_SLACK = 1.0
-
-#: grid of the member samples behind the subslice inclusion and ℓ²-sum checks
-MEMBER_GRID_CELLS = 256
-
-#: dimension of the Euclidean component in `l2_sum_model_check`
-L2_MODEL_DIM = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,43 +551,6 @@ def l2_sum_slice_inclusion(delta: float) -> float:
     return math.sqrt(2.0 * delta - delta * delta)
 
 
-def l2_sum_model_check(
-    ctx: DNormContext,
-    S: SliceSpec,
-    delta: float,
-    samples: int = 1000,
-    seed: int = 0,
-) -> dict:
-    """Monte-Carlo check of the slice inclusion on a two-component model.
-
-    Pairs (f, v) with ‖(f,v)‖² = ‖f‖² + |v|₂² are sampled in the slice cut
-    by (m,0) at depth delta; every sampled |v| must stay within the shell
-    radius.
-    """
-    radius = l2_sum_slice_inclusion(delta)
-    Sd = SliceSpec(S.functional, S.functional_norm, delta)
-    gc = GridContext(ctx, Sd.functional, grid_cells=MEMBER_GRID_CELLS)
-    members, _ = _slice_member_matrix(gc, Sd, samples, seed)
-    rng = np.random.default_rng(seed + 1)
-    _, hi = gc.enclosures(members)
-    max_ratio = 0.0
-    violations = 0
-    for k in range(members.shape[0]):
-        allowed = math.sqrt(max(0.0, 1.0 - hi[k] * hi[k]))
-        v = rng.standard_normal(L2_MODEL_DIM)
-        v *= allowed * rng.uniform() ** (1.0 / L2_MODEL_DIM) / max(np.linalg.norm(v), 1e-300)
-        vn = float(np.linalg.norm(v))
-        max_ratio = max(max_ratio, vn / radius if radius > 0 else 0.0)
-        if vn > radius + 1e-12:
-            violations += 1
-    return {
-        "shell_radius": radius,
-        "samples": int(members.shape[0]),
-        "violations": violations,
-        "max_ratio": max_ratio,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subslices
 # ---------------------------------------------------------------------------
@@ -602,15 +561,17 @@ def subslice(
     S: SliceSpec,
     x: PLFunction,
     delta: float,
-    samples: int = 1000,
     seed: int = 0,
 ) -> SliceSpec:
     """A depth-δ slice containing x whose membership implies membership in S.
 
-    Mixes the normalized slice functional with an atomic functional nearly
-    norming x; mixing weight λ ≤ 1 − δ/ε makes the implication analytic
-    (both functionals have dual norm ≤ 1), and sampled members double-check
-    it.
+    Mixes m̂ = m/‖m‖*.hi with the atomic functional g nearly norming x as
+    mixed = (1−λ)·m̂ + λ·g.  Two premises prove the inclusion: m̂ and g have
+    dual norm ≤ 1, and λ ≤ 1 − δ/ε.  For y in the ball, g(y) ≤ 1, so
+    mixed(y) > 1−δ ⇒ m̂(y) > 1 − δ/(1−λ) ≥ 1 − ε.  λ starts at 1 − δ/ε and
+    shrinks by 0.9 until the mixed slice certifiably contains x.  Nothing is
+    sampled; `seed` changes nothing and stays only because the benchmark's
+    slice-certify workload (`perfbench/workloads.py`) passes it.
     """
     eps = S.epsilon
     if not 0.0 < delta < eps:
@@ -621,35 +582,19 @@ def subslice(
     g = norming_functional(ctx, x)
     m_hat = S.functional.scaled(1.0 / S.functional_norm.hi)
     lam = 1.0 - delta / eps
-    last = None
     for _ in range(20):
         mixed = measure_combine(1.0 - lam, m_hat, lam, g)
         # both parts have dual norm ≤ 1, so 1.0 is certified; the ratio can
         # round above it when x is nearly normed, and the clamp stays sound
-        fn = Enclosure(min(max(integrate(x, mixed) / xe.hi, 1e-12), 1.0), 1.0)
+        value = integrate(x, mixed)
+        fn = Enclosure(min(max(value / xe.hi, 1e-12), 1.0), 1.0)
         Snew = SliceSpec(mixed, fn, delta)
-        contains_x = Snew.admits(integrate(x, mixed))
-        inclusion_ok = contains_x and _verify_inclusion(
-            ctx, Snew, S, x, samples, seed
-        )
-        if contains_x and inclusion_ok:
+        if Snew.admits(value):
             return Snew
-        last = (contains_x, inclusion_ok)
         lam *= 0.9
     raise DomainError(
-        f"subslice construction failed (contains_x, inclusion checks): {last}"
+        f"subslice construction failed: no mixed slice of depth {delta} certifiably contains x"
     )
-
-
-def _verify_inclusion(ctx, Snew, S, anchor, samples, seed) -> bool:
-    gc = GridContext(ctx, Snew.functional, anchor, grid_cells=MEMBER_GRID_CELLS)
-    try:
-        members, _ = _slice_member_matrix(
-            gc, Snew, samples, seed, anchor_v=gc.sample_function(anchor)
-        )
-    except SamplingError:
-        return False
-    return bool(np.all(S.admits(members @ gc.functional_coeffs(S.functional))))
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,13 @@ class TestBasics:
              "--eps", "0.3", "--delta", "0.15"],
             ["slice-witness", "--measure", "{dir}/leb.json", "--fn", "{dir}/one_unit.json",
              "--eps", "0.45", "--delta", "0.1"],
+            ["subslice", "--measure", "{dir}/dirac_half.json", "--fn", "{dir}/one.json",
+             "--eps", "0.3", "--delta", "0.1"],
         ],
     )
     def test_seed_optional_where_nothing_is_sampled(self, files, argv, tmp_path):
-        # neither the ‖m‖* bracket nor the flip witness draws a random number
+        # neither the ‖m‖* bracket, the flip witness nor the subslice draws a
+        # random number
         argv = [a.replace("{dir}", str(files)) for a in argv]
         results = []
         for seed in ([], ["--seed", "7"]):
@@ -180,6 +183,21 @@ class TestBadInputs:
         assert run([a.replace("{dir}", str(files)) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_subslice_without_a_containing_mix(self, files, tmp_path, capsys):
+        # x = 0.8·(unit-norm bump at 0.5) has slice value 0.8 > 1 − 0.3, but
+        # every mix of m̂ and its norming functional values it at ≤ 0.8 < 0.9
+        from banachlab.slice_lab import norming_bump
+
+        bump = norming_bump(DNormContext(build_leveled(1, levels=8)), 0.5)
+        x = tmp_path / "bump08.json"
+        dump_function(bump.scaled(0.8), str(x))
+        argv = ["subslice", "--measure", str(files / "dirac_half.json"), "--fn", str(x),
+                "--eps", "0.3", "--delta", "0.1"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "inclusion checks" not in err
 
     def test_forged_mlur_certificate_exits_two(self, files, monkeypatch, capsys):
         # a Lipschitz bound understated 4x picks a cover too coarse for 2ε

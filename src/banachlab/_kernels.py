@@ -4,7 +4,9 @@ The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
 piecewise-linear f.  ``searchsorted`` finds the nodes inside each interval,
 and `range_reduce` takes the max of |f| over them from a doubling table,
-built for a block of rows at a time so the table stays in cache.
+built for a block of rows at a time so the table stays in cache.  Only an
+interval end strictly between two nodes needs an interpolated value: an end
+on a node blends to that node's own value, which the range already holds.
 """
 
 from __future__ import annotations
@@ -78,23 +80,56 @@ def interval_geometry(bx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return starts, ends, ka, ta, kb, tb
 
 
-def sup_abs_rows(values: np.ndarray, geometry) -> np.ndarray:
-    """Exact sup of |f| over each interval of an `interval_geometry`, for each
-    float row f of values on its breakpoints.  No override: an end on a
-    breakpoint blends to its value up to the sign of a zero, which |·| drops.
-    Rows go through in blocks whose doubling table fills BLOCK_BYTES, into
-    one C-contiguous (rows, intervals) array."""
-    starts, ends, ka, ta, kb, tb = geometry
-    rows, g = values.shape
+def off_node_ends(bx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Indices of the intervals [lo, hi] whose lower end, and of those whose
+    upper end, is no breakpoint of bx.  Equality decides, not the fraction
+    of `locate`: an end just below a breakpoint can round to fraction 1."""
+    return np.nonzero(~np.isin(lo, bx))[0], np.nonzero(~np.isin(hi, bx))[0]
+
+
+def block_rows(g: int, geometry) -> int:
+    """Rows per block of `sup_abs_rows` on g breakpoints: the block's
+    doubling table fills BLOCK_BYTES."""
+    starts, ends = geometry[:2]
     depth = int(np.max(ends - starts, initial=1)).bit_length()
-    block = max(1, BLOCK_BYTES // (8 * depth * g))
-    out = np.empty((rows, starts.shape[0]))
+    return max(1, BLOCK_BYTES // (8 * depth * g))
+
+
+def sup_abs_rows(values: np.ndarray, geometry, out=None) -> np.ndarray:
+    """Exact sup of |f| over each interval of an `interval_geometry`, for each
+    float row f of values on its breakpoints: the max of |f| over the
+    breakpoints inside, and over the two ends.  No override: an end on a
+    breakpoint blends to its value up to the sign of a zero, which |·| drops.
+
+    A geometry may carry a seventh field, the `off_node_ends` of its
+    intervals; then a block of finite rows blends only those ends.  That is
+    exact: an end on a breakpoint blends to its value v as v·1 + v'·0 = v,
+    and that breakpoint lies in the interval, so the range max already
+    holds |v|.  A block holding a non-finite value blends every end, since
+    v'·0 is NaN there.  Rows go through in blocks whose doubling table
+    fills BLOCK_BYTES, into one C-contiguous (rows, intervals) array, or
+    into ``out`` of that shape."""
+    starts, ends, ka, ta, kb, tb = geometry[:6]
+    off = None
+    if len(geometry) > 6:
+        ia, ib = geometry[6]
+        off = ((ia, ka[ia], ta[ia]), (ib, kb[ib], tb[ib]))
+    rows = values.shape[0]
+    block = block_rows(values.shape[1], geometry)
+    if out is None:
+        out = np.empty((rows, starts.shape[0]))
     for r in range(0, rows, block):
         v = values[r:r + block]
+        o = out[r:r + block]
         interior = range_abs_max(v, starts, ends)
+        if off is not None and np.isfinite(v).all():
+            o[...] = interior
+            for i, k, t in off:
+                o[:, i] = np.maximum(o[:, i], np.abs(blend(v[:, k], v[:, k + 1], t)))
+            continue
         fa = np.abs(blend(v[:, ka], v[:, ka + 1], ta))
         fb = np.abs(blend(v[:, kb], v[:, kb + 1], tb))
-        np.maximum(interior, np.maximum(fa, fb, out=fa), out=out[r:r + block])
+        np.maximum(interior, np.maximum(fa, fb, out=fa), out=o)
     return out
 
 
@@ -158,7 +193,7 @@ def range_reduce(ufunc, values, starts, ends, empty):
     flat = table.reshape(depth * g, rows)
     first = level * g + starts
     # an empty range reads a row it then overwrites; clip keeps s = g in bounds
-    out = ufunc(flat.take(first, 0, mode="clip"),
-                flat.take(first + length - (1 << level), 0, mode="clip")).T
+    out = flat.take(first, 0, mode="clip")
+    out = ufunc(out, flat.take(first + length - (1 << level), 0, mode="clip"), out=out).T
     out[:, ends <= starts] = empty
     return out

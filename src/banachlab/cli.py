@@ -28,7 +28,7 @@ from .core_model import (
     measure_from_dict,
     read_json,
 )
-from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket, seminorm
+from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket_witness, seminorm
 from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
 from .neighborhood_base import parse_base_spec
 from .nested_sum_space import (
@@ -169,7 +169,8 @@ def _parse_vec(text: str | None) -> np.ndarray:
 
 
 def _slice_spec(ctx, m: Measure, eps: float, budget: int):
-    return SliceSpec(m, functional_bracket(ctx, m, budget), eps)
+    enc, witness = functional_bracket_witness(ctx, m, budget)
+    return SliceSpec(m, enc, eps, witness)
 
 
 def _set_from_json(ctx, path: str, budget: int):

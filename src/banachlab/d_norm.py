@@ -456,6 +456,14 @@ def dual_norm(
 def functional_bracket(ctx: DNormContext, m: Measure, budget: int) -> Enclosure:
     """Certified bracket for ‖m‖*: |w| times the dirac formula for one
     isolated atom, the dual_norm bracket for anything else."""
+    return functional_bracket_witness(ctx, m, budget)[0]
+
+
+def functional_bracket_witness(
+    ctx: DNormContext, m: Measure, budget: int
+) -> tuple[Enclosure, PLFunction | None]:
+    """`functional_bracket`, and the witness of its lower end where the
+    dual-norm program gave it (None where the dirac formula did)."""
     if len(m.atoms) == 1 and m.density is None:
         t, w = m.atoms[0]
         try:
@@ -463,5 +471,6 @@ def functional_bracket(ctx: DNormContext, m: Measure, budget: int) -> Enclosure:
         except HypothesisError:
             pass
         else:
-            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi)
-    return dual_norm(ctx, m, budget=budget).as_enclosure()
+            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi), None
+    br = dual_norm(ctx, m, budget=budget)
+    return br.as_enclosure(), br.witness

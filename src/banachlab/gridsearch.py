@@ -4,8 +4,10 @@ Optimizers and samplers work on value vectors over a fixed grid; the grid
 contains every breakpoint of the functions involved, so grid arithmetic is
 exact PL arithmetic.  Seminorms of whole batches go through
 `_kernels.sup_abs_rows` in cache-sized blocks of rows: per block, one range
-max from a doubling table plus two endpoint interpolations, which is what
-makes budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor,
+max from a doubling table, plus an interpolation only at the interval ends
+that fall strictly between grid nodes (an end on a node blends to that
+node's value, which the range max already holds), which is what makes
+budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor,
 its norming element, is no search: `maximize_linear_functional` samples
 the witness of `d_norm.dual_norm`'s lower end on the grid.
 """
@@ -61,15 +63,20 @@ class GridContext:
 
     @cached_property
     def stored_geometry(self):
-        """interval_geometry of the stored intervals, built on first use: the
-        MLUR scan, which builds a grid only for its cover, never needs it."""
-        return _kernels.interval_geometry(self.nodes, *self.ctx.interval_bounds)
+        """interval_geometry of the stored intervals and their
+        `off_node_ends`, the only ends `sup_abs_rows` blends for finite rows;
+        built on first use: the MLUR scan, which builds a grid only for its
+        cover, never needs it."""
+        bounds = self.ctx.interval_bounds
+        return (*_kernels.interval_geometry(self.nodes, *bounds),
+                _kernels.off_node_ends(self.nodes, *bounds))
 
     # -- batched norms ---------------------------------------------------
 
-    def seminorms(self, v2d: np.ndarray) -> np.ndarray:
-        """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows."""
-        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry)
+    def seminorms(self, v2d: np.ndarray, out=None) -> np.ndarray:
+        """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows,
+        written into ``out`` if given."""
+        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry, out)
 
     def enclosures(self, v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Norm enclosure endpoints (lo, hi) for each row."""

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .core_model import (
     Enclosure,
     Measure,
@@ -55,11 +56,14 @@ class SliceSpec:
     """A slice {x in the ball : ∫x dm / ‖m‖* > 1 − ε} with a norm bracket.
 
     Membership divides by the bracket's hi, so only certified members pass.
+    A bracket from the dual-norm program may bring the witness of its lower
+    end, which a diameter's members then perturb without solving it again.
     """
 
     functional: Measure
     functional_norm: Enclosure
     epsilon: float
+    witness: PLFunction | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -646,13 +650,15 @@ def _slice_member_matrix(
 
     Members perturb an anchor row.  Without one, a one-atom functional is
     anchored at its norming bump and any other at the dual-norm program's
-    witness, sampled on the grid; the one rescale below counts as the
-    anchor's evaluation."""
+    witness, S's own if it has one, sampled on the grid; the one rescale
+    below counts as the anchor's evaluation."""
     coeffs = gc.functional_coeffs(S.functional)
     if anchor_v is None:
         bump = dirac_anchor(gc.ctx, S.functional)
         if bump is not None:
             anchor_v = gc.sample_function(bump)
+        elif S.witness is not None:
+            anchor_v = gc.sample_function(S.witness)
         else:
             anchor_v = maximize_linear_functional(gc, S.functional)
     anchor_v = gc.rescale_to_ball(anchor_v)[0]
@@ -683,11 +689,20 @@ def _slice_member_matrix(
 
 
 def _pair_distances(gc: GridContext, rows: np.ndarray):
-    n = rows.shape[0]
-    ia, ib = np.triu_indices(n, k=1)
-    diffs = rows[ia] - rows[ib]
-    lo, _ = gc.enclosures(diffs)
-    return ia, ib, lo
+    """Pairs a < b of the rows and the norm enclosure lo of rows[a] − rows[b].
+
+    The seminorms of one kernel block of differences at a time fill one
+    (pairs, intervals) matrix, squared in place and weighted in one product
+    over the whole matrix: the bits of `GridContext.enclosures`' lo, with no
+    difference matrix and no hi."""
+    ia, ib = np.triu_indices(rows.shape[0], k=1)
+    s = np.empty((ia.size, gc.weights.size))
+    step = _kernels.block_rows(gc.size, gc.stored_geometry)
+    for p in range(0, ia.size, step):
+        q = slice(p, p + step)
+        gc.seminorms(rows[ia[q]] - rows[ib[q]], out=s[q])
+    s *= s
+    return ia, ib, np.sqrt(s @ gc.weights)
 
 
 def diameter_lower_bound(

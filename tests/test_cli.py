@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -502,6 +503,38 @@ class TestDeterminism:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pair_index,distance_lo"
         assert len(lines) > 1
+
+
+LEBESGUE = {"atoms": [], "density": {"breakpoints": [0, 1], "values": [1, 1]}}
+
+
+class TestOneDualNormSolve:
+    # a non-dirac slice's members perturb the witness of its own bracket;
+    # the reports are the bytes of the two-solve path at the default --budget
+    @pytest.mark.parametrize("spec,solves,results", [
+        ({"kind": "slice", "eps": 0.02, "measure": LEBESGUE}, 1,
+         b'"results":{"evaluations":2177,"feasible_samples":64,"value":1.9952517170817303}'),
+        ({"kind": "combo", "slices": [{"eps": 0.3, "measure": LEBESGUE},
+                                      {"eps": 0.3, "measure": {"atoms": [{"t": 0, "w": 1}, {"t": 1, "w": -1}]}}]},
+         2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448756402512}'),
+    ])
+    def test_diam_solves_each_slice_once(self, tmp_path, monkeypatch, spec, solves, results):
+        from banachlab import gridsearch
+
+        d_norm = sys.modules["banachlab.d_norm"]  # the package exports d_norm()
+        calls = []
+        solve = d_norm.dual_norm
+        counted = lambda *a, **k: calls.append(a[1]) or solve(*a, **k)
+        monkeypatch.setattr(d_norm, "dual_norm", counted)
+        monkeypatch.setattr(gridsearch, "dual_norm", counted)
+        (tmp_path / "set.json").write_text(json.dumps(spec))
+        out = tmp_path / "d.json"
+        assert run(["--seed", "1", "diam", "--set", str(tmp_path / "set.json")], out) == 0
+        assert len(calls) == solves
+        assert out.read_bytes() == (
+            b'{"config":{"base":"leveled:i=1,levels=8","budget":2000,"grid":512,"seed":1,'
+            b'"tol":9.9999999999999995e-07},' + results + b',"subcommand":"diam","version":"0.1.0"}'
+        )
 
 
 class TestDualNormGrid:

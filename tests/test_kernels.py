@@ -147,8 +147,9 @@ def ref_range_abs_max(values, starts, ends):
 
 
 def ref_sup_abs_rows(values, geometry):
-    """sup_abs_rows' body before it went through blocks of rows."""
-    starts, ends, ka, ta, kb, tb = geometry
+    """sup_abs_rows' body before it went through blocks of rows, blending
+    every end."""
+    starts, ends, ka, ta, kb, tb = geometry[:6]
     interior = ref_range_abs_max(values, starts, ends)
     fa = np.abs(_kernels.blend(values[:, ka], values[:, ka + 1], ta))
     fb = np.abs(_kernels.blend(values[:, kb], values[:, kb + 1], tb))
@@ -189,13 +190,17 @@ def grid_context(ctx, cells, rng):
 
 
 def awkward_rows(rng, rows, g):
-    """Random rows, with NaN, ±0.0 and constant rows among them."""
+    """Random rows, with NaN, ±0.0, constant, ±inf and ±1e308 rows among
+    them; 1e308 − (−1e308) and (1e308)² overflow to inf."""
     values = rng.standard_normal((rows, g))
-    values[1::5, rng.integers(g)] = np.nan
-    values[2::5] = np.where(rng.random((values[2::5].shape)) < 0.5, -0.0, 0.0)
-    values[3::5] = 0.75
-    zero = rng.random(values[4::5].shape) < 0.3
-    values[4::5][zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    values[1::7, rng.integers(g)] = np.nan
+    values[2::7] = np.where(rng.random((values[2::7].shape)) < 0.5, -0.0, 0.0)
+    values[3::7] = 0.75
+    zero = rng.random(values[4::7].shape) < 0.3
+    values[4::7][zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    values[5::7, rng.integers(g)] = np.inf
+    values[5::7, rng.integers(g)] = -np.inf
+    values[6::7] = np.copysign(1e308, values[6::7])
     return values
 
 
@@ -284,3 +289,48 @@ def test_enclosures_peak_memory():
         tracemalloc.stop()
     seminorm_bytes = 8 * values.shape[0] * ctx.interval_bounds[0].size
     assert peak <= 2 * seminorm_bytes + (4 << 20)
+
+
+def ref_pair_distances(gc, rows):
+    """slice_lab._pair_distances' body before it went through blocks of
+    pairs: the enclosure lo of the whole difference matrix."""
+    ia, ib = np.triu_indices(rows.shape[0], k=1)
+    return ia, ib, gc.enclosures(rows[ia] - rows[ib])[0]
+
+
+@pytest.mark.parametrize("cells", GRIDS)
+def test_pair_distances_match_the_difference_matrix(base_ctx, cells):
+    from banachlab.slice_lab import _pair_distances
+
+    rng = np.random.default_rng(24)
+    gc = grid_context(base_ctx, cells, rng)
+    for count in (1, 2, 3, 64):
+        rows = awkward_rows(rng, count, gc.size)
+        # the same rows made finite: most blocks of differences then blend
+        # only the ends off the nodes
+        for values in (rows, np.where(np.isfinite(rows), rows, 1e308)):
+            for got, ref in zip(_pair_distances(gc, values), ref_pair_distances(gc, values)):
+                assert same_bits(got, ref)
+
+
+def test_pair_distances_peak_memory():
+    # no difference matrix: one (pairs, intervals) seminorm matrix, squared
+    # in place, and one block of differences
+    import tracemalloc
+
+    from banachlab.d_norm import DNormContext
+    from banachlab.gridsearch import GridContext
+    from banachlab.neighborhood_base import build_leveled
+    from banachlab.slice_lab import _pair_distances
+
+    ctx = DNormContext(build_leveled(2, levels=8))
+    gc = GridContext(ctx, grid_cells=512)
+    rows = np.random.default_rng(25).standard_normal((64, gc.size))
+    gc.stored_geometry  # built before the measurement
+    tracemalloc.start()
+    try:
+        ia, _, _ = _pair_distances(gc, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ia.size * ctx.interval_bounds[0].size + (4 << 20)

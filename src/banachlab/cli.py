@@ -66,7 +66,6 @@ STOCHASTIC = {
     "diam",
     "combo-diam",
     "mlur-modulus",
-    "octa-local",
     "octa-gap",
     "op-check",
 }
@@ -310,7 +309,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "octa-local":
         x = load_function(args.fn)
         try:
-            y = local_octahedral_witness(ctx, x, args.eps, args.budget, seed)
+            y = local_octahedral_witness(ctx, x, args.eps, args.budget)
             res = {"found": True, "witness": function_to_dict(y)}
         except WitnessNotFoundError as exc:
             res = {"found": False, "diagnostics": exc.diagnostics}

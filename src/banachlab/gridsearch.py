@@ -7,9 +7,9 @@ exact PL arithmetic.  Seminorms of whole batches go through
 max from a doubling table, plus an interpolation only at the interval ends
 that fall strictly between grid nodes (an end on a node blends to that
 node's value, which the range max already holds), which is what makes
-budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor,
-its norming element, is no search: `maximize_linear_functional` samples
-the witness of `d_norm.dual_norm`'s lower end on the grid.
+budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor, its
+norming element, is no search: `slice_lab.SliceSpec.anchor` names it, and a
+grid built with the anchor among its objects samples it exactly.
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ class GridContext:
 
 
 def maximize_linear_functional(gc: GridContext, m: Measure) -> np.ndarray:
-    """A norming element of m on the grid: the node values of the witness of
-    `dual_norm`'s lower end, the program's dual point in the unit ball."""
+    """The node values of the witness of `dual_norm`'s lower end, a norming
+    element of m in the unit ball; exact only on a grid that refines it.
+    Nothing in the package calls it: slices take their anchor from
+    `SliceSpec.anchor`.  It stays only because the benchmark's tracer
+    (`perfbench/tracing.py`) names it."""
     return gc.sample_function(dual_norm(gc.ctx, m).witness)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import BALL_TOL, DNormContext, d_norm, functional_bracket, sphere_norm
+from .d_norm import DNormContext, d_norm, functional_bracket
 from .errors import ConstructionError, DomainError
 from .gridsearch import GridContext
-from .slice_lab import SliceSpec, _slice_member_matrix, flip_from_point
+from .slice_lab import SliceSpec, flip_from_point
 
 
 #: dual_norm budget of the functional bracket behind ‖P‖
@@ -134,38 +134,6 @@ def ld2p_plus_projection_check(
         "gap": (1.0 + pe.lo) - lower,
         "trajectory": res["trajectory"],
         "flip_seeded": bool(seeds),
-    }
-
-
-def daugavet_slice_test(
-    ctx: DNormContext,
-    x: PLFunction,
-    S: SliceSpec,
-    budget: int,
-    seed: int,
-) -> dict:
-    """Best ‖x + y‖.lo over certified slice members y found in budget.
-
-    Purely empirical: on this space some (x, S) pairs plateau below
-    2 − ε, which is the expected behavior away from the slice.
-    """
-    xe = sphere_norm(ctx, x)
-    gc = GridContext(ctx, x, S.functional)
-    count = max(16, min(128, budget // 8))
-    rows, evals = _slice_member_matrix(gc, S, count, seed)
-    vx = gc.sample_function(x)
-    if xe.hi <= 1.0 + BALL_TOL and S.admits(integrate(x, S.functional)):
-        rows = np.vstack([rows, vx[None, :]])
-    lo, _ = gc.enclosures(vx[None, :] + rows)
-    evals += rows.shape[0]
-    k = int(np.argmax(lo))
-    y_pl = gc.to_plfunction(rows[k])
-    exact = d_norm(ctx, lin_comb(1.0, x, 1.0, y_pl)).lo
-    return {
-        "best": float(exact),
-        "witness": y_pl,
-        "members": int(rows.shape[0]),
-        "evaluations": evals,
     }
 
 

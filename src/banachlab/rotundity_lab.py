@@ -400,20 +400,20 @@ def local_octahedral_witness(
     x: PLFunction,
     epsilon: float,
     budget: int,
-    seed: int,
 ) -> PLFunction:
     """Find y on the sphere with both ‖x ± y‖ certified above 2 − ε.
 
-    The seed is x modulated by a zigzag finer than the deepest stored
-    interval: both signs of x are matched near every seminorm maximizer,
-    so each ‖x±y‖_n approaches 2‖x‖_n.  Random refinement follows.
+    y is x modulated by a zigzag finer than the deepest stored interval:
+    both signs of x are matched near every seminorm maximizer, so each
+    ‖x±y‖_n approaches 2‖x‖_n.  Zigzags of 1/4, 1/8 and 1/16 of the
+    shortest stored interval are tried in turn, 3 norm evaluations each,
+    until the budget is spent; nothing is drawn at random.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError("epsilon must be finite and positive")
     sphere_norm(ctx, x)
     lo, hi = ctx.interval_bounds
     min_len = float(np.min(hi - lo))
-    rng = np.random.default_rng(seed)
     best_y = None
     best_val = -np.inf
     evals = 0

@@ -33,6 +33,7 @@ from .d_norm import (
     conservative_value,
     d_norm,
     dirac_dual_norm,
+    dual_norm,
     into_unit_ball,
     seminorms_all,
     sup_norm_bounds,
@@ -45,7 +46,7 @@ from .errors import (
     SamplingError,
     WitnessNotFoundError,
 )
-from .gridsearch import GridContext, maximize_linear_functional
+from .gridsearch import GridContext
 
 #: largest cross-term slack `small_diameter_combo` certifies
 COMBO_MAX_SLACK = 1.0
@@ -57,7 +58,7 @@ class SliceSpec:
 
     Membership divides by the bracket's hi, so only certified members pass.
     A bracket from the dual-norm program may bring the witness of its lower
-    end, which a diameter's members then perturb without solving it again.
+    end, which `anchor` then returns without solving the program again.
     """
 
     functional: Measure
@@ -79,6 +80,21 @@ class SliceSpec:
         """Membership of ball points with ∫x dm = raw (a float or an array):
         raw / ‖m‖*.hi > 1 − ε, which only certified members pass."""
         return raw / self.functional_norm.hi > 1.0 - self.epsilon
+
+    def anchor(self, ctx: DNormContext) -> PLFunction:
+        """The norming element a diameter's members perturb: the witness the
+        spec was built with, else the norming bump of one isolated atom,
+        signed like its weight, else the dual-norm program's witness."""
+        if self.witness is not None:
+            return self.witness
+        m = self.functional
+        if len(m.atoms) == 1 and m.density is None:
+            t, w = m.atoms[0]
+            try:
+                return norming_bump(ctx, t).scaled(math.copysign(1.0, w))
+            except DomainError:
+                pass
+        return dual_norm(ctx, m).witness
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +124,6 @@ def norming_bump(ctx: DNormContext, t: float) -> PLFunction:
     xs = np.array(sorted(pts))
     ys = np.array([pts[x] for x in xs])
     return PLFunction(xs, ys)
-
-
-def dirac_anchor(ctx: DNormContext, m: Measure) -> PLFunction | None:
-    """The norming bump of a one-atom functional, signed like its weight.
-
-    None for any other functional, or when the atom has no isolation margin.
-    """
-    if len(m.atoms) != 1 or m.density is not None:
-        return None
-    t, w = m.atoms[0]
-    try:
-        return norming_bump(ctx, t).scaled(math.copysign(1.0, w))
-    except DomainError:
-        return None
 
 
 def norming_functional(ctx: DNormContext, x: PLFunction) -> Measure:
@@ -644,23 +646,14 @@ def _slice_member_matrix(
     S: SliceSpec,
     count: int,
     seed: int,
-    anchor_v: np.ndarray | None = None,
+    anchor_v: np.ndarray,
 ):
     """Sample certified slice members as grid rows; returns (matrix, evals).
 
-    Members perturb an anchor row.  Without one, a one-atom functional is
-    anchored at its norming bump and any other at the dual-norm program's
-    witness, S's own if it has one, sampled on the grid; the one rescale
-    below counts as the anchor's evaluation."""
+    Members perturb the anchor row, such as `SliceSpec.anchor` sampled on a
+    grid that refines it; the one rescale below counts as the anchor's
+    evaluation."""
     coeffs = gc.functional_coeffs(S.functional)
-    if anchor_v is None:
-        bump = dirac_anchor(gc.ctx, S.functional)
-        if bump is not None:
-            anchor_v = gc.sample_function(bump)
-        elif S.witness is not None:
-            anchor_v = gc.sample_function(S.witness)
-        else:
-            anchor_v = maximize_linear_functional(gc, S.functional)
     anchor_v = gc.rescale_to_ball(anchor_v)[0]
     evals = 1
     members = []
@@ -753,21 +746,16 @@ def diameter_lower_bound(
     else:
         raise DomainError(f"unknown set spec {set_spec!r}")
 
-    # the norming bump of each atom, signed like its weight: the grid
-    # refines them all, and a one-atom slice's members perturb its bump
-    bumps = [[dirac_anchor(ctx, Measure.dirac(t, w)) for t, w in s.functional.atoms] for s in sets]
-    gc = GridContext(
-        ctx, *(s.functional for s in sets), *(b for row in bumps for b in row if b is not None),
-        grid_cells=grid_cells,
-    )
+    # each slice's members perturb its anchor, and the grid refines the
+    # anchors, so they are sampled exactly
+    anchors = [s.anchor(ctx) for s in sets]
+    gc = GridContext(ctx, *(s.functional for s in sets), *anchors, grid_cells=grid_cells)
 
     per_slice = max(8, min(64, budget // (4 * len(sets))))
     evals = 0
     component_members = []
-    for j, (s, row) in enumerate(zip(sets, bumps)):
-        one = len(row) == 1 and row[0] is not None and s.functional.density is None
-        anchor_v = gc.sample_function(row[0]) if one else None
-        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j, anchor_v)
+    for j, (s, a) in enumerate(zip(sets, anchors)):
+        rows, used = _slice_member_matrix(gc, s, per_slice, seed + 101 * j, gc.sample_function(a))
         evals += used
         component_members.append(rows)
 
@@ -799,7 +787,12 @@ def diameter_lower_bound(
         cand_a = gc.rescale_to_ball(best_a + scale * direction)[0]
         cand_b = gc.rescale_to_ball(best_b - scale * direction)[0]
         evals += 2
-        if all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b)):
+        ok = all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b))
+        if ok and shell_tau is not None:
+            c_lo, _ = gc.enclosures(np.vstack([cand_a, cand_b]))
+            evals += 2
+            ok = bool(np.all(c_lo >= 1.0 - shell_tau))
+        if ok:
             d_lo, _ = gc.enclosures((cand_a - cand_b)[None, :])
             evals += 1
             if float(d_lo[0]) > best:

@@ -88,11 +88,12 @@ class TestBasics:
              "--eps", "0.45", "--delta", "0.1"],
             ["subslice", "--measure", "{dir}/dirac_half.json", "--fn", "{dir}/one.json",
              "--eps", "0.3", "--delta", "0.1"],
+            ["octa-local", "--fn", "{dir}/one_unit.json", "--eps", "0.1"],
         ],
     )
     def test_seed_optional_where_nothing_is_sampled(self, files, argv, tmp_path):
-        # neither the ‖m‖* bracket, the flip witness nor the subslice draws a
-        # random number
+        # neither the ‖m‖* bracket, the flip witness, the subslice nor the
+        # zigzags of octa-local draw a random number
         argv = [a.replace("{dir}", str(files)) for a in argv]
         results = []
         for seed in ([], ["--seed", "7"]):
@@ -509,24 +510,24 @@ LEBESGUE = {"atoms": [], "density": {"breakpoints": [0, 1], "values": [1, 1]}}
 
 
 class TestOneDualNormSolve:
-    # a non-dirac slice's members perturb the witness of its own bracket;
-    # the reports are the bytes of the two-solve path at the default --budget
+    # a non-dirac slice's members perturb the witness of its own bracket,
+    # which the member grid refines; `SliceSpec.anchor` solves nothing again
     @pytest.mark.parametrize("spec,solves,results", [
         ({"kind": "slice", "eps": 0.02, "measure": LEBESGUE}, 1,
-         b'"results":{"evaluations":2177,"feasible_samples":64,"value":1.9952517170817303}'),
+         b'"results":{"evaluations":2177,"feasible_samples":64,"value":1.9952517170815236}'),
         ({"kind": "combo", "slices": [{"eps": 0.3, "measure": LEBESGUE},
                                       {"eps": 0.3, "measure": {"atoms": [{"t": 0, "w": 1}, {"t": 1, "w": -1}]}}]},
-         2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448756402512}'),
+         2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448748534009}'),
     ])
     def test_diam_solves_each_slice_once(self, tmp_path, monkeypatch, spec, solves, results):
-        from banachlab import gridsearch
+        from banachlab import gridsearch, slice_lab
 
         d_norm = sys.modules["banachlab.d_norm"]  # the package exports d_norm()
         calls = []
         solve = d_norm.dual_norm
         counted = lambda *a, **k: calls.append(a[1]) or solve(*a, **k)
-        monkeypatch.setattr(d_norm, "dual_norm", counted)
-        monkeypatch.setattr(gridsearch, "dual_norm", counted)
+        for module in (d_norm, gridsearch, slice_lab):
+            monkeypatch.setattr(module, "dual_norm", counted)
         (tmp_path / "set.json").write_text(json.dumps(spec))
         out = tmp_path / "d.json"
         assert run(["--seed", "1", "diam", "--set", str(tmp_path / "set.json")], out) == 0

@@ -201,8 +201,7 @@ def ref_require_unit(ctx, x, tol=0.05):
 
 
 def ref_in_ball(ctx, x):
-    """The ball test tent_flip_witness and daugavet_slice_test spelled
-    out before ball_norm."""
+    """The ball test tent_flip_witness spelled out before ball_norm."""
     return not d_norm(ctx, x).hi > 1.0 + 1e-9
 
 

@@ -14,11 +14,10 @@ from banachlab.operator_lab import (
     NORM_BUDGET,
     Rank1Projection,
     c0_model_control,
-    daugavet_slice_test,
     i_minus_p_norm_lower,
     ld2p_plus_projection_check,
 )
-from banachlab.slice_lab import SliceSpec, norming_bump
+from banachlab.slice_lab import norming_bump
 
 from conftest import random_pl
 
@@ -183,17 +182,3 @@ class TestC0Control:
         with pytest.raises(DomainError):
             c0_model_control(2, 1.5)
 
-
-class TestDaugavet:
-    def test_member_of_slice_reaches_two(self, ctx8):
-        S = SliceSpec(Measure.dirac(0.5), dirac_dual_norm(ctx8, 0.5), 0.3)
-        one = PLFunction.constant(1.0)
-        rep = daugavet_slice_test(ctx8, one, S, budget=800, seed=13)
-        assert rep["best"] > 2.0 - S.epsilon
-
-    def test_adversarial_recorded_only(self, ctx8):
-        # x concentrated far from the slice functional: value recorded
-        S = SliceSpec(Measure.dirac(0.0), dirac_dual_norm(ctx8, 0.0), 0.1)
-        x = norming_bump(ctx8, 1.0)
-        rep = daugavet_slice_test(ctx8, x, S, budget=800, seed=14)
-        assert 0.0 < rep["best"] <= 2.0 + 1e-9

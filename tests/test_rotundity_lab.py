@@ -48,7 +48,7 @@ class TestCertificate:
         with pytest.raises(DomainError):
             mlur_certificate(ctx8, PLFunction.constant(1.0), eps)
         with pytest.raises(DomainError):
-            local_octahedral_witness(ctx8, PLFunction.constant(1.0), eps, budget=10, seed=0)
+            local_octahedral_witness(ctx8, PLFunction.constant(1.0), eps, budget=10)
         if eps != 0.0:  # the modulus at 0 is 0
             with pytest.raises(DomainError):
                 mlur_modulus(ctx8, PLFunction.constant(1.0), eps, budget=10, seed=0)
@@ -284,18 +284,18 @@ def ref_rigidity_gap(u, v):
 class TestOctahedral:
     def test_constant_witness(self, ctx8):
         one = PLFunction.constant(1.0)
-        y = local_octahedral_witness(ctx8, one, 0.25, budget=100, seed=6)
+        y = local_octahedral_witness(ctx8, one, 0.25, budget=100)
         assert d_norm(ctx8, lin_comb(1.0, one, 1.0, y)).lo > 1.75
         assert d_norm(ctx8, lin_comb(1.0, one, -1.0, y)).lo > 1.75
 
     def test_tent_witness(self, ctx8):
         x = unit(ctx8, PLFunction.tent())
-        y = local_octahedral_witness(ctx8, x, 0.3, budget=100, seed=7)
+        y = local_octahedral_witness(ctx8, x, 0.3, budget=100)
         assert d_norm(ctx8, lin_comb(1.0, x, 1.0, y)).lo > 1.7
 
     def test_trivial_threshold(self, ctx8):
         one = PLFunction.constant(1.0)
-        y = local_octahedral_witness(ctx8, one, 2.0, budget=10, seed=8)
+        y = local_octahedral_witness(ctx8, one, 2.0, budget=10)
         assert d_norm(ctx8, y).hi <= 1.0 + 1e-9
 
     def test_gap_probe_rejects_equal(self, ctx8):

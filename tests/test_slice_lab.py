@@ -20,6 +20,7 @@ from banachlab.d_norm import (
     dirac_dual_norm,
     dual_norm,
     functional_bracket,
+    functional_bracket_witness,
 )
 from banachlab.errors import CertificateFailure, DomainError, ParameterError, SamplingError
 from banachlab.gridsearch import GridContext
@@ -456,6 +457,26 @@ class TestDiameter:
         big = diameter_lower_bound(ctx8, SliceSet(lam_slice), budget=2400, seed=7)
         assert big.value >= small.value - 1e-12
 
+    @pytest.mark.parametrize("budget", [0, 500, 2000, 5000])
+    @pytest.mark.parametrize("levels", [2, 4, 8])
+    def test_pair_members_reverify(self, levels, budget):
+        # the refinement loop runs from a budget of about 2040; at levels 2
+        # its pushed-apart shell pair used to fall below 1 − τ
+        ctx = DNormContext(build_leveled(1, levels=levels))
+        leb = Measure.lebesgue()
+        enc, witness = functional_bracket_witness(ctx, leb, 2000)
+        dirac = SliceSpec(Measure.dirac(0.0), dirac_dual_norm(ctx, 0.0), 0.9)
+        lebesgue = SliceSpec(leb, enc, 0.3, witness)
+        sets = [SliceSet(dirac), ShellSliceSet(dirac, 0.01),
+                SliceSet(lebesgue), ShellSliceSet(lebesgue, 0.2)]
+        for spec in sets:
+            est = diameter_lower_bound(ctx, spec, budget, 1)
+            tau = getattr(spec, "tau", 1.0)
+            for p in est.pair:
+                e = d_norm(ctx, p)
+                assert spec.slice.value(p) > 1.0 - spec.slice.epsilon
+                assert e.hi <= 1.0 and e.lo >= 1.0 - tau
+
     def test_shell_set(self, ctx8, lam_slice):
         est = diameter_lower_bound(
             ctx8, ShellSliceSet(lam_slice, tau=0.5), budget=1500, seed=8
@@ -515,12 +536,13 @@ ANCHOR_MEASURES = {
     "density": Measure((), PLFunction(np.array([0.0, 0.3, 1.0]), np.array([0.5, 2.0, 1.0]))),
     "two_atoms": Measure(((0.0, 1.0), (1.0, 0.7))),
     "mixture": _mixture(),
+    "rising": Measure((), PLFunction(np.array([0.0, 1.0]), np.array([-1.0, 1.0]))),
 }
 
 
 class TestSliceAnchor:
     """A slice whose functional is not one isolated atom is anchored at the
-    dual-norm program's witness, sampled on the member grid."""
+    dual-norm program's witness, which the member grid refines."""
 
     @pytest.fixture(scope="class")
     def contexts(self, ctx8):
@@ -530,19 +552,32 @@ class TestSliceAnchor:
     @pytest.mark.parametrize("levels", [8, 12])
     @pytest.mark.parametrize("name", list(ANCHOR_MEASURES))
     def test_anchor_nearly_norms_the_functional(self, contexts, levels, cells, name):
-        from banachlab.gridsearch import GridContext
-        from banachlab.slice_lab import _slice_member_matrix
-
         ctx, m = contexts[levels], ANCHOR_MEASURES[name]
         br = dual_norm(ctx, m)
         # ε = 0.45 admits the anchor, so it is the first member
         S = SliceSpec(m, br.as_enclosure(), 0.45)
-        gc = GridContext(ctx, m, grid_cells=cells)
-        rows, evals = _slice_member_matrix(gc, S, 8, 1)
+        anchor = S.anchor(ctx)
+        gc = GridContext(ctx, m, anchor, grid_cells=cells)
+        rows, evals = _slice_member_matrix(gc, S, 8, 1, gc.sample_function(anchor))
         assert d_norm(ctx, gc.to_plfunction(rows[0])).hi <= 1.0
-        assert integrate(gc.to_plfunction(rows[0]), m) >= 0.995 * br.lower
+        # sampled exactly, the witness loses only the rescale into the ball
+        assert integrate(gc.to_plfunction(rows[0]), m) >= (1.0 - 1e-5) * br.lower
         # one evaluation for the anchor, then 8 per sampling round
         assert (evals - 1) % 8 == 0
+
+    def test_anchor_order(self, ctx8):
+        # the spec's own witness, else a signed bump, else the program's witness
+        leb = ANCHOR_MEASURES["lebesgue"]
+        br = dual_norm(ctx8, leb)
+        given = SliceSpec(leb, br.as_enclosure(), 0.3, PLFunction.constant(0.5))
+        assert given.anchor(ctx8) is given.witness
+        atom = SliceSpec(Measure.dirac(0.5, -2.0), Enclosure(2.0, 2.5), 0.3)
+        bump = norming_bump(ctx8, 0.5)
+        assert np.array_equal(atom.anchor(ctx8).values, -bump.values)
+        off = Measure.dirac(0.3)  # not isolated: no bump, so the program
+        br = dual_norm(ctx8, off)
+        S = SliceSpec(off, br.as_enclosure(), 0.3)
+        assert np.array_equal(S.anchor(ctx8).values, br.witness.values)
 
     @pytest.mark.parametrize(
         "name,eps",
@@ -556,3 +591,17 @@ class TestSliceAnchor:
         S = SliceSpec(m, dual_norm(ctx8, m).as_enclosure(), eps)
         est = diameter_lower_bound(ctx8, SliceSet(S), budget=2000, seed=1)
         assert 0.0 < est.value <= 2.0
+
+    @pytest.mark.parametrize(
+        "name,eps",
+        [(name, eps) for name in ("lebesgue", "density", "mixture") for eps in (0.01, 0.02, 0.05)]
+        + [("rising", 0.01)],
+    )
+    def test_thin_slices_at_i2_have_members(self, name, eps):
+        # the witness interpolated onto 512 uniform cells fell out of these
+        # slices; sampled exactly on a grid that refines it, it stays in
+        ctx = DNormContext(build_leveled(2, levels=6))
+        m = ANCHOR_MEASURES[name]
+        enc, witness = functional_bracket_witness(ctx, m, 2000)
+        est = diameter_lower_bound(ctx, SliceSet(SliceSpec(m, enc, eps, witness)), 2000, 1)
+        assert 1.98 < est.value <= 2.0

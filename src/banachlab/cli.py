@@ -8,7 +8,9 @@ inequality fails re-verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import time
 
@@ -71,6 +73,7 @@ STOCHASTIC = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="banachlab", description=__doc__)
     p.add_argument("--base", default="leveled:i=1,levels=8", help="base spec string")
@@ -135,6 +138,20 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--m", type=int, default=8)
     s.add_argument("--eps", type=float, default=0.3)
     return p
+
+
+@functools.lru_cache(maxsize=8)
+def _context(spec: str) -> DNormContext:
+    """A built-in base's context, built once per process: all it caches
+    depends on the frozen base alone."""
+    return DNormContext(parse_base_spec(spec))
+
+
+def _base_context(spec: str) -> DNormContext:
+    # a custom:@file base is read again on every call: the file may change
+    if spec.partition(":")[0].strip().lower() == "custom":
+        return DNormContext(parse_base_spec(spec))
+    return _context(spec)
 
 
 def _parse_schedule(spec: str) -> ExponentSchedule:
@@ -207,9 +224,9 @@ def _set_from_json(ctx, path: str, budget: int):
 
 def _run(args) -> tuple[dict | str, str]:
     """Returns (report payload or CSV text, format)."""
-    ctx = DNormContext(parse_base_spec(args.base))
-    if not args.tol > 0.0:  # nan compares false
-        raise ConfigError("--tol must be positive")
+    ctx = _base_context(args.base)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError("--tol must be finite and positive")
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be non-negative")
     if args.budget < 0:
@@ -269,8 +286,7 @@ def _run(args) -> tuple[dict | str, str]:
             "evaluations": est.evaluations,
         }
     elif args.cmd == "combo-diam":
-        base = parse_base_spec(f"leveled:i={args.i},levels={args.levels}")
-        cctx = DNormContext(base)
+        cctx = _context(f"leveled:i={args.i},levels={args.levels}")
         slices, bound, cert = small_diameter_combo(
             cctx, args.i, eta=args.eta, budget=args.budget, seed=seed
         )

@@ -292,10 +292,11 @@ def mlur_modulus(
     Candidates rescale radially onto the sphere of radius ε; the reported
     number is the best objective found, an upper bound on the modulus.
     With norm="sup" the same search runs in the max-norm as a control,
-    where flat perturbations away from maximizers drive it to 0.
+    where flat perturbations away from maximizers drive it to 0.  ε lies
+    in [0, 2], the diameter of the unit ball.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError("epsilon must be finite and nonnegative")
+    if not 0.0 <= epsilon <= 2.0:  # nan compares false
+        raise DomainError("epsilon must lie in [0, 2]")
     if budget < 1:
         raise DomainError("budget must be >= 1")
     if epsilon == 0.0:

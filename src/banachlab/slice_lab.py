@@ -294,8 +294,8 @@ def tent_flip_witness(
         raise DomainError("delta_target must be smaller than the slice epsilon")
     if eta is None:
         eta = (eps - delta) / 2.0
-    if eta <= 0.0:
-        raise DomainError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError("eta must be finite and positive")
     xe = ball_norm(ctx, x)
     if not xe.lo > 1.0 - delta:
         raise DomainError(f"norm lower bound {xe.lo} fails > 1-delta={1.0 - delta}")

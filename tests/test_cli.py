@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from banachlab import cli, reports
 from banachlab.cli import dispatch
 from banachlab.core_model import Measure, PLFunction, dump_function, dump_measure
 from banachlab.d_norm import DNormContext, d_norm
-from banachlab.neighborhood_base import build_leveled
+from banachlab.neighborhood_base import build_leveled, parse_base_spec
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +139,15 @@ class TestBadInputs:
             ["--tol", "0", "nested", "--op", "product"],
             ["--tol=-1e-3", "nested", "--op", "product"],
             ["--tol", "nan", "nested", "--op", "product"],
+            ["--tol", "inf", "nested", "--op", "product"],
             ["nested", "--p", "geometric:base=1.001,count=10001", "--op", "product"],
             ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps=nan"],
             ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps=inf"],
             ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one.json", "--eps=nan"],
             ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one.json", "--eps=inf"],
+            # above 1e154 the rescaled candidates overflowed into "inf"
+            ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one_unit.json", "--eps", "1e200"],
+            ["--seed", "1", "mlur-modulus", "--fn", "{dir}/one_unit.json", "--eps", "3"],
             ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=nan"],
             ["--seed", "1", "octa-local", "--fn", "{dir}/one.json", "--eps=inf"],
             ["norm", "--fn", "{dir}/list.json"],
@@ -185,6 +190,14 @@ class TestBadInputs:
         assert run([a.replace("{dir}", str(files)) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_named(self, files, eta, capsys):
+        # a nan eta used to spend the flip's whole iteration cap
+        assert run(["slice-witness", "--measure", str(files / "dirac_half.json"),
+                    "--fn", str(files / "one.json"), "--eps", "0.3", "--delta", "0.15",
+                    "--eta", eta]) == 1
+        assert capsys.readouterr().err == "error: eta must be finite and positive\n"
 
     def test_subslice_without_a_containing_mix(self, files, tmp_path, capsys):
         # x = 0.8·(unit-norm bump at 0.5) has slice value 0.8 > 1 − 0.3, but
@@ -504,6 +517,55 @@ class TestDeterminism:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pair_index,distance_lo"
         assert len(lines) > 1
+
+
+class TestInProcessCache:
+    """dispatch builds its parser and each leveled base's context once per
+    process; no report depends on what an earlier call left cached."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--base", "leveled:i=2,levels=6", "norm", "--fn", "{dir}/tent.json"],
+        ["--seed", "1", "--budget", "300", "dual-norm", "--measure", "{dir}/leb.json"],
+        ["--seed", "9", "--budget", "400", "diam", "--set", "{dir}/sliceset.json"],
+        ["--seed", "7", "--budget", "300", "combo-diam", "--i", "2", "--levels", "6"],
+    ])
+    def test_cold_warm_and_fresh_process_agree(self, files, tmp_path, argv):
+        argv = [a.replace("{dir}", str(files)) for a in argv]
+        cli._context.cache_clear()
+        outs = []
+        for name in ("cold.json", "warm.json"):
+            assert run(argv, tmp_path / name) == 0
+            outs.append((tmp_path / name).read_bytes())
+        assert cli._context.cache_info().hits >= 1
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = tmp_path / "fresh.json"
+        subprocess.run([sys.executable, "-m", "banachlab.cli", "--out", str(fresh), *argv],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert outs[0] == outs[1] == fresh.read_bytes()
+
+    def test_custom_base_is_read_on_every_call(self, files, tmp_path):
+        path = tmp_path / "base.json"
+        spec = f"custom:@{path}"
+        results = []
+        for right in (1.0, 0.25):
+            path.write_text(json.dumps([{"left": 0.0, "right": right}]))
+            out = tmp_path / "n.json"
+            assert run(["--base", spec, "norm", "--fn", str(files / "tent.json")], out) == 0
+            enc = d_norm(DNormContext(parse_base_spec(spec)), PLFunction.tent())
+            results.append(json.loads(out.read_text())["results"])
+            assert results[-1] == {"lo": enc.lo, "hi": enc.hi, "tolerance_met": True}
+        assert results[0] != results[1]
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_failing_spec_fails_every_time(self, files, capsys):
+        size = cli._context.cache_info().currsize
+        for _ in range(2):
+            assert run(["--base", "leveled:i=0,levels=8", "norm", "--fn", str(files / "one.json")]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert cli._context.cache_info().currsize == size
 
 
 LEBESGUE = {"atoms": [], "density": {"breakpoints": [0, 1], "values": [1, 1]}}

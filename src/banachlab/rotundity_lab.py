@@ -7,12 +7,15 @@ seminorm premise ‖x±y‖_m ≤ ‖x‖_m + ε into the uniform conclusion
 counterexamples, and refutes each sample y with sup|y| > 2ε at the node k
 where |y| peaks, against the first cover interval m whose closure holds k.
 As |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|, no sample survives that
-node on a verified certificate.  The remaining operations are seeded
+node on a verified certificate.  The scan draws its next chunk of samples
+on a second thread while it screens the current one; the samples are those
+of a one-thread draw, bit for bit.  The remaining operations are seeded
 searches that report what they achieve.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -139,42 +142,50 @@ def mlur_adversarial_search(
     """Hunt for a premise-true, conclusion-false perturbation.
 
     Candidates live on a shared grid refining x's breakpoints, so premise
-    seminorms are exact.  Samples come from `_adversarial_blocks`: noise and
-    wave samples as full node rows, bump and plateau samples (half the draw)
-    as hat parameters.  A sample with sup|y| ≤ 2ε meets the conclusion.  Any
-    other is refuted at the node k where |y| peaks: k lies in the closure of
-    cover interval m, the first one listed that holds it, so the premise
-    asks max(|x(k) + y(k)|, |x(k) − y(k)|) ≤ ‖x‖_m + ε, with the bits the
-    exact path gets there.  A certificate that passes `verify` leaves no
-    survivor, as |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|; a survivor of
-    a forged bound or cover gets its full row and an exact check.
+    seminorms are exact.  Samples are drawn 1024 at a time by `_draw_chunk`,
+    the next chunk on a second thread while this one is screened, so they
+    are those of a one-thread draw, bit for bit; no draw thread outlives the
+    call.  `_adversarial_blocks` gives noise and wave samples as full node
+    rows, bump and plateau samples (half the draw) as hat parameters.  A
+    sample with sup|y| ≤ 2ε meets the conclusion.  Any other is refuted at
+    the node k where |y| peaks: k lies in the closure of cover interval m,
+    the first one listed that holds it, so the premise asks
+    max(|x(k) + y(k)|, |x(k) − y(k)|) ≤ ‖x‖_m + ε, with the bits the exact
+    path gets there.  A certificate that passes `verify` leaves no survivor,
+    as |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|; a survivor of a forged
+    bound or cover gets its full row and an exact check.
     """
     nodes = grid_nodes(grid_cells, cert.x)
-    vx = cert.x.eval(nodes)
-    lo, hi, allowed = cert.cover_arrays
-    # the premise bounds no node outside the cover: +inf sends its samples
-    # to the exact check
-    limit = np.append(allowed, np.inf)[_holders(nodes, lo, hi)]
-
     rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
     chunk = 1024  # samples drawn at once; this fixes the stream of samples
-    scanned = 0
+    sizes = [min(chunk, samples - a) for a in range(0, samples, chunk)]
+    # only the draw threads touch rng, one at a time, in chunk order
+    draw = _ChunkDraw(rng, nodes.size, sizes[0], eps2) if sizes else None
     counterexamples = 0
     survivors_checked = 0
-    while scanned < samples:
-        m = min(chunk, samples - scanned)
-        scanned += m
-        for rows in _adversarial_blocks(rng, nodes, m, eps2):
-            cands, k, y = rows.peaks(eps2)
-            keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= limit[k]
-            for row in cands[keep]:
-                survivors_checked += 1
-                app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
-                if app.premise and not app.conclusion:
-                    counterexamples += 1
+    try:
+        vx = cert.x.eval(nodes)
+        lo, hi, allowed = cert.cover_arrays
+        # the premise bounds no node outside the cover: +inf sends its
+        # samples to the exact check
+        limit = np.append(allowed, np.inf)[_holders(nodes, lo, hi)]
+        for j in range(len(sizes)):
+            draws = draw.result()
+            draw = _ChunkDraw(rng, nodes.size, sizes[j + 1], eps2) if j + 1 < len(sizes) else None
+            for rows in _adversarial_blocks(draws, nodes):
+                cands, k, y = rows.peaks(eps2)
+                keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= limit[k]
+                for row in cands[keep]:
+                    survivors_checked += 1
+                    app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
+                    if app.premise and not app.conclusion:
+                        counterexamples += 1
+    finally:
+        if draw is not None:
+            draw.join()
     return {
-        "scanned": scanned,
+        "scanned": sum(sizes),
         "counterexamples": counterexamples,
         "survivors_full_checked": survivors_checked,
     }
@@ -187,41 +198,68 @@ def _holders(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(held.any(axis=1), np.argmax(held, axis=1), lo.size)
 
 
-def _adversarial_blocks(rng, nodes, m, eps2):
-    """Mixture of near-threshold bumps, plateaus and noise, sized around 2ε:
-    m samples drawn at once, yielded as `_ScanRows` of SCAN_BLOCK_ROWS each.
-    Only noise and wave samples get full rows, built one block at a time."""
+class _ChunkDraw(threading.Thread):
+    """`_draw_chunk` run on a thread of its own; `result` joins it and hands
+    the draws over, or raises what the draw raised."""
+
+    def __init__(self, rng, n, m, eps2):
+        super().__init__(daemon=True)
+        self._draw_args = (rng, n, m, eps2)
+        self._error = None
+        self.start()
+
+    def run(self):
+        try:
+            self._draws = _draw_chunk(*self._draw_args)
+        except BaseException as exc:  # re-raised by the caller in result()
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._draws
+
+
+def _draw_chunk(rng, n, m, eps2):
+    """Every draw of m scan samples on n nodes, in stream order: a mixture of
+    near-threshold bumps, plateaus and noise, sized around 2ε.  Numpy only."""
     kind = rng.integers(0, 4, m)
     centers = rng.uniform(0.0, 1.0, m)
     widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.3), m))
     amps = eps2 * rng.uniform(0.8, 1.6, m)
     signs = rng.choice([-1.0, 1.0], m)
-    noisy = kind == 2
-    noise = 0.2 * eps2 * rng.standard_normal((int(noisy.sum()), nodes.size))
-    smooth = kind == 3
-    wave = np.empty((0, nodes.size))
-    if np.any(smooth):
-        xs = np.linspace(0.0, 1.0, 33)
-        coarse = rng.standard_normal((int(smooth.sum()), 33))
-        # linear interpolation of all rows at once, in place
-        pos, th = _kernels.locate(xs, nodes)
-        wave = _kernels.blend(coarse[:, pos], coarse[:, pos + 1], th)
-        wave *= amps[smooth][:, None]
+    noise = 0.2 * eps2 * rng.standard_normal((int(np.sum(kind == 2)), n))
+    coarse = rng.standard_normal((int(np.sum(kind == 3)), 33))
+    return kind, centers, widths, amps, signs, noise, coarse
+
+
+def _adversarial_blocks(draws, nodes):
+    """The samples of one `_draw_chunk`, yielded as `_ScanRows` of
+    SCAN_BLOCK_ROWS each.  Only noise and wave samples get full rows, built
+    one block at a time."""
+    kind, centers, widths, amps, signs, noise, coarse = draws
+    noisy, smooth = kind == 2, kind == 3
+    pos, th = _kernels.locate(np.linspace(0.0, 1.0, 33), nodes)
     sa = signs * amps
-    # noisy (smooth) samples before each sample: their rows in noise (wave)
+    wave_amps = amps[smooth][:, None]
+    # noisy (smooth) samples before each sample: their rows in noise (coarse)
     noise_row = np.concatenate([[0], np.cumsum(noisy)])
     wave_row = np.concatenate([[0], np.cumsum(smooth)])
     # the node each column reads: the end columns repeat their neighbours
     # (on a two-node grid both read node 1)
     col_nodes = nodes[np.maximum(np.minimum(np.arange(nodes.size), nodes.size - 2), 1)]
-    for a in range(0, m, SCAN_BLOCK_ROWS):
-        b = min(a + SCAN_BLOCK_ROWS, m)
+    for a in range(0, kind.size, SCAN_BLOCK_ROWS):
+        b = min(a + SCAN_BLOCK_ROWS, kind.size)
         nz = noisy[a:b]
         k = noise_row[b] - noise_row[a]
-        out = np.empty((k + wave_row[b] - wave_row[a], nodes.size))
+        w = slice(wave_row[a], wave_row[b])
+        out = np.empty((k + w.stop - w.start, nodes.size))
         np.multiply(sa[a:b][nz][:, None], hats(nodes, centers[a:b][nz], widths[a:b][nz]), out=out[:k])
         out[:k] += noise[noise_row[a]:noise_row[b]]
-        out[k:] = wave[wave_row[a]:wave_row[b]]
+        # linear interpolation of the block's coarse rows
+        np.multiply(_kernels.blend(coarse[w][:, pos], coarse[w][:, pos + 1], th), wave_amps[w],
+                    out=out[k:])
         out[:, 0] = out[:, 1]
         out[:, -1] = out[:, -2]
         yield _ScanRows(col_nodes, kind[a:b], sa[a:b], centers[a:b], widths[a:b], out)

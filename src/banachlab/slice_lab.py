@@ -290,8 +290,8 @@ def tent_flip_witness(
     """
     eps = S.epsilon
     delta = float(delta_target)
-    if not delta < eps:
-        raise DomainError("delta_target must be smaller than the slice epsilon")
+    if not 0.0 < delta < eps:  # nan compares false
+        raise DomainError("delta must lie in (0, epsilon)")
     if eta is None:
         eta = (eps - delta) / 2.0
     if not (math.isfinite(eta) and eta > 0.0):
@@ -732,6 +732,8 @@ def diameter_lower_bound(
         weights = [1.0]
         shell_tau = None
     elif isinstance(set_spec, ShellSliceSet):
+        if not 0.0 < set_spec.tau <= 1.0:  # nan compares false
+            raise DomainError("tau must lie in (0, 1]")
         sets = [set_spec.slice]
         weights = [1.0]
         shell_tau = set_spec.tau

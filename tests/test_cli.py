@@ -38,6 +38,10 @@ def files(tmp_path_factory):
         "str_weight.json": {"atoms": [{"t": 0.5, "w": "x"}]},
         "measure_3.json": {"kind": "slice", "measure": 3, "eps": 0.3},
         "str_tau.json": {"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": "q"},
+        # json writes NaN and Infinity, and reads them back
+        "neg_tau.json": {"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": -1},
+        "nan_tau.json": {"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": float("nan")},
+        "inf_tau.json": {"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": float("inf")},
         "no_slices.json": {"kind": "combo", "slices": []},
         # two slices, one weight: the second slice used to be dropped silently
         "one_weight.json": {"kind": "combo", "weights": [1.0],
@@ -184,6 +188,11 @@ class TestBadInputs:
             ["seminorms", "--fn", "{dir}/one.json", "--max-n", "-3"],
             # nan passed the seminorm premise for every pair
             ["rigidity", "--fn", "{dir}/one.json", "--fn2", "{dir}/tent.json", "--pair-tol", "nan"],
+            # a shell's tau outside (0, 1] ended in "fewer than two shell
+            # members sampled", or, above 1, in a report
+            ["--seed", "1", "diam", "--set", "{dir}/neg_tau.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/nan_tau.json"],
+            ["--seed", "1", "diam", "--set", "{dir}/inf_tau.json"],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):
@@ -198,6 +207,22 @@ class TestBadInputs:
                     "--fn", str(files / "one.json"), "--eps", "0.3", "--delta", "0.15",
                     "--eta", eta]) == 1
         assert capsys.readouterr().err == "error: eta must be finite and positive\n"
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0", "-0.1"])
+    def test_delta_outside_the_slice_named(self, files, delta, capsys):
+        # nan and inf were told delta_target must be below epsilon, 0 and
+        # -0.1 that the norm lower bound fails > 1-delta
+        assert run(["--seed", "1", "slice-witness", "--measure", str(files / "dirac_half.json"),
+                    "--fn", str(files / "one.json"), "--eps", "0.3", f"--delta={delta}"]) == 1
+        assert capsys.readouterr().err == "error: delta must lie in (0, epsilon)\n"
+
+    @pytest.mark.parametrize("tau", ["-1", "0", "NaN", "2"])
+    def test_shell_tau_named(self, tmp_path, tau, capsys):
+        # tau 2 reported a diameter, as if every slice member were in the shell
+        spec = tmp_path / "shell.json"
+        spec.write_text(f'{{"kind": "shell", "dirac": 0.5, "eps": 0.3, "tau": {tau}}}')
+        assert run(["--seed", "1", "diam", "--set", str(spec)]) == 1
+        assert capsys.readouterr().err == "error: tau must lie in (0, 1]\n"
 
     def test_subslice_without_a_containing_mix(self, files, tmp_path, capsys):
         # x = 0.8·(unit-norm bump at 0.5) has slice value 0.8 > 1 − 0.3, but

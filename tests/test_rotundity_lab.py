@@ -179,7 +179,7 @@ class TestApply:
         # the smooth kind looks up its coarse cell as floor(32·t); it must
         # agree with pl_eval on the cell edges k/32, just below them, and at 1
         from banachlab.core_model import pl_eval
-        from banachlab.rotundity_lab import _adversarial_blocks
+        from banachlab.rotundity_lab import _adversarial_blocks, _draw_chunk
 
         k32 = np.arange(33) / 32.0
         inner = np.union1d(k32, np.nextafter(k32[1:], 0.0))
@@ -187,8 +187,9 @@ class TestApply:
         # repeat there to keep them among the compared columns
         nodes = np.concatenate([[0.0], inner, [1.0]])
         m, eps2 = 64, 0.2
-        rows = full_rows(_adversarial_blocks(np.random.default_rng(9), nodes, m, eps2))
-        # replay the draws in _adversarial_blocks' order
+        draws = _draw_chunk(np.random.default_rng(9), nodes.size, m, eps2)
+        rows = full_rows(_adversarial_blocks(draws, nodes))
+        # replay the draws in _draw_chunk's order
         rng = np.random.default_rng(9)
         kind = rng.integers(0, 4, m)
         rng.uniform(0.0, 1.0, m)
@@ -443,7 +444,8 @@ def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells):
     counterexamples = 0
     for a in range(0, samples, 1024):
         m = min(1024, samples - a)
-        new = list(rotundity_lab._adversarial_blocks(rng_new, nodes, m, eps2))
+        new = list(rotundity_lab._adversarial_blocks(
+            rotundity_lab._draw_chunk(rng_new, nodes.size, m, eps2), nodes))
         ref = np.vstack(list(ref_adversarial_blocks(rng_ref, nodes, m, eps2)))
         assert full_rows(new).tolist() == ref.tolist()
         peaks = [blk.peaks(eps2) for blk in new]
@@ -527,14 +529,15 @@ def test_lazy_scan_on_a_triple_overlap():
 def test_blocks_match_the_floor_rule_on_random_grids(grid_cells):
     # ref_adversarial_blocks finds a node's coarse cell as floor(32·t)
     from banachlab.gridsearch import grid_nodes
-    from banachlab.rotundity_lab import _adversarial_blocks
+    from banachlab.rotundity_lab import _adversarial_blocks, _draw_chunk
     from conftest import random_pl
 
     rng = np.random.default_rng(grid_cells)
     for _ in range(3):
         nodes = grid_nodes(grid_cells, random_pl(rng, n_interior=int(rng.integers(0, 12))))
         seed = int(rng.integers(1 << 30))
-        got = full_rows(_adversarial_blocks(np.random.default_rng(seed), nodes, 1024, 0.2))
+        draws = _draw_chunk(np.random.default_rng(seed), nodes.size, 1024, 0.2)
+        got = full_rows(_adversarial_blocks(draws, nodes))
         ref = np.vstack(list(ref_adversarial_blocks(np.random.default_rng(seed), nodes, 1024, 0.2)))
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -578,13 +581,115 @@ def test_scan_checks_a_sample_on_the_premise_bound(ctx8, monkeypatch):
     cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.constant(1.0)), 0.1)
     forged = dataclasses.replace(cert, conclusion_bound=0.05)
 
-    def one_plateau(rng, nodes, m, eps2):
+    def one_plateau(draws, nodes):
         kind, sa, centers, widths = np.array([1]), np.array([0.1]), np.array([0.5]), np.array([0.2])
         yield rotundity_lab._ScanRows(nodes, kind, sa, centers, widths, np.empty((0, nodes.size)))
 
     monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", one_plateau)
     rep = mlur_adversarial_search(ctx8, forged, samples=1, seed=0)
     assert rep == {"scanned": 1, "counterexamples": 1, "survivors_full_checked": 1}
+
+
+# -- the draw thread ------------------------------------------------------------
+
+
+def forged_tent(ctx8):
+    import dataclasses
+
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    return dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / 2.0)
+
+
+# (counterexamples, survivors_full_checked) of the one-thread scan at seed 8
+ONE_THREAD_REPORTS = {1: (1, 1), 1023: (148, 314), 1024: (142, 310), 1025: (142, 310),
+                      2049: (293, 613), 3000: (438, 891)}
+
+
+@pytest.mark.parametrize("samples", sorted(ONE_THREAD_REPORTS))
+def test_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples):
+    # the rows the scan itself screens, recorded as it builds them, equal the
+    # full-row generator's on one stream drawn 1024 samples at a time
+    from banachlab import rotundity_lab
+    from banachlab.gridsearch import grid_nodes
+
+    forged = forged_tent(ctx8)
+    blocks = []
+    build = rotundity_lab._adversarial_blocks
+
+    def recording(draws, nodes):
+        for blk in build(draws, nodes):
+            blocks.append(blk)
+            yield blk
+
+    monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", recording)
+    rep = mlur_adversarial_search(ctx8, forged, samples=samples, seed=8)
+    nodes, eps2 = grid_nodes(512, forged.x), forged.conclusion_bound
+    rng = np.random.default_rng(8)
+    ref = np.vstack([blk for a in range(0, samples, 1024)
+                     for blk in ref_adversarial_blocks(rng, nodes, min(1024, samples - a), eps2)])
+    got = full_rows(blocks)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    expect = ONE_THREAD_REPORTS[samples]
+    assert rep == {"scanned": samples, "counterexamples": expect[0],
+                   "survivors_full_checked": expect[1]}
+
+
+def test_a_failed_draw_raises_in_the_caller(ctx8, monkeypatch):
+    import threading
+
+    from banachlab import rotundity_lab
+
+    calls = []
+    draw = rotundity_lab._draw_chunk
+
+    def second_fails(rng, n, m, eps2):
+        calls.append(m)
+        if len(calls) == 2:
+            raise RuntimeError("second draw failed")
+        return draw(rng, n, m, eps2)
+
+    monkeypatch.setattr(rotundity_lab, "_draw_chunk", second_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="second draw failed"):
+        mlur_adversarial_search(ctx8, forged_tent(ctx8), samples=3000, seed=8)
+    assert calls == [1024, 1024]
+    assert threading.active_count() == before
+
+
+def test_a_failed_screen_leaves_no_draw_thread(ctx8, monkeypatch):
+    # the forged bound sends a sample of the first chunk to the exact check,
+    # which raises while the second chunk is being drawn
+    import threading
+
+    from banachlab import rotundity_lab
+
+    def fails(cert, y):
+        raise RuntimeError("exact check failed")
+
+    monkeypatch.setattr(rotundity_lab, "apply_certificate", fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="exact check failed"):
+        mlur_adversarial_search(ctx8, forged_tent(ctx8), samples=3000, seed=8)
+    assert threading.active_count() == before
+
+
+def test_one_draw_thread_per_chunk(ctx8, monkeypatch):
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.tent()), 0.1)
+    rep = mlur_adversarial_search(ctx8, cert, samples=0, seed=8)
+    assert rep == {"scanned": 0, "counterexamples": 0, "survivors_full_checked": 0}
+    assert started == []
+    mlur_adversarial_search(ctx8, cert, samples=3000, seed=8)
+    assert len(started) == 3 and not any(t.is_alive() for t in started)
 
 
 def reorder(cert, perm):

@@ -4,7 +4,9 @@ The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
 piecewise-linear f.  ``searchsorted`` finds the nodes inside each interval,
 and `range_reduce` takes the max of |f| over them from a doubling table,
-built for a block of rows at a time so the table stays in cache.  Only an
+built for a block of rows at a time so the table stays in cache; a caller
+that runs many blocks on one geometry passes a `doubling_workspace` to hold
+every block's table, so none is allocated per block.  Only an
 interval end strictly between two nodes needs an interpolated value: an end
 on a node blends to that node's own value, which the range already holds.
 """
@@ -87,15 +89,26 @@ def off_node_ends(bx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.nonzero(~np.isin(lo, bx))[0], np.nonzero(~np.isin(hi, bx))[0]
 
 
+def _table_depth(geometry) -> int:
+    """Levels of the doubling table of a geometry's ranges."""
+    starts, ends = geometry[:2]
+    return int(np.max(ends - starts, initial=1)).bit_length()
+
+
 def block_rows(g: int, geometry) -> int:
     """Rows per block of `sup_abs_rows` on g breakpoints: the block's
     doubling table fills BLOCK_BYTES."""
-    starts, ends = geometry[:2]
-    depth = int(np.max(ends - starts, initial=1)).bit_length()
-    return max(1, BLOCK_BYTES // (8 * depth * g))
+    return max(1, BLOCK_BYTES // (8 * _table_depth(geometry) * g))
 
 
-def sup_abs_rows(values: np.ndarray, geometry, out=None) -> np.ndarray:
+def doubling_workspace(g: int, geometry) -> np.ndarray:
+    """A (depth, g, block_rows) buffer that holds the doubling table of any
+    block of `sup_abs_rows` on g breakpoints and this geometry; the blocks
+    go through it one after another."""
+    return np.empty((_table_depth(geometry), g, block_rows(g, geometry)))
+
+
+def sup_abs_rows(values: np.ndarray, geometry, out=None, work=None) -> np.ndarray:
     """Exact sup of |f| over each interval of an `interval_geometry`, for each
     float row f of values on its breakpoints: the max of |f| over the
     breakpoints inside, and over the two ends.  No override: an end on a
@@ -107,7 +120,8 @@ def sup_abs_rows(values: np.ndarray, geometry, out=None) -> np.ndarray:
     and that breakpoint lies in the interval, so the range max already
     holds |v|.  A block holding a non-finite value blends every end, since
     v'·0 is NaN there.  Rows go through in blocks whose doubling table
-    fills BLOCK_BYTES, into one C-contiguous (rows, intervals) array, or
+    fills BLOCK_BYTES, or as many as the `doubling_workspace` ``work`` of
+    this geometry holds, into one C-contiguous (rows, intervals) array, or
     into ``out`` of that shape."""
     starts, ends, ka, ta, kb, tb = geometry[:6]
     off = None
@@ -115,13 +129,13 @@ def sup_abs_rows(values: np.ndarray, geometry, out=None) -> np.ndarray:
         ia, ib = geometry[6]
         off = ((ia, ka[ia], ta[ia]), (ib, kb[ib], tb[ib]))
     rows = values.shape[0]
-    block = block_rows(values.shape[1], geometry)
+    block = block_rows(values.shape[1], geometry) if work is None else work.shape[2]
     if out is None:
         out = np.empty((rows, starts.shape[0]))
     for r in range(0, rows, block):
         v = values[r:r + block]
         o = out[r:r + block]
-        interior = range_abs_max(v, starts, ends)
+        interior = range_abs_max(v, starts, ends, work)
         if off is not None and np.isfinite(v).all():
             o[...] = interior
             for i, k, t in off:
@@ -156,9 +170,10 @@ def min_abs_many(bx, by, lo, hi):
     return np.maximum(np.maximum(mn, -mx), 0.0)
 
 
-def range_abs_max(values, starts, ends):
+def range_abs_max(values, starts, ends, work=None):
     """Row-wise max of |values[:, s:e]| for each index range [s, e), where
-    0 <= s and e <= values.shape[1]; 0.0 when e <= s.
+    0 <= s and e <= values.shape[1]; 0.0 when e <= s.  ``work``, as in
+    `range_reduce`.
 
     The 0.0 sentinel is safe because callers combine the result with
     endpoint magnitudes, which are nonnegative.
@@ -166,10 +181,10 @@ def range_abs_max(values, starts, ends):
     values = np.asarray(values, dtype=np.float64)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    return range_reduce(np.maximum, np.abs(values), starts, ends, 0.0)
+    return range_reduce(np.maximum, np.abs(values), starts, ends, 0.0, work)
 
 
-def range_reduce(ufunc, values, starts, ends, empty):
+def range_reduce(ufunc, values, starts, ends, empty, work=None):
     """``ufunc.reduce(values[:, s:e], axis=1)`` per index range [s, e),
     0 <= s and e <= g for the g columns of the 2-D values, or ``empty``
     where e <= s.
@@ -179,12 +194,17 @@ def range_reduce(ufunc, values, starts, ends, empty):
     entries at its ends, which overlap (Bender and Farach-Colton, "The LCA
     Problem Revisited", 2000).  ufunc is np.maximum or np.minimum, which
     round nothing, so the overlap changes no bit.  The table is node-major,
-    so each entry read is one contiguous row of values.T."""
+    so each entry read is one contiguous row of values.T.  It is built in
+    ``work``, a `doubling_workspace` of these ranges that holds this many
+    rows, if given; the entries no range reads keep what they held."""
     rows, g = values.shape
     length = np.maximum(ends - starts, 1)
     level = np.frexp(length)[1] - 1
     depth = int(level.max(initial=0)) + 1
-    table = np.empty((depth, g, rows))
+    if work is None:
+        table = np.empty((depth, g, rows))
+    else:
+        table = work.reshape(-1)[:depth * g * rows].reshape(depth, g, rows)
     table[0] = values.T
     for j in range(1, depth):
         h = 1 << (j - 1)

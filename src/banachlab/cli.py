@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import reports
+from . import _kernels, reports
 from .core_model import (
     Measure,
     function_to_dict,
@@ -30,7 +30,7 @@ from .core_model import (
     measure_from_dict,
     read_json,
 )
-from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket_witness, seminorm
+from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket_witness
 from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
 from .neighborhood_base import parse_base_spec
 from .nested_sum_space import (
@@ -253,7 +253,10 @@ def _run(args) -> tuple[dict | str, str]:
             raise ConfigError("--max-n must be >= 1")
         f = load_function(args.fn)
         top = min(args.max_n, ctx.base.n_max)
-        res = {"values": [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]}
+        # one kernel call for indices 1..top: the bits of d_norm.seminorm at each
+        lo, hi = (b[:top] for b in ctx.base.clamped_bounds)
+        values = _kernels.sup_abs_many(f.breakpoints, f.values, lo, hi)
+        res = {"values": [{"n": n, "value": float(v)} for n, v in enumerate(values, 1)]}
     elif args.cmd == "dual-norm":
         m = load_measure(args.measure)
         br = dual_norm(ctx, m, budget=args.budget)

@@ -7,7 +7,10 @@ exact PL arithmetic.  Seminorms of whole batches go through
 max from a doubling table, plus an interpolation only at the interval ends
 that fall strictly between grid nodes (an end on a node blends to that
 node's value, which the range max already holds), which is what makes
-budgets of 10^4..10^5 norm evaluations cheap.  A slice's anchor, its
+budgets of 10^4..10^5 norm evaluations cheap.  Every block's table is built
+in one workspace that the grid owns, a `_kernels.doubling_workspace` sized
+once from the stored geometry and `_kernels.BLOCK_BYTES`, so a batch of any
+size allocates no table per block.  A slice's anchor, its
 norming element, is no search: `slice_lab.SliceSpec.anchor` names it, and a
 grid built with the anchor among its objects samples it exactly.
 """
@@ -71,12 +74,18 @@ class GridContext:
         return (*_kernels.interval_geometry(self.nodes, *bounds),
                 _kernels.off_node_ends(self.nodes, *bounds))
 
+    @cached_property
+    def _workspace(self) -> np.ndarray:
+        """The doubling table every block of `seminorms` is built in."""
+        return _kernels.doubling_workspace(self.size, self.stored_geometry)
+
     # -- batched norms ---------------------------------------------------
 
     def seminorms(self, v2d: np.ndarray, out=None) -> np.ndarray:
         """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows,
         written into ``out`` if given."""
-        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry, out)
+        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry, out,
+                                     self._workspace)
 
     def enclosures(self, v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Norm enclosure endpoints (lo, hi) for each row."""

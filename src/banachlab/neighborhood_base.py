@@ -165,29 +165,42 @@ class NeighborhoodBase:
         tail = 2.0 ** -self.n_max if self.has_tail else 0.0
         return Enclosure(lo, lo + tail)
 
+    @cached_property
+    def _levels(self) -> dict[int, tuple[int, ...]]:
+        """Each stored level's 1-based indices, ascending, levels ascending:
+        one pass over level_of."""
+        out: dict[int, list[int]] = {}
+        for n, level in enumerate(self.level_of, 1):
+            out.setdefault(level, []).append(n)
+        return {level: tuple(out[level]) for level in sorted(out)}
+
+    @cached_property
+    def _level_covers(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """(longest interval length, indices) of each complete stored level,
+        levels ascending; a partial level cannot be certified as a cover."""
+        return tuple(
+            (max(self.intervals[n - 1].length for n in idx), idx)
+            for level, idx in self._levels.items() if len(idx) == 2 ** level
+        )
+
     def level_indices(self, level: int) -> tuple[int, ...]:
         if self.kind != "leveled":
             raise ConfigError("level_indices requires a leveled base")
-        return tuple(
-            n + 1 for n, l in enumerate(self.level_of) if l == level
-        )
+        return self._levels.get(level, ())
 
     @property
     def stored_levels(self) -> tuple[int, ...]:
         if self.kind != "leveled":
             return ()
-        return tuple(sorted(set(self.level_of)))
+        return tuple(self._levels)
 
     def cover_for(self, delta: float) -> tuple[int, ...]:
         """A stored subfamily covering [0,1] with every length < delta."""
         if delta <= 0.0:
             raise DomainError("delta must be positive")
         if self.kind == "leveled":
-            for level in self.stored_levels:
-                idx = self.level_indices(level)
-                if len(idx) != 2 ** level:
-                    continue  # partial level cannot be certified as a cover
-                if max(self.intervals[n - 1].length for n in idx) < delta:
+            for longest, idx in self._level_covers:
+                if longest < delta:
                     return idx
             needed = 1
             while 2.0 ** -needed + 2.0 * (

@@ -684,18 +684,26 @@ def _slice_member_matrix(
 def _pair_distances(gc: GridContext, rows: np.ndarray):
     """Pairs a < b of the rows and the norm enclosure lo of rows[a] − rows[b].
 
-    The seminorms of one kernel block of differences at a time fill one
-    (pairs, intervals) matrix, squared in place and weighted in one product
-    over the whole matrix: the bits of `GridContext.enclosures`' lo, with no
-    difference matrix and no hi."""
+    One kernel block of differences at a time goes through `gc.seminorms`
+    into one reused block buffer, is squared in place and weighed row by
+    row: each row's product with the weights is one dot product, whose bits
+    are those of the lo² that `d_norm` computes, whatever the block size or
+    the BLAS thread count.  So each distance is `d_norm`'s lo of the
+    difference, and nothing the size of pairs × intervals is built."""
     ia, ib = np.triu_indices(rows.shape[0], k=1)
-    s = np.empty((ia.size, gc.weights.size))
+    lo2 = np.empty(ia.size)
     step = _kernels.block_rows(gc.size, gc.stored_geometry)
+    block = np.empty((min(step, ia.size), gc.weights.size))
+    w = gc.weights[:, None]
     for p in range(0, ia.size, step):
-        q = slice(p, p + step)
-        gc.seminorms(rows[ia[q]] - rows[ib[q]], out=s[q])
-    s *= s
-    return ia, ib, np.sqrt(s @ gc.weights)
+        a, b = ia[p:p + step], ib[p:p + step]
+        s = block[:a.size]
+        gc.seminorms(rows[a] - rows[b], out=s)
+        s *= s
+        # a stack of (1, n) @ (n, 1) products, one dot product per row; it
+        # gives the bits of np.vecdot, which needs numpy 2
+        lo2[p:p + step] = (s[:, None, :] @ w)[:, 0, 0]
+    return ia, ib, np.sqrt(lo2)
 
 
 def diameter_lower_bound(

@@ -74,6 +74,29 @@ class TestBasics:
         rep = json.loads(out.read_text())
         assert len(rep["results"]["values"]) == 4
 
+    @pytest.mark.parametrize("base, max_n", [
+        ("leveled:i=1,levels=8", "32"),
+        ("leveled:i=2,levels=3", "100"),  # above n_max = 28
+        ("custom", "9"),  # above n_max = 3
+    ])
+    def test_seminorms_match_seminorm_per_index(self, files, tmp_path, base, max_n):
+        from banachlab.d_norm import seminorm
+
+        if base == "custom":
+            path = tmp_path / "base.json"
+            path.write_text(json.dumps([{"left": 0.0, "right": 0.6}, {"left": 0.3, "right": 1.0},
+                                        {"left": 0.45, "right": 0.55, "left_open": False}]))
+            base = f"custom:@{path}"
+        f = PLFunction(np.array([0.0, 0.2, 0.5, 0.7, 1.0]), np.array([0.3, -1.25, 0.9, -0.1, 0.4]))
+        dump_function(f, str(tmp_path / "f.json"))
+        out = tmp_path / "s.json"
+        assert run(["--base", base, "seminorms", "--fn", str(tmp_path / "f.json"),
+                    "--max-n", max_n], out) == 0
+        ctx = DNormContext(parse_base_spec(base))
+        top = min(int(max_n), ctx.base.n_max)
+        expect = [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]
+        assert json.loads(out.read_text())["results"]["values"] == expect
+
     def test_usage_error_unknown_flag(self, files):
         assert run(["norm", "--fn", str(files / "one.json"), "--bogus"]) == 1
 
@@ -542,6 +565,26 @@ class TestDeterminism:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "pair_index,distance_lo"
         assert len(lines) > 1
+
+
+    def test_diam_csv_independent_of_blas_threads(self, tmp_path):
+        # every pair distance is one dot product per row, which no split of
+        # the work between BLAS threads reorders
+        combo = tmp_path / "combo.json"
+        combo.write_text(json.dumps({"kind": "combo", "slices": [
+            {"dirac": 0, "eps": 0.05}, {"dirac": 1, "eps": 0.05}]}))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            res = subprocess.run(
+                [sys.executable, "-m", "banachlab.cli", "--base", "leveled:i=2,levels=8",
+                 "--seed", "1", "--budget", "500", "--format", "csv", "diam", "--set", str(combo)],
+                env=env, check=True, capture_output=True, timeout=120)
+            outs.append(res.stdout)
+        assert len(outs[0].splitlines()) == 1 + 1891
+        assert outs[0] == outs[1]
 
 
 class TestInProcessCache:

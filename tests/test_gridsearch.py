@@ -97,6 +97,25 @@ def test_seminorms_match_the_old_blend(ctx8, cells):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
+def test_every_block_table_is_built_in_the_grid_workspace(ctx8, monkeypatch):
+    # seminorms, enclosures and rescale_to_ball reuse one doubling table, and
+    # give the bits of the kernel that allocates a table per block
+    gc = GridContext(ctx8, random_pl(np.random.default_rng(7)), grid_cells=512)
+    rows = np.random.default_rng(8).standard_normal((130, gc.size))
+    assert "_workspace" not in vars(gc)  # built on first use only
+    seen = []
+    traced = _kernels.range_abs_max
+    monkeypatch.setattr(_kernels, "range_abs_max",
+                        lambda v, s, e, work=None: seen.append(work) or traced(v, s, e, work))
+    got = gc.seminorms(rows)
+    gc.enclosures(rows[:5])
+    gc.rescale_to_ball(rows[:1])
+    assert len(seen) == -(-130 // gc._workspace.shape[2]) + 2
+    assert all(work is gc._workspace for work in seen)
+    monkeypatch.undo()
+    assert got.tobytes() == _kernels.sup_abs_rows(rows, gc.stored_geometry).tobytes()
+
+
 def test_atom_coeffs_match_the_loop(ctx8):
     # atoms sharing cells and nodes, and at both ends: added in the loop's order
     m = Measure(((0.0, 1.5), (0.3, 2.0), (0.301, -1.0), (0.3125, 0.7), (1.0, -0.25)))

@@ -292,30 +292,60 @@ def test_enclosures_peak_memory():
 
 
 def ref_pair_distances(gc, rows):
-    """slice_lab._pair_distances' body before it went through blocks of
-    pairs: the enclosure lo of the whole difference matrix."""
+    """The norm enclosure lo of each pair's difference, one dot product of
+    the weights per row of the whole difference matrix's seminorms: the
+    lo² that d_norm computes."""
     ia, ib = np.triu_indices(rows.shape[0], k=1)
-    return ia, ib, gc.enclosures(rows[ia] - rows[ib])[0]
+    s = gc.seminorms(rows[ia] - rows[ib])
+    return ia, ib, np.array([np.sqrt(np.dot(gc.weights, r * r)) for r in s]).reshape(ia.shape)
 
 
-@pytest.mark.parametrize("cells", GRIDS)
-def test_pair_distances_match_the_difference_matrix(base_ctx, cells):
+def check_pair_distances(ctx, gc, rng, counts):
+    from banachlab.d_norm import d_norm
     from banachlab.slice_lab import _pair_distances
 
-    rng = np.random.default_rng(24)
-    gc = grid_context(base_ctx, cells, rng)
-    for count in (1, 2, 3, 64):
+    for count in counts:
         rows = awkward_rows(rng, count, gc.size)
         # the same rows made finite: most blocks of differences then blend
         # only the ends off the nodes
         for values in (rows, np.where(np.isfinite(rows), rows, 1e308)):
-            for got, ref in zip(_pair_distances(gc, values), ref_pair_distances(gc, values)):
-                assert same_bits(got, ref)
+            got = _pair_distances(gc, values)
+            for a, b in zip(got, ref_pair_distances(gc, values)):
+                assert same_bits(a, b)
+            # d_norm refuses an enclosure that is not finite
+            ia, ib, lo = got
+            finite = np.flatnonzero(np.isfinite(lo))
+            for k in finite[::max(1, finite.size // 40)]:
+                diff = gc.to_plfunction(values[ia[k]] - values[ib[k]])
+                assert lo[k] == d_norm(ctx, diff).lo
+
+
+@pytest.mark.parametrize("cells", GRIDS)
+def test_pair_distances_match_the_difference_matrix(base_ctx, cells):
+    rng = np.random.default_rng(24)
+    gc = grid_context(base_ctx, cells, rng)
+    check_pair_distances(base_ctx, gc, rng, (1, 2, 3, 64))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_pair_distances_across_small_blocks(base_ctx, block, monkeypatch):
+    # a BLOCK_BYTES of a few rows per block puts block ends inside every
+    # run of pairs, and the grid's workspace is sized from it
+    rng = np.random.default_rng(26)
+    gc = grid_context(base_ctx, 64, rng)
+    rows = _kernels.block_rows(gc.size, gc.stored_geometry)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", _kernels.BLOCK_BYTES * block // rows)
+    assert _kernels.block_rows(gc.size, gc.stored_geometry) == block
+    gc = grid_context(base_ctx, 64, rng)
+    check_pair_distances(base_ctx, gc, rng, (2, 5, 9))
+    assert gc._workspace.shape[2] == block
 
 
 def test_pair_distances_peak_memory():
-    # no difference matrix: one (pairs, intervals) seminorm matrix, squared
-    # in place, and one block of differences
+    # no difference matrix and no (pairs, intervals) seminorm matrix: the
+    # pair indices and distances, and a few (rows, nodes) and (rows,
+    # intervals) arrays of one block; the old matrices took 7.8, 15.7 and
+    # 16.5 MB here
     import tracemalloc
 
     from banachlab.d_norm import DNormContext
@@ -323,14 +353,19 @@ def test_pair_distances_peak_memory():
     from banachlab.neighborhood_base import build_leveled
     from banachlab.slice_lab import _pair_distances
 
-    ctx = DNormContext(build_leveled(2, levels=8))
-    gc = GridContext(ctx, grid_cells=512)
-    rows = np.random.default_rng(25).standard_normal((64, gc.size))
-    gc.stored_geometry  # built before the measurement
-    tracemalloc.start()
-    try:
-        ia, _, _ = _pair_distances(gc, rows)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * ia.size * ctx.interval_bounds[0].size + (4 << 20)
+    for i in (1, 2, 4):
+        ctx = DNormContext(build_leveled(i, levels=8))
+        gc = GridContext(ctx, grid_cells=512)
+        rows = np.random.default_rng(25).standard_normal((64, gc.size))
+        gc.seminorms(rows[:1])  # the geometry and the workspace, built before the measurement
+        tracemalloc.start()
+        try:
+            ia, _, _ = _pair_distances(gc, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        intervals = ctx.interval_bounds[0].size
+        block = _kernels.block_rows(gc.size, gc.stored_geometry)
+        assert ia.size == 2016
+        assert peak <= 32 * ia.size + 8 * block * (4 * gc.size + 4 * intervals)
+        assert peak < 8 * ia.size * intervals / 3

@@ -121,6 +121,51 @@ class TestCover:
                        b.intervals[n - 1].closure_contains(float(t)) for n in idx)
 
 
+def ref_level_indices(b, level):
+    """level_indices' body before the base kept its level map."""
+    return tuple(n + 1 for n, l in enumerate(b.level_of) if l == level)
+
+
+def ref_cover_for(b, delta):
+    """cover_for's leveled search before the base kept its level covers:
+    the first complete stored level whose intervals are all shorter than
+    delta, or None."""
+    for level in sorted(set(b.level_of)):
+        idx = ref_level_indices(b, level)
+        if len(idx) == 2 ** level and max(b.intervals[n - 1].length for n in idx) < delta:
+            return idx
+    return None
+
+
+def leveled_bases():
+    for i in (1, 2, 3):
+        for levels in range(1, 10):
+            b = build_leveled(i, levels=levels)
+            yield b
+            if levels > 1:
+                # a truncation that ends inside its last level
+                yield b.truncated(b.n_max - 2 ** (i + levels - 1) + 3)
+
+
+class TestLevelMap:
+    def test_level_indices_match_the_old_scan(self):
+        for b in leveled_bases():
+            assert b.stored_levels == tuple(sorted(set(b.level_of)))
+            for level in range(b.stored_levels[-1] + 2):
+                assert b.level_indices(level) == ref_level_indices(b, level)
+
+    def test_cover_for_matches_the_old_search(self):
+        deltas = np.concatenate([np.geomspace(1e-4, 1.5, 60), [0.5, 0.25, 0.125]])
+        for b in leveled_bases():
+            for delta in deltas:
+                ref = ref_cover_for(b, float(delta))
+                if ref is None:
+                    with pytest.raises(ResolutionError):
+                        b.cover_for(float(delta))
+                else:
+                    assert b.cover_for(float(delta)) == ref
+
+
 class TestIsolation:
     def test_endpoints(self):
         b = build_leveled(1, levels=8)

@@ -401,6 +401,19 @@ class TestNormingFunctional:
             assert abs(integrate(z, g)) <= d_norm(ctx8, z).hi + 1e-9
 
 
+@pytest.fixture(scope="module")
+def combos():
+    """The context at levels 8 and the slices of small_diameter_combo at i."""
+    import functools
+
+    @functools.cache
+    def build(i):
+        ctx = DNormContext(build_leveled(i, levels=8))
+        return ctx, small_diameter_combo(ctx, i)[0]
+
+    return build
+
+
 class TestDiameter:
     def test_slice_reaches_beyond_1_8(self, ctx8, lam_slice):
         est = diameter_lower_bound(ctx8, SliceSet(lam_slice), budget=3000, seed=5)
@@ -476,6 +489,17 @@ class TestDiameter:
                 e = d_norm(ctx, p)
                 assert spec.slice.value(p) > 1.0 - spec.slice.epsilon
                 assert e.hi <= 1.0 and e.lo >= 1.0 - tau
+
+    @pytest.mark.parametrize("budget", [100, 500, 2000])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    @pytest.mark.parametrize("i", [2, 3, 4])
+    def test_combo_value_is_the_best_pair_distance(self, combos, i, seed, budget):
+        # a combination has no refinement and no flip seed: its value is the
+        # d_norm lo of the best sampled pair, which each pair distance equals
+        ctx, slices = combos(i)
+        spec = ComboSet(slices, (1.0 / len(slices),) * len(slices))
+        est = diameter_lower_bound(ctx, spec, budget, seed)
+        assert est.value == max(est.pair_distances)
 
     def test_shell_set(self, ctx8, lam_slice):
         est = diameter_lower_bound(

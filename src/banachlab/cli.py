@@ -328,8 +328,8 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "octa-local":
         x = load_function(args.fn)
         try:
-            y = local_octahedral_witness(ctx, x, args.eps, args.budget)
-            res = {"found": True, "witness": function_to_dict(y)}
+            y, achieved = local_octahedral_witness(ctx, x, args.eps)
+            res = {"found": True, "achieved_lo": achieved, "witness": function_to_dict(y)}
         except WitnessNotFoundError as exc:
             res = {"found": False, "diagnostics": exc.diagnostics}
     elif args.cmd == "octa-gap":

@@ -166,6 +166,54 @@ def lin_comb(a: float, f: PLFunction, b: float, g: PLFunction) -> PLFunction:
     return PLFunction(bx, by)
 
 
+def abs_argmax(f: PLFunction, a: float, b: float):
+    """The ends of [a,b] and the breakpoints of f inside, f's values there,
+    and the index of the largest |f|: an exact maximizer of |f| on [a,b]."""
+    cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
+    pts = np.concatenate([[a], cuts, [b]])
+    vals = pl_eval(f.breakpoints, f.values, pts)
+    return pts, vals, int(np.argmax(np.abs(vals)))
+
+
+def abs_argmax_many(f: PLFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per interval [lo[k], hi[k]], the maximizer of |f| that `abs_argmax`
+    picks: the first of lo[k], the breakpoints strictly inside and hi[k]
+    where |f| is largest.  One pass over every interval, with no array of
+    intervals × breakpoints."""
+    bx, av = f.breakpoints, np.abs(f.values)
+    n = bx.size
+    first = np.searchsorted(bx, lo, side="right")  # inside: bx[first:stop]
+    stop = np.searchsorted(bx, hi, side="left")
+    inside = first < stop
+    # the even entries reduce av[first:stop]; an empty range reads one value
+    top = np.maximum.reduceat(av, np.minimum(np.column_stack([first, stop]).ravel(), n - 1))[::2]
+    # the first position in [first, stop) holding top: the least key at or
+    # above (rank of top, first), with keys ordered by |f|, then position
+    uniq, rank = np.unique(av, return_inverse=True)
+    keys = np.sort(rank * n + np.arange(n))
+    at = np.searchsorted(keys, np.searchsorted(uniq, top) * n + first)
+    arg = keys[np.minimum(at, n - 1)] % n
+    end_lo, end_hi = np.abs(pl_eval(bx, f.values, np.concatenate([lo, hi]))).reshape(2, -1)
+    out = np.where(end_hi > end_lo, hi, lo)
+    mid = inside & (top > end_lo) & (top >= end_hi)
+    out[mid] = bx[arg[mid]]
+    return out
+
+
+def build_flip(x: PLFunction, flips) -> PLFunction:
+    """x on its breakpoints outside the flips and on each flip's three
+    points, with the value at each midpoint negated.  The flips (r, s, t)
+    are disjoint, with r < s < t inside [0, 1]."""
+    inside = np.zeros(x.breakpoints.size, dtype=bool)
+    for r, _, t in flips:
+        inside |= (x.breakpoints > r) & (x.breakpoints < t)
+    xs = np.union1d(x.breakpoints[~inside], np.ravel(flips))
+    ys = x.eval(xs)
+    mid = np.searchsorted(xs, [s for _, s, _ in flips])
+    ys[mid] = -ys[mid]
+    return PLFunction(xs, ys)
+
+
 def _left_to_right_sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Sum of x[first[k]:first[k+1]] per segment (the last runs to the end).
 

@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .core_model import PLFunction, lin_comb, pl_eval
-from .d_norm import DNormContext, d_norm, seminorms_all, sphere_norm
+from .core_model import PLFunction, abs_argmax_many, build_flip, lin_comb, pl_eval
+from .d_norm import RESCALE_SAFETY, DNormContext, d_norm, seminorms_all, sphere_norm
 from .errors import CertificateFailure, DomainError, PremiseError, WitnessNotFoundError
 from .gridsearch import GridContext, grid_nodes, hat_at, hats
 
@@ -31,6 +31,9 @@ from .gridsearch import GridContext, grid_nodes, hat_at, hats
 #: a block stays under the 4 MiB from which numpy asks for huge pages, which
 #: made the scan's peak memory jump ~4 MB from run to run
 SCAN_BLOCK_ROWS = 256
+
+#: half-width of each flip of the local octahedral witness
+FLIP_HALF_WIDTH = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,45 +441,42 @@ def local_octahedral_witness(
     ctx: DNormContext,
     x: PLFunction,
     epsilon: float,
-    budget: int,
-) -> PLFunction:
-    """Find y on the sphere with both ‖x ± y‖ certified above 2 − ε.
+) -> tuple[PLFunction, float]:
+    """y in the unit ball with min(‖x+y‖, ‖x−y‖) certified above 2 − ε,
+    and that certified value.
 
-    y is x modulated by a zigzag finer than the deepest stored interval:
-    both signs of x are matched near every seminorm maximizer, so each
-    ‖x±y‖_n approaches 2‖x‖_n.  Zigzags of 1/4, 1/8 and 1/16 of the
-    shortest stored interval are tried in turn, 3 norm evaluations each,
-    until the budget is spent; nothing is drawn at random.
+    y is x flipped once per stored interval D_n: an exact maximizer of |x|
+    on cl D_n, clamped 2 half-widths inside D_n, becomes the centre of a
+    flip of half-width FLIP_HALF_WIDTH (`build_flip`), and y is scaled into
+    the ball.  Away from the flips x + y = 2x, and at each centre
+    x − y = 2x, so every ‖x±y‖_n is within a few Lip(x)·FLIP_HALF_WIDTH of
+    2‖x‖_n.  Three norm evaluations; nothing is searched or drawn.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError("epsilon must be finite and positive")
     sphere_norm(ctx, x)
     lo, hi = ctx.interval_bounds
-    min_len = float(np.min(hi - lo))
-    best_y = None
-    best_val = -np.inf
-    evals = 0
-    for scale_div in (4.0, 8.0, 16.0):
-        scale = min_len / scale_div
-        cells = min(int(8.0 / scale), 1 << 15)
-        y = modulated_sawtooth(x, scale, grid_cells=cells)
-        ye = d_norm(ctx, y)
-        if ye.hi > 0:
-            y = y.scaled(1.0 / ye.hi)
-        val = min(
-            d_norm(ctx, lin_comb(1.0, x, 1.0, y)).lo,
-            d_norm(ctx, lin_comb(1.0, x, -1.0, y)).lo,
-        )
-        evals += 3
-        if val > best_val:
-            best_val, best_y = val, y
-        if evals >= budget:
-            break
-    if best_val > 2.0 - epsilon:
-        return best_y
+    h = FLIP_HALF_WIDTH
+    centres = np.unique(np.clip(abs_argmax_many(x, lo, hi), lo + 2.0 * h, hi - 2.0 * h))
+    # a peak at the common end p of two intervals gives the centres p ± 2h,
+    # which may round to less than 4h apart: merging only below 3h keeps
+    # both, and the kept flips disjoint
+    kept = [centres[0]]
+    for t in centres[1:]:
+        if t - kept[-1] >= 3.0 * h:
+            kept.append(t)
+    c = np.array(kept)
+    y = build_flip(x, np.column_stack([c - h, c, c + h]))
+    y = y.scaled(1.0 / (d_norm(ctx, y).hi * RESCALE_SAFETY))
+    val = min(
+        d_norm(ctx, lin_comb(1.0, x, 1.0, y)).lo,
+        d_norm(ctx, lin_comb(1.0, x, -1.0, y)).lo,
+    )
+    if val > 2.0 - epsilon:
+        return y, val
     raise WitnessNotFoundError(
-        f"best achieved min(‖x±y‖) = {best_val} <= {2.0 - epsilon}",
-        diagnostics={"best": best_val, "evaluations": evals},
+        f"achieved min(‖x±y‖) = {val} <= {2.0 - epsilon}",
+        diagnostics={"best": val, "evaluations": 3},
     )
 
 

@@ -22,10 +22,11 @@ from .core_model import (
     Enclosure,
     Measure,
     PLFunction,
+    abs_argmax,
+    build_flip,
     integrate,
     lin_comb,
     measure_combine,
-    pl_eval,
 )
 from .d_norm import (
     DNormContext,
@@ -143,20 +144,11 @@ def norming_functional(ctx: DNormContext, x: PLFunction) -> Measure:
     for n in range(1, min(48, ctx.n_eff) + 1):
         if s[n - 1] == 0.0:
             continue
-        pts, vals, k = _abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
+        pts, vals, k = abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
         t_star = float(pts[k])
         weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, float(vals[k])) / lo
         atoms[t_star] = atoms.get(t_star, 0.0) + weight
     return Measure(tuple(atoms.items()))
-
-
-def _abs_argmax(f: PLFunction, a: float, b: float):
-    """The ends of [a,b] and the breakpoints of f inside, f's values there,
-    and the index of the largest |f|: an exact maximizer of |f| on [a,b]."""
-    cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
-    pts = np.concatenate([[a], cuts, [b]])
-    vals = pl_eval(f.breakpoints, f.values, pts)
-    return pts, vals, int(np.argmax(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +207,7 @@ def _near_max_component(
     maximizer of |f|."""
     if tau <= 0.0:
         return a, b
-    pts, vals, k = _abs_argmax(f, a, b)
+    pts, vals, k = abs_argmax(f, a, b)
     lo_idx = k
     while lo_idx > 0 and abs(vals[lo_idx - 1]) >= tau:
         lo_idx -= 1
@@ -365,7 +357,7 @@ def tent_flip_witness(
             }
             continue
 
-        y = _build_flip(x, flips)
+        y = build_flip(x, flips)
         try:
             fy, dist, ye_hi, x_hi = _flip_inequalities(ctx, S, x, y, delta)
         except CertificateFailure as exc:
@@ -389,19 +381,6 @@ def tent_flip_witness(
         "(eta may exceed the slice margin of x)",
         diagnostics=diag,
     )
-
-
-def _build_flip(x: PLFunction, flips) -> PLFunction:
-    """x on its breakpoints outside the flips and on each flip's three
-    points, with the value at each midpoint negated."""
-    inside = np.zeros(x.breakpoints.size, dtype=bool)
-    for r, _, t in flips:
-        inside |= (x.breakpoints > r) & (x.breakpoints < t)
-    xs = np.union1d(x.breakpoints[~inside], np.ravel(flips))
-    ys = x.eval(xs)
-    mid = np.searchsorted(xs, [s for _, s, _ in flips])
-    ys[mid] = -ys[mid]
-    return PLFunction(xs, ys)
 
 
 def flip_from_point(ctx: DNormContext, S: SliceSpec, x: PLFunction, delta: float):

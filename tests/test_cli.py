@@ -121,7 +121,7 @@ class TestBasics:
     )
     def test_seed_optional_where_nothing_is_sampled(self, files, argv, tmp_path):
         # neither the ‖m‖* bracket, the flip witness, the subslice nor the
-        # zigzags of octa-local draw a random number
+        # flips of octa-local draw a random number
         argv = [a.replace("{dir}", str(files)) for a in argv]
         results = []
         for seed in ([], ["--seed", "7"]):
@@ -523,6 +523,18 @@ class TestWitnessAndReports:
         ) == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["found"] is True
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("f", [PLFunction.constant(1.0), PLFunction.tent()])
+    def test_octa_local_report_is_small(self, i, f, tmp_path):
+        # one flip per stored interval: about 800 breakpoints at i = 1 and
+        # 1,600 at i = 2, where a zigzag had 32,769
+        fn, out = tmp_path / "x.json", tmp_path / "ol.json"
+        dump_function(f.scaled(1.0 / d_norm(DNormContext(build_leveled(i, levels=8)), f).hi), str(fn))
+        base = f"leveled:i={i},levels=8"
+        assert run(["--base", base, "octa-local", "--fn", str(fn), "--eps", "1e-6"], out) == 0
+        assert out.stat().st_size <= 100_000
+        assert json.loads(out.read_text())["results"]["achieved_lo"] >= 2.0 - 1e-6
 
     def test_rigidity_report(self, files, tmp_path):
         out = tmp_path / "rg.json"

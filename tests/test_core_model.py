@@ -10,6 +10,8 @@ from banachlab.core_model import (
     Interval,
     Measure,
     PLFunction,
+    abs_argmax,
+    abs_argmax_many,
     abs_integral,
     abs_integral_cells,
     function_from_dict,
@@ -83,6 +85,32 @@ class TestSupAbsOn:
             brute = float(np.max(np.abs(f.eval(pts))))
             assert brute <= exact + 1e-12
             assert exact <= brute + f.lipschitz_bound() * (grid[1] - grid[0])
+
+
+class TestAbsArgmaxMany:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_abs_argmax_per_interval(self, seed):
+        # ties come from rounded values, and ends on breakpoints, degenerate
+        # intervals and intervals holding no breakpoint from the stored ends
+        from banachlab.d_norm import DNormContext
+        from banachlab.neighborhood_base import build_leveled
+
+        rng = np.random.default_rng(seed)
+        f = random_pl(rng, n_interior=int(rng.integers(0, 200)))
+        if seed % 2:
+            f = PLFunction(f.breakpoints, np.round(2.0 * f.values) / 2.0)
+        lo, hi = DNormContext(build_leveled(1 + seed % 3, levels=6)).interval_bounds
+        a = np.sort(rng.choice(np.concatenate([f.breakpoints, rng.uniform(0.0, 1.0, 40)]), (2, 60)),
+                    axis=0)
+        lo, hi = np.concatenate([lo, a[0], a[0]]), np.concatenate([hi, a[1], a[0]])
+        got = abs_argmax_many(f, lo, hi)
+        for k in range(lo.size):
+            pts, _, j = abs_argmax(f, float(lo[k]), float(hi[k]))
+            assert got[k] == pts[j]
+
+    def test_constant_takes_the_left_end(self):
+        lo, hi = np.array([0.0, 0.25]), np.array([0.5, 1.0])
+        assert abs_argmax_many(PLFunction.constant(-1.0), lo, hi).tolist() == [0.0, 0.25]
 
 
 class TestIntegrate:

@@ -1,9 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from banachlab.core_model import PLFunction, lin_comb
-from banachlab.d_norm import DNormContext, d_norm
-from banachlab.errors import CertificateFailure, DomainError, PremiseError, ResolutionError
+from banachlab.d_norm import DNormContext, d_norm, seminorms_all
+from banachlab.errors import (
+    CertificateFailure,
+    DomainError,
+    PremiseError,
+    ResolutionError,
+    WitnessNotFoundError,
+)
+from banachlab.neighborhood_base import build_leveled
 from banachlab.rotundity_lab import (
     apply_certificate,
     local_octahedral_witness,
@@ -48,7 +59,7 @@ class TestCertificate:
         with pytest.raises(DomainError):
             mlur_certificate(ctx8, PLFunction.constant(1.0), eps)
         with pytest.raises(DomainError):
-            local_octahedral_witness(ctx8, PLFunction.constant(1.0), eps, budget=10)
+            local_octahedral_witness(ctx8, PLFunction.constant(1.0), eps)
         if eps != 0.0:  # the modulus at 0 is 0
             with pytest.raises(DomainError):
                 mlur_modulus(ctx8, PLFunction.constant(1.0), eps, budget=10, seed=0)
@@ -282,22 +293,89 @@ def ref_rigidity_gap(u, v):
     return float(max(candidates))
 
 
+#: the inputs of the flip witness: the constant, tent and ramp; a signed
+#: input on the nodes k/8, whose peaks |x| = 1 at 1/8 and 3/8 are common
+#: ends of adjacent stored intervals from level 2 on at i = 3; and 65 nodes
+#: of a wiggle
+OCTA_INPUTS = {
+    "one": PLFunction.constant(1.0),
+    "tent": PLFunction.tent(),
+    "ramp": PLFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+    "signed": PLFunction(np.linspace(0.0, 1.0, 9),
+                         np.array([0.3, -1.0, 0.5, 1.0, -0.2, 0.8, -0.9, 0.1, 0.6])),
+    "wiggly": PLFunction(np.linspace(0.0, 1.0, 65),
+                         1.0 + 0.5 * np.sin(40.0 * np.linspace(0.0, 1.0, 65))
+                         + 0.1 * np.cos(np.arange(65.0) ** 2)),
+}
+
+
+@functools.cache
+def leveled_ctx(i, levels):
+    return DNormContext(build_leveled(i, levels=levels))
+
+
 class TestOctahedral:
     def test_constant_witness(self, ctx8):
         one = PLFunction.constant(1.0)
-        y = local_octahedral_witness(ctx8, one, 0.25, budget=100)
-        assert d_norm(ctx8, lin_comb(1.0, one, 1.0, y)).lo > 1.75
-        assert d_norm(ctx8, lin_comb(1.0, one, -1.0, y)).lo > 1.75
+        y, achieved = local_octahedral_witness(ctx8, one, 0.25)
+        assert achieved == min(d_norm(ctx8, lin_comb(1.0, one, s, y)).lo for s in (1.0, -1.0))
+        assert achieved >= 2.0 - 1e-9
 
     def test_tent_witness(self, ctx8):
         x = unit(ctx8, PLFunction.tent())
-        y = local_octahedral_witness(ctx8, x, 0.3, budget=100)
+        y, _ = local_octahedral_witness(ctx8, x, 0.3)
         assert d_norm(ctx8, lin_comb(1.0, x, 1.0, y)).lo > 1.7
 
     def test_trivial_threshold(self, ctx8):
         one = PLFunction.constant(1.0)
-        y = local_octahedral_witness(ctx8, one, 2.0, budget=10)
-        assert d_norm(ctx8, y).hi <= 1.0 + 1e-9
+        y, _ = local_octahedral_witness(ctx8, one, 2.0)
+        assert d_norm(ctx8, y).hi <= 1.0
+
+    def test_unmet_threshold_reports_the_value(self, ctx8):
+        x = unit(ctx8, PLFunction.tent())
+        with pytest.raises(WitnessNotFoundError) as exc:
+            local_octahedral_witness(ctx8, x, 1e-12)
+        assert exc.value.diagnostics["evaluations"] == 3
+        assert 2.0 - 1e-6 < exc.value.diagnostics["best"] <= 2.0 - 1e-12
+
+    @pytest.mark.parametrize("name", sorted(OCTA_INPUTS))
+    @pytest.mark.parametrize("i, levels", [(1, 8), (1, 12), (2, 8), (3, 6)])
+    def test_flips_double_every_seminorm(self, i, levels, name):
+        ctx = leveled_ctx(i, levels)
+        x = unit(ctx, OCTA_INPUTS[name])
+        y, achieved = local_octahedral_witness(ctx, x, 0.1)
+        sx = seminorms_all(ctx, x)
+        for s in (1.0, -1.0):
+            assert np.all(seminorms_all(ctx, lin_comb(1.0, x, s, y)) >= 2.0 * sx - 1e-6)
+        assert achieved >= 2.0 - 1e-6
+        assert d_norm(ctx, y).hi <= 1.0
+
+    def test_signed_input_peaks_on_shared_ends(self):
+        # the case where centres p ± 2e-9 of two adjacent intervals round to
+        # less than 4e-9 apart: both flips must stay
+        lo, hi = leveled_ctx(3, 6).interval_bounds
+        x = OCTA_INPUTS["signed"]
+        for p in (0.125, 0.375):
+            assert abs(x.eval(p)) == x.sup_abs() and p in lo and p in hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_signed_inputs(self, data):
+        # breakpoints on the nodes k/32 and values in [-1, 1] keep Lip(x) ≤
+        # 64·sup|x| ≤ 128‖x‖, so clamping a centre 2e-9 off a peak costs
+        # ‖x−y‖_n at most 2·128·2e-9 ≈ 5e-7
+        ctx = leveled_ctx(1, 8)
+        nodes = data.draw(st.lists(st.integers(1, 31), max_size=12, unique=True))
+        bx = np.concatenate([[0.0, 1.0], np.array(nodes, dtype=float) / 32.0])
+        bx.sort()
+        vals = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=bx.size,
+                                           max_size=bx.size)))
+        # both signs, and no norm whose squares underflow
+        assume(vals.min() < -1e-3 and vals.max() > 1e-3)
+        x = unit(ctx, PLFunction(bx, vals))
+        y, achieved = local_octahedral_witness(ctx, x, 0.1)
+        assert achieved >= 2.0 - 1e-6
+        assert d_norm(ctx, y).hi <= 1.0
 
     def test_gap_probe_rejects_equal(self, ctx8):
         one = PLFunction.constant(1.0)

@@ -161,7 +161,7 @@ class TestTentFlip:
         from banachlab import slice_lab
         from banachlab.errors import WitnessNotFoundError
 
-        monkeypatch.setattr(slice_lab, "_build_flip", lambda x, flips: x)
+        monkeypatch.setattr(slice_lab, "build_flip", lambda x, flips: x)
         with pytest.raises(WitnessNotFoundError) as exc:
             tent_flip_witness(
                 ctx8, lam_slice, PLFunction.constant(1.0), 0.1, eta=0.02, max_attempts=12
@@ -509,7 +509,7 @@ class TestDiameter:
 
 
 def ref_build_flip(x, flips):
-    """The point-by-point loop `_build_flip` ran before it evaluated x once."""
+    """The point-by-point loop `build_flip` ran before it evaluated x once."""
     inside = np.zeros(x.breakpoints.size, dtype=bool)
     for r, _, t in flips:
         inside |= (x.breakpoints > r) & (x.breakpoints < t)
@@ -528,15 +528,15 @@ def test_build_flip_matches_the_point_loop(seed, monkeypatch):
     # every flip built on the benchmark's witness inputs, compared by bytes
     from pathlib import Path
 
-    from banachlab import slice_lab
+    from banachlab import core_model, slice_lab
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import WITNESS_COUNT, make_ctx, witness_inputs
 
     calls = []
-    real = slice_lab._build_flip
+    real = core_model.build_flip
     monkeypatch.setattr(
-        slice_lab, "_build_flip", lambda x, flips: calls.append((x, flips)) or real(x, flips)
+        slice_lab, "build_flip", lambda x, flips: calls.append((x, flips)) or real(x, flips)
     )
     ctx = make_ctx(1, 8)
     rng = np.random.default_rng([seed, 1])

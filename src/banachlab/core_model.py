@@ -203,13 +203,15 @@ def abs_argmax_many(f: PLFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 def build_flip(x: PLFunction, flips) -> PLFunction:
     """x on its breakpoints outside the flips and on each flip's three
     points, with the value at each midpoint negated.  The flips (r, s, t)
-    are disjoint, with r < s < t inside [0, 1]."""
-    inside = np.zeros(x.breakpoints.size, dtype=bool)
-    for r, _, t in flips:
-        inside |= (x.breakpoints > r) & (x.breakpoints < t)
-    xs = np.union1d(x.breakpoints[~inside], np.ravel(flips))
+    are disjoint, with r < s < t inside [0, 1], in any order."""
+    flips = np.asarray(flips, dtype=np.float64).reshape(-1, 3)
+    r, s, t = flips[np.argsort(flips[:, 0])].T
+    # the disjoint flips can hold a breakpoint only in the last one that
+    # starts before it: its end follows the count of such starts
+    inside = x.breakpoints < np.append(-np.inf, t)[np.searchsorted(r, x.breakpoints)]
+    xs = np.union1d(x.breakpoints[~inside], flips.ravel())
     ys = x.eval(xs)
-    mid = np.searchsorted(xs, [s for _, s, _ in flips])
+    mid = np.searchsorted(xs, s)
     ys[mid] = -ys[mid]
     return PLFunction(xs, ys)
 

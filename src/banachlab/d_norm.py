@@ -142,13 +142,24 @@ def d_norm(ctx: DNormContext, f: PLFunction) -> Enclosure:
     """Certified enclosure of the norm of f.
 
     lo² sums the stored terms; hi² adds 2^-N·‖f‖_∞², which dominates every
-    unseen term because each seminorm is at most the max-norm.
+    unseen term because each seminorm is at most the max-norm.  Where ‖f‖_∞
+    lies outside [2^-200, 2^200] the squares would under- or overflow, so the
+    sums run on f scaled by `_pow2`, and the ends scale back rounded outward.
     """
     s = seminorms_all(ctx, f)
-    lo2 = float(np.dot(ctx.weights, s * s))
     sup = f.sup_abs()
+    if 2.0 ** -200 <= sup <= 2.0 ** 200:
+        return Enclosure(*_root_sums(ctx, s, sup))
+    scale = _pow2(sup)
+    lo, hi = _root_sums(ctx, s * scale, sup * scale)
+    return Enclosure(_unscale(lo, scale, 0.0), _unscale(hi, scale, math.inf))
+
+
+def _root_sums(ctx: DNormContext, s: np.ndarray, sup: float) -> tuple[float, float]:
+    """sqrt(Σ 2^-n s_n²), and the same with 2^-N·sup² added."""
+    lo2 = float(np.dot(ctx.weights, s * s))
     hi2 = lo2 + ctx.tail_weight * sup * sup
-    return Enclosure(float(np.sqrt(lo2)), float(np.sqrt(hi2)))
+    return float(np.sqrt(lo2)), float(np.sqrt(hi2))
 
 
 def ball_norm(ctx: DNormContext, x: PLFunction) -> Enclosure:
@@ -209,12 +220,17 @@ def dirac_dual_norm(ctx: DNormContext, t: float) -> Enclosure:
 
 
 def _pow2_scale(m: Measure) -> float:
-    """The power of two that puts m's largest weight or density value in
-    [1/2, 1); at most 2^1022, as 2^1074 for the least subnormal overflows."""
+    """`_pow2` of m's largest weight or density value."""
     peaks = [abs(w) for _, w in m.atoms]
     if m.density is not None:
         peaks.append(float(np.max(np.abs(m.density.values))))
-    return math.ldexp(1.0, -max(math.frexp(max(peaks, default=0.0))[1], -1022))
+    return _pow2(max(peaks, default=0.0))
+
+
+def _pow2(peak: float) -> float:
+    """The power of two that puts peak in [1/2, 1); at most 2^1022, as
+    2^1074 for the least subnormal overflows."""
+    return math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
 
 
 def weighted_tv_upper(ctx: DNormContext, m: Measure) -> float:

@@ -7,14 +7,17 @@ seminorm premise ‖x±y‖_m ≤ ‖x‖_m + ε into the uniform conclusion
 counterexamples, and refutes each sample y with sup|y| > 2ε at the node k
 where |y| peaks, against the first cover interval m whose closure holds k.
 As |y(k)| > 2ε ≥ verify() ≥ ‖x‖_m + ε − |x(k)|, no sample survives that
-node on a verified certificate.  The scan draws its next chunk of samples
-on a second thread while it screens the current one; the samples are those
-of a one-thread draw, bit for bit.  The remaining operations are seeded
-searches that report what they achieve.
+node on a verified certificate.  One draw thread per scan draws the samples
+piece by piece, at most SCAN_QUEUE_PIECES pieces ahead, and the scan screens
+each piece as it arrives; the samples are those of a one-thread draw, bit for
+bit.  The remaining operations are seeded searches that report what they
+achieve.
 """
 
 from __future__ import annotations
 
+import itertools
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,10 +30,14 @@ from .d_norm import RESCALE_SAFETY, DNormContext, d_norm, seminorms_all, sphere_
 from .errors import CertificateFailure, DomainError, PremiseError, WitnessNotFoundError
 from .gridsearch import GridContext, grid_nodes, hat_at, hats
 
-#: scan samples built and refuted at once: on a grid of a few hundred nodes
-#: a block stays under the 4 MiB from which numpy asks for huge pages, which
-#: made the scan's peak memory jump ~4 MB from run to run
-SCAN_BLOCK_ROWS = 256
+#: noise rows drawn, and full scan rows built and refuted, at once: on a grid
+#: of a few hundred nodes a piece stays far under the 4 MiB from which numpy
+#: asks for huge pages, which made the scan's peak memory jump ~4 MB from run
+#: to run
+SCAN_PIECE_ROWS = 64
+
+#: pieces the scan's draw thread may queue ahead of the screen
+SCAN_QUEUE_PIECES = 4
 
 #: half-width of each flip of the local octahedral witness
 FLIP_HALF_WIDTH = 1e-9
@@ -146,11 +153,13 @@ def mlur_adversarial_search(
 
     Candidates live on a shared grid refining x's breakpoints, so premise
     seminorms are exact.  Samples are drawn 1024 at a time by `_draw_chunk`,
-    the next chunk on a second thread while this one is screened, so they
-    are those of a one-thread draw, bit for bit; no draw thread outlives the
-    call.  `_adversarial_blocks` gives noise and wave samples as full node
-    rows, bump and plateau samples (half the draw) as hat parameters.  A
-    sample with sup|y| ≤ 2ε meets the conclusion.  Any other is refuted at
+    whose pieces come from one draw thread through a queue at most
+    SCAN_QUEUE_PIECES long, and are screened as they arrive; they are those
+    of a one-thread draw, bit for bit, and no draw thread outlives the call.
+    `_adversarial_blocks` gives bump and plateau samples (half the draw) as
+    hat parameters, as soon as a chunk's first piece lands, then noise
+    samples as full node rows, SCAN_PIECE_ROWS at a time, then wave samples.
+    A sample with sup|y| ≤ 2ε meets the conclusion.  Any other is refuted at
     the node k where |y| peaks: k lies in the closure of cover interval m,
     the first one listed that holds it, so the premise asks
     max(|x(k) + y(k)|, |x(k) − y(k)|) ≤ ‖x‖_m + ε, with the bits the exact
@@ -159,12 +168,11 @@ def mlur_adversarial_search(
     bound or cover gets its full row and an exact check.
     """
     nodes = grid_nodes(grid_cells, cert.x)
-    rng = np.random.default_rng(seed)
     eps2 = cert.conclusion_bound
     chunk = 1024  # samples drawn at once; this fixes the stream of samples
     sizes = [min(chunk, samples - a) for a in range(0, samples, chunk)]
-    # only the draw threads touch rng, one at a time, in chunk order
-    draw = _ChunkDraw(rng, nodes.size, sizes[0], eps2) if sizes else None
+    # only the draw thread touches the generator
+    draw = _ChunkDraw(np.random.default_rng(seed), nodes.size, sizes, eps2) if sizes else None
     counterexamples = 0
     survivors_checked = 0
     try:
@@ -173,20 +181,17 @@ def mlur_adversarial_search(
         # the premise bounds no node outside the cover: +inf sends its
         # samples to the exact check
         limit = np.append(allowed, np.inf)[_holders(nodes, lo, hi)]
-        for j in range(len(sizes)):
-            draws = draw.result()
-            draw = _ChunkDraw(rng, nodes.size, sizes[j + 1], eps2) if j + 1 < len(sizes) else None
-            for rows in _adversarial_blocks(draws, nodes):
-                cands, k, y = rows.peaks(eps2)
-                keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= limit[k]
-                for row in cands[keep]:
-                    survivors_checked += 1
-                    app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
-                    if app.premise and not app.conclusion:
-                        counterexamples += 1
+        for rows in _adversarial_blocks(draw, nodes, len(sizes)):
+            cands, k, y = rows.peaks(eps2)
+            keep = np.maximum(np.abs(vx[k] + y), np.abs(vx[k] - y)) <= limit[k]
+            for row in cands[keep]:
+                survivors_checked += 1
+                app = apply_certificate(cert, PLFunction(nodes, rows.row(row)))
+                if app.premise and not app.conclusion:
+                    counterexamples += 1
     finally:
         if draw is not None:
-            draw.join()
+            draw.close()
     return {
         "scanned": sum(sizes),
         "counterexamples": counterexamples,
@@ -202,121 +207,173 @@ def _holders(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _ChunkDraw(threading.Thread):
-    """`_draw_chunk` run on a thread of its own; `result` joins it and hands
-    the draws over, or raises what the draw raised."""
+    """The pieces of `_draw_chunk` for chunks of the given sizes, in order,
+    drawn on a thread of its own at most SCAN_QUEUE_PIECES pieces ahead of
+    the caller, who takes them with next() and gets what the draw raised in
+    their place.  close() stops and joins the thread."""
 
-    def __init__(self, rng, n, m, eps2):
+    def __init__(self, rng, n, sizes, eps2):
         super().__init__(daemon=True)
-        self._draw_args = (rng, n, m, eps2)
-        self._error = None
+        # the caller is done with a piece when it takes the next one, and at
+        # most SCAN_QUEUE_PIECES + 1 are drawn ahead of the one it reads:
+        # SCAN_QUEUE_PIECES + 2 buffers are never overwritten unread.  They
+        # come from the caller's heap, which keeps them from call to call; a
+        # draw thread's heap gave them back, to fault them in again next call
+        buffers = itertools.cycle(np.empty((SCAN_QUEUE_PIECES + 2, SCAN_PIECE_ROWS, n)))
+        self._draw_args = (rng, n, sizes, eps2, buffers)
+        self._queue = queue.Queue(SCAN_QUEUE_PIECES)
+        self._closed = threading.Event()
         self.start()
 
     def run(self):
+        rng, n, sizes, eps2, buffers = self._draw_args
         try:
-            self._draws = _draw_chunk(*self._draw_args)
-        except BaseException as exc:  # re-raised by the caller in result()
-            self._error = exc
+            for m in sizes:
+                for piece in _draw_chunk(rng, n, m, eps2, buffers):
+                    if not self._put(piece):
+                        return
+        except BaseException as exc:  # raised in the caller by next()
+            self._put(exc)
 
-    def result(self):
+    def _put(self, item) -> bool:
+        """Queue item, unless the caller has closed the draw.  Every put
+        follows a look at the flag, so at most one comes after close() sets
+        it, and close() empties the queue for that one."""
+        if self._closed.is_set():
+            return False
+        self._queue.put(item)
+        return True
+
+    def __next__(self):
+        item = self._queue.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    def close(self):
+        self._closed.set()
+        while True:
+            try:
+                self._queue.get_nowait()
+            except queue.Empty:
+                break
         self.join()
-        if self._error is not None:
-            raise self._error
-        return self._draws
 
 
-def _draw_chunk(rng, n, m, eps2):
-    """Every draw of m scan samples on n nodes, in stream order: a mixture of
-    near-threshold bumps, plateaus and noise, sized around 2ε.  Numpy only."""
+def _draw_chunk(rng, n, m, eps2, buffers):
+    """Every draw of m scan samples on n nodes, in stream order, piece by
+    piece: the head (kind, centers, widths, amps, signs); the noise rows,
+    SCAN_PIECE_ROWS at a time, each drawn into the next array of buffers;
+    then the wave samples' coarse rows.  A mixture of near-threshold bumps,
+    plateaus and noise, sized around 2ε.  Numpy only.
+
+    Row pieces of `standard_normal`, scaled in place, have the bits of one
+    draw of every row, so the pieces do not change a sample."""
     kind = rng.integers(0, 4, m)
     centers = rng.uniform(0.0, 1.0, m)
     widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.3), m))
     amps = eps2 * rng.uniform(0.8, 1.6, m)
     signs = rng.choice([-1.0, 1.0], m)
-    noise = 0.2 * eps2 * rng.standard_normal((int(np.sum(kind == 2)), n))
-    coarse = rng.standard_normal((int(np.sum(kind == 3)), 33))
-    return kind, centers, widths, amps, signs, noise, coarse
+    yield kind, centers, widths, amps, signs
+    rows = int(np.sum(kind == 2))
+    for a in range(0, rows, SCAN_PIECE_ROWS):
+        piece = rng.standard_normal(out=next(buffers)[:min(SCAN_PIECE_ROWS, rows - a)])
+        piece *= 0.2 * eps2
+        yield piece
+    yield rng.standard_normal((int(np.sum(kind == 3)), 33))
 
 
-def _adversarial_blocks(draws, nodes):
-    """The samples of one `_draw_chunk`, yielded as `_ScanRows` of
-    SCAN_BLOCK_ROWS each.  Only noise and wave samples get full rows, built
-    one block at a time."""
-    kind, centers, widths, amps, signs, noise, coarse = draws
-    noisy, smooth = kind == 2, kind == 3
-    pos, th = _kernels.locate(np.linspace(0.0, 1.0, 33), nodes)
-    sa = signs * amps
-    wave_amps = amps[smooth][:, None]
-    # noisy (smooth) samples before each sample: their rows in noise (coarse)
-    noise_row = np.concatenate([[0], np.cumsum(noisy)])
-    wave_row = np.concatenate([[0], np.cumsum(smooth)])
+def _adversarial_blocks(pieces, nodes, chunks):
+    """The samples of the first `chunks` chunks of pieces, an iterator over
+    `_draw_chunk`'s pieces, as `_HatRows` and `_FullRows`, each block built
+    as soon as the piece it needs is taken: a chunk's bump and plateau
+    samples from its head alone, its noise samples one piece at a time, then
+    its wave samples SCAN_PIECE_ROWS at a time.  A piece is read before the
+    next one is taken."""
     # the node each column reads: the end columns repeat their neighbours
     # (on a two-node grid both read node 1)
     col_nodes = nodes[np.maximum(np.minimum(np.arange(nodes.size), nodes.size - 2), 1)]
-    for a in range(0, kind.size, SCAN_BLOCK_ROWS):
-        b = min(a + SCAN_BLOCK_ROWS, kind.size)
-        nz = noisy[a:b]
-        k = noise_row[b] - noise_row[a]
-        w = slice(wave_row[a], wave_row[b])
-        out = np.empty((k + w.stop - w.start, nodes.size))
-        np.multiply(sa[a:b][nz][:, None], hats(nodes, centers[a:b][nz], widths[a:b][nz]), out=out[:k])
-        out[:k] += noise[noise_row[a]:noise_row[b]]
-        # linear interpolation of the block's coarse rows
-        np.multiply(_kernels.blend(coarse[w][:, pos], coarse[w][:, pos + 1], th), wave_amps[w],
-                    out=out[k:])
-        out[:, 0] = out[:, 1]
-        out[:, -1] = out[:, -2]
-        yield _ScanRows(col_nodes, kind[a:b], sa[a:b], centers[a:b], widths[a:b], out)
+    pos, th = _kernels.locate(np.linspace(0.0, 1.0, 33), nodes)
+    start = 0
+    for _ in range(chunks):
+        kind, centers, widths, amps, signs = next(pieces)
+        sa = signs * amps
+        lazy = np.nonzero(kind <= 1)[0]
+        yield _HatRows(col_nodes, start + lazy, sa[lazy], centers[lazy], widths[lazy],
+                       kind[lazy] == 1)
+        noisy = np.nonzero(kind == 2)[0]
+        a = 0
+        while a < noisy.size:
+            piece = next(pieces)
+            r = noisy[a:a + piece.shape[0]]
+            a += r.size
+            out = hats(nodes, centers[r], widths[r])
+            out *= sa[r][:, None]
+            out += piece
+            yield _FullRows(start + r, out)
+        coarse = next(pieces)
+        smooth = np.nonzero(kind == 3)[0]
+        for a in range(0, smooth.size, SCAN_PIECE_ROWS):
+            c = coarse[a:a + SCAN_PIECE_ROWS]
+            r = smooth[a:a + c.shape[0]]
+            # linear interpolation of the block's coarse rows
+            out = _kernels.blend(c[:, pos], c[:, pos + 1], th)
+            out *= amps[r][:, None]
+            yield _FullRows(start + r, out)
+        start += kind.size
 
 
-class _ScanRows:
-    """One block of scan samples.  Noise and wave samples are stored as full
-    rows; a bump or plateau sample is kept as its hat and evaluated only at
-    the columns asked for, with `hat_at`, the expression of `hats`, so every
-    value has the bits of its full row."""
+class _FullRows:
+    """Noise or wave samples, numbered index in the scan, as full node rows;
+    each peaks at its np.argmax."""
 
-    def __init__(self, col_nodes, kind, sa, centers, widths, full):
-        self.col_nodes = col_nodes
-        self.sa, self.centers, self.widths = sa, centers, widths
-        self.plateau = kind == 1
-        self.lazy = kind <= 1
-        # full holds the noise samples' rows, then the wave samples'
-        noisy, smooth = kind == 2, kind == 3
-        self.slot = np.where(noisy, np.cumsum(noisy), noisy.sum() + np.cumsum(smooth)) - 1
-        self.full = full
+    def __init__(self, index, full):
+        # the end columns repeat their neighbours, as `col_nodes` reads
+        full[:, 0] = full[:, 1]
+        full[:, -1] = full[:, -2]
+        self.index, self.full = index, full
+
+    def row(self, r: int) -> np.ndarray:
+        return self.full[r]
+
+    def peaks(self, eps2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples with sup|y| > eps2, a column where each one's |y| peaks,
+        and y there."""
+        col = np.argmax(np.abs(self.full), axis=1)
+        y = self.full[np.arange(col.size), col]
+        cands = np.nonzero(np.abs(y) > eps2)[0]
+        return cands, col[cands], y[cands]
+
+
+class _HatRows:
+    """Bump and plateau samples, numbered index in the scan, kept as their
+    hats and evaluated only at the columns asked for, with `hat_at`, the
+    expression of `hats`, so every value has the bits of its full row."""
+
+    def __init__(self, col_nodes, index, sa, centers, widths, plateau):
+        self.col_nodes, self.index = col_nodes, index
+        self.sa, self.centers, self.widths, self.plateau = sa, centers, widths, plateau
 
     def _hat_values(self, rows, cols) -> np.ndarray:
-        """Bump or plateau samples rows at columns cols, broadcast together."""
+        """Samples rows at columns cols, broadcast together."""
         h = hat_at(self.col_nodes[cols], self.centers[rows], self.widths[rows])
         return self.sa[rows] * np.where(self.plateau[rows], np.clip(2.0 * h, 0.0, 1.0), h)
 
     def row(self, r: int) -> np.ndarray:
-        if self.lazy[r]:
-            return self._hat_values(r, np.arange(self.col_nodes.size))
-        return self.full[self.slot[r]]
+        return self._hat_values(r, np.arange(self.col_nodes.size))
 
     def peaks(self, eps2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Samples with sup|y| > eps2, a column where each one's |y| peaks,
-        and y there.
-
-        A noise or wave row peaks at its np.argmax.  A hat does not decrease
-        in its node up to the centre, nor increase after it, and rounding
-        keeps that order.  So a bump or plateau peaks at column `left`, the
-        last one reading a node at or left of the centre, or at left+1."""
-        col = np.empty(self.lazy.size, dtype=np.int64)
-        y = np.empty(self.lazy.size)
-        fr = np.nonzero(~self.lazy)[0]
-        slot = self.slot[fr]
-        col[fr] = np.argmax(np.abs(self.full), axis=1)[slot]
-        y[fr] = self.full[slot, col[fr]]
-        lz = np.nonzero(self.lazy)[0]
-        left = np.clip(np.searchsorted(self.col_nodes, self.centers[lz], side="right") - 1,
+        """`_FullRows.peaks` without the rows.  A hat does not decrease in
+        its node up to the centre, nor increase after it, and rounding keeps
+        that order.  So a sample peaks at column `left`, the last one reading
+        a node at or left of the centre, or at left+1."""
+        left = np.clip(np.searchsorted(self.col_nodes, self.centers, side="right") - 1,
                        0, self.col_nodes.size - 2)
-        pair = self._hat_values(lz[:, None], np.stack([left, left + 1], axis=1))
+        pair = self._hat_values(np.arange(left.size)[:, None], np.stack([left, left + 1], axis=1))
         right = np.abs(pair[:, 1]) > np.abs(pair[:, 0])
-        col[lz] = left + right
-        y[lz] = np.where(right, pair[:, 1], pair[:, 0])
+        y = np.where(right, pair[:, 1], pair[:, 0])
         cands = np.nonzero(np.abs(y) > eps2)[0]
-        return cands, col[cands], y[cands]
+        return cands, (left + right)[cands], y[cands]
 
 
 def mlur_modulus(

@@ -68,6 +68,17 @@ class TestBasics:
         assert rep["subcommand"] == "norm"
         assert rep["version"] == "0.1.0"
 
+    @pytest.mark.parametrize("c", [1e-170, 1e160])
+    def test_norm_of_a_constant_far_from_one(self, files, tmp_path, c):
+        # its square under- or overflows: the norm used to read hi = 0 at
+        # 1e-170, and to fail on an invalid enclosure [inf, inf] at 1e160
+        fn, out = tmp_path / "c.json", tmp_path / "r.json"
+        dump_function(PLFunction.constant(c), str(fn))
+        assert run(["--base", "leveled:i=1,levels=8", "norm", "--fn", str(fn)], out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert 0.0 < res["lo"] <= c * (1.0 + 1e-12)
+        assert res["hi"] >= c * (1.0 - 1e-12)
+
     def test_seminorms_listing(self, files, tmp_path):
         out = tmp_path / "s.json"
         assert run(["seminorms", "--fn", str(files / "tent.json"), "--max-n", "4"], out) == 0

@@ -14,6 +14,7 @@ from banachlab.core_model import (
     abs_argmax_many,
     abs_integral,
     abs_integral_cells,
+    build_flip,
     function_from_dict,
     function_to_dict,
     integrate,
@@ -111,6 +112,47 @@ class TestAbsArgmaxMany:
     def test_constant_takes_the_left_end(self):
         lo, hi = np.array([0.0, 0.25]), np.array([0.5, 1.0])
         assert abs_argmax_many(PLFunction.constant(-1.0), lo, hi).tolist() == [0.0, 0.25]
+
+
+def ref_build_flip(x, flips):
+    """`build_flip` as it scanned x's breakpoints once per flip."""
+    inside = np.zeros(x.breakpoints.size, dtype=bool)
+    for r, _, t in flips:
+        inside |= (x.breakpoints > r) & (x.breakpoints < t)
+    xs = np.union1d(x.breakpoints[~inside], np.ravel(flips))
+    ys = x.eval(xs)
+    mid = np.searchsorted(xs, [s for _, s, _ in flips])
+    ys[mid] = -ys[mid]
+    return PLFunction(xs, ys)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_flip_matches_the_loop_per_flip(seed):
+    # disjoint flips in a random order, each spanning several of x's
+    # breakpoints, with ends and midpoints drawn from a pool that holds them;
+    # odd seeds start each flip where the one before it ends
+    rng = np.random.default_rng(seed)
+    x = random_pl(rng, n_interior=int(rng.integers(0, 300)))
+    pool = np.unique(np.concatenate([x.breakpoints, rng.uniform(0.0, 1.0, 60)]))
+    count = int(rng.integers(1, 20))
+    pts = np.sort(rng.choice(pool, 3 * count, replace=False))
+    if seed % 2:
+        pts = pts[:2 * count + 1]
+        flips = [tuple(pts[2 * k:2 * k + 3].tolist()) for k in range(count)]
+    else:
+        flips = [tuple(pts[3 * k:3 * k + 3].tolist()) for k in range(count)]
+    flips = [flips[k] for k in rng.permutation(count)]
+    got, ref = build_flip(x, flips), ref_build_flip(x, flips)
+    assert got.breakpoints.tobytes() == ref.breakpoints.tobytes()
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert build_flip(x, np.array(flips)).values.tobytes() == ref.values.tobytes()
+
+
+def test_build_flip_of_no_flips_is_x():
+    x = random_pl(np.random.default_rng(5))
+    y = build_flip(x, [])
+    assert y.breakpoints.tobytes() == x.breakpoints.tobytes()
+    assert y.values.tobytes() == x.values.tobytes()
 
 
 class TestIntegrate:

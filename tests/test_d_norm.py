@@ -92,6 +92,28 @@ class TestDNorm:
             assert np.max(np.abs(sp - sx)) <= 2.0 / k
             assert np.max(np.abs(sm - sx)) <= 2.0 / k
 
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-300.0, 300.0), tent=st.booleans())
+    def test_far_from_one_scales_the_enclosure(self, ctx8, exponent, tent):
+        # ‖c·f‖ = c·‖f‖: the enclosure of c·f holds c times the enclosure of
+        # f, within rounding, where squaring c·f would under- or overflow
+        f = PLFunction.tent() if tent else PLFunction.constant(1.0)
+        c = 10.0 ** exponent
+        one, enc = d_norm(ctx8, f), d_norm(ctx8, f.scaled(c))
+        assert enc.lo <= c * one.hi * (1.0 + 1e-12)
+        assert enc.hi >= c * one.lo * (1.0 - 1e-12)
+        assert enc.lo >= c * one.lo * (1.0 - 1e-12)
+        assert enc.hi <= c * one.hi * (1.0 + 1e-12)
+
+    def test_unscaled_between_two_to_the_plus_and_minus_200(self, ctx8):
+        # there the sums run on f as it is, as they always did
+        for c in (2.0 ** -200, 1e-20, 1.0, 3.0, 1e20, 2.0 ** 200):
+            s = seminorms_all(ctx8, PLFunction.constant(c))
+            lo2 = float(np.dot(ctx8.weights, s * s))
+            enc = d_norm(ctx8, PLFunction.constant(c))
+            assert enc.lo == float(np.sqrt(lo2))
+            assert enc.hi == float(np.sqrt(lo2 + ctx8.tail_weight * c * c))
+
 
 class TestEquivalence:
     def test_upper_identity(self, ctx8):

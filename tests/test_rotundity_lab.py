@@ -170,8 +170,9 @@ class TestApply:
         assert rep["counterexamples"] > 0
 
     def test_adversarial_search_independent_of_block_rows(self, ctx8, monkeypatch):
-        # samples are screened SCAN_BLOCK_ROWS at a time; 1024 is one block per
-        # draw.  The block size must not change a report, survivors included.
+        # noise and wave samples are drawn and screened SCAN_PIECE_ROWS at a
+        # time; 1024 is one piece per draw.  The piece size must not change a
+        # report, survivors included.
         import dataclasses
 
         from banachlab import rotundity_lab
@@ -180,8 +181,8 @@ class TestApply:
         cert = mlur_certificate(ctx8, x, 0.1)
         forged = dataclasses.replace(cert, conclusion_bound=cert.conclusion_bound / 2.0)
         reps = []
-        for rows in (1024, 256, 100):
-            monkeypatch.setattr(rotundity_lab, "SCAN_BLOCK_ROWS", rows)
+        for rows in (1024, 64, 7):
+            monkeypatch.setattr(rotundity_lab, "SCAN_PIECE_ROWS", rows)
             reps.append(mlur_adversarial_search(ctx8, forged, samples=3000, seed=8))
         assert reps[0] == reps[1] == reps[2]
         assert reps[0]["survivors_full_checked"] > reps[0]["counterexamples"] > 0
@@ -190,7 +191,6 @@ class TestApply:
         # the smooth kind looks up its coarse cell as floor(32·t); it must
         # agree with pl_eval on the cell edges k/32, just below them, and at 1
         from banachlab.core_model import pl_eval
-        from banachlab.rotundity_lab import _adversarial_blocks, _draw_chunk
 
         k32 = np.arange(33) / 32.0
         inner = np.union1d(k32, np.nextafter(k32[1:], 0.0))
@@ -198,8 +198,7 @@ class TestApply:
         # repeat there to keep them among the compared columns
         nodes = np.concatenate([[0.0], inner, [1.0]])
         m, eps2 = 64, 0.2
-        draws = _draw_chunk(np.random.default_rng(9), nodes.size, m, eps2)
-        rows = full_rows(_adversarial_blocks(draws, nodes))
+        rows = full_rows(list(scan_blocks(np.random.default_rng(9), nodes, [m], eps2)), nodes)
         # replay the draws in _draw_chunk's order
         rng = np.random.default_rng(9)
         kind = rng.integers(0, 4, m)
@@ -465,9 +464,34 @@ def test_flat_bumps_match_the_loop():
 # -- the MLUR scan against its full-row reference ------------------------------
 
 
-def full_rows(blocks):
-    """Every sample of the scan blocks as its full row, in draw order."""
-    return np.vstack([blk.row(r) for blk in blocks for r in range(blk.sa.size)])
+def scan_blocks(rng, nodes, sizes, eps2):
+    """The blocks the scan screens for chunks of the given sizes, drawn on
+    this thread into one reused piece buffer."""
+    import itertools
+
+    from banachlab import rotundity_lab
+
+    buffers = itertools.repeat(np.empty((rotundity_lab.SCAN_PIECE_ROWS, nodes.size)))
+    pieces = itertools.chain.from_iterable(
+        rotundity_lab._draw_chunk(rng, nodes.size, m, eps2, buffers) for m in sizes)
+    return rotundity_lab._adversarial_blocks(pieces, nodes, len(sizes))
+
+
+def full_rows(blocks, nodes):
+    """Every sample of the scan blocks as its full row, in draw order; each
+    sample is in exactly one block."""
+    index = np.concatenate([blk.index for blk in blocks])
+    assert np.sort(index).tolist() == list(range(index.size))
+    rows = [np.array([blk.row(r) for r in range(blk.index.size)]).reshape(-1, nodes.size)
+            for blk in blocks]
+    return np.vstack(rows)[np.argsort(index)]
+
+
+def candidates(blocks, eps2):
+    """The numbers of the samples the blocks' peaks name, the column of each
+    one's peak, and y there."""
+    peaks = [(blk.index, blk.peaks(eps2)) for blk in blocks]
+    return tuple(np.concatenate(parts) for parts in zip(*[(i[c], k, y) for i, (c, k, y) in peaks]))
 
 
 def ref_adversarial_blocks(rng, nodes, m, eps2, block_rows=256):
@@ -513,7 +537,6 @@ def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells):
     |y| at each one's peak, equal the full rows' max|y|; and its
     counterexamples equal an exact check of every candidate, with no screen.
     A certificate that passes verify leaves no survivor."""
-    from banachlab import rotundity_lab
     from banachlab.gridsearch import grid_nodes
 
     nodes = grid_nodes(grid_cells, cert.x)
@@ -522,17 +545,12 @@ def assert_scan_matches_reference(ctx, cert, samples, seed, grid_cells):
     counterexamples = 0
     for a in range(0, samples, 1024):
         m = min(1024, samples - a)
-        new = list(rotundity_lab._adversarial_blocks(
-            rotundity_lab._draw_chunk(rng_new, nodes.size, m, eps2), nodes))
+        new = list(scan_blocks(rng_new, nodes, [m], eps2))
         ref = np.vstack(list(ref_adversarial_blocks(rng_ref, nodes, m, eps2)))
-        assert full_rows(new).tolist() == ref.tolist()
-        peaks = [blk.peaks(eps2) for blk in new]
-        offsets = np.cumsum([0] + [blk.sa.size for blk in new])
-        cands = np.concatenate([c + o for (c, _, _), o in zip(peaks, offsets)])
-        y = np.concatenate([y for _, _, y in peaks])
-        cols = np.concatenate([k for _, k, _ in peaks])
+        assert full_rows(new, nodes).tolist() == ref.tolist()
+        cands, cols, y = candidates(new, eps2)
         sup = np.max(np.abs(ref), axis=1)
-        assert cands.tolist() == np.nonzero(sup > eps2)[0].tolist()
+        assert np.sort(cands).tolist() == np.nonzero(sup > eps2)[0].tolist()
         assert np.abs(y).tolist() == sup[cands].tolist()
         assert y.tolist() == ref[cands, cols].tolist()
         for row in ref[cands]:
@@ -607,15 +625,13 @@ def test_lazy_scan_on_a_triple_overlap():
 def test_blocks_match_the_floor_rule_on_random_grids(grid_cells):
     # ref_adversarial_blocks finds a node's coarse cell as floor(32·t)
     from banachlab.gridsearch import grid_nodes
-    from banachlab.rotundity_lab import _adversarial_blocks, _draw_chunk
     from conftest import random_pl
 
     rng = np.random.default_rng(grid_cells)
     for _ in range(3):
         nodes = grid_nodes(grid_cells, random_pl(rng, n_interior=int(rng.integers(0, 12))))
         seed = int(rng.integers(1 << 30))
-        draws = _draw_chunk(np.random.default_rng(seed), nodes.size, 1024, 0.2)
-        got = full_rows(_adversarial_blocks(draws, nodes))
+        got = full_rows(list(scan_blocks(np.random.default_rng(seed), nodes, [1024], 0.2)), nodes)
         ref = np.vstack(list(ref_adversarial_blocks(np.random.default_rng(seed), nodes, 1024, 0.2)))
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -659,9 +675,9 @@ def test_scan_checks_a_sample_on_the_premise_bound(ctx8, monkeypatch):
     cert = mlur_certificate(ctx8, unit(ctx8, PLFunction.constant(1.0)), 0.1)
     forged = dataclasses.replace(cert, conclusion_bound=0.05)
 
-    def one_plateau(draws, nodes):
-        kind, sa, centers, widths = np.array([1]), np.array([0.1]), np.array([0.5]), np.array([0.2])
-        yield rotundity_lab._ScanRows(nodes, kind, sa, centers, widths, np.empty((0, nodes.size)))
+    def one_plateau(pieces, nodes, chunks):
+        index, sa, centers, widths = np.array([0]), np.array([0.1]), np.array([0.5]), np.array([0.2])
+        yield rotundity_lab._HatRows(nodes, index, sa, centers, widths, np.array([True]))
 
     monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", one_plateau)
     rep = mlur_adversarial_search(ctx8, forged, samples=1, seed=0)
@@ -683,36 +699,55 @@ ONE_THREAD_REPORTS = {1: (1, 1), 1023: (148, 314), 1024: (142, 310), 1025: (142,
                       2049: (293, 613), 3000: (438, 891)}
 
 
-@pytest.mark.parametrize("samples", sorted(ONE_THREAD_REPORTS))
-def test_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples):
-    # the rows the scan itself screens, recorded as it builds them, equal the
-    # full-row generator's on one stream drawn 1024 samples at a time
+def assert_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples):
+    """The rows the scan itself screens, recorded as it builds them, equal the
+    full-row generator's on one stream drawn 1024 samples at a time, and so
+    do its candidates, their peaks and its report."""
     from banachlab import rotundity_lab
     from banachlab.gridsearch import grid_nodes
 
     forged = forged_tent(ctx8)
+    nodes, eps2 = grid_nodes(512, forged.x), forged.conclusion_bound
     blocks = []
     build = rotundity_lab._adversarial_blocks
 
-    def recording(draws, nodes):
-        for blk in build(draws, nodes):
+    def recording(pieces, nodes, chunks):
+        for blk in build(pieces, nodes, chunks):
             blocks.append(blk)
             yield blk
 
     monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", recording)
     rep = mlur_adversarial_search(ctx8, forged, samples=samples, seed=8)
-    nodes, eps2 = grid_nodes(512, forged.x), forged.conclusion_bound
     rng = np.random.default_rng(8)
     ref = np.vstack([blk for a in range(0, samples, 1024)
                      for blk in ref_adversarial_blocks(rng, nodes, min(1024, samples - a), eps2)])
-    got = full_rows(blocks)
+    got = full_rows(blocks, nodes)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    cands, cols, y = candidates(blocks, eps2)
+    assert np.sort(cands).tolist() == np.nonzero(np.max(np.abs(ref), axis=1) > eps2)[0].tolist()
+    assert y.tobytes() == ref[cands, cols].tobytes()
     expect = ONE_THREAD_REPORTS[samples]
     assert rep == {"scanned": samples, "counterexamples": expect[0],
                    "survivors_full_checked": expect[1]}
 
 
+@pytest.mark.parametrize("samples", sorted(ONE_THREAD_REPORTS))
+def test_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples):
+    assert_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples)
+
+
+@pytest.mark.parametrize("piece_rows", [1, 7])
+@pytest.mark.parametrize("samples", sorted(ONE_THREAD_REPORTS))
+def test_any_piece_size_builds_the_reference_rows(ctx8, monkeypatch, samples, piece_rows):
+    # pieces that end anywhere in a chunk's noise or wave samples
+    from banachlab import rotundity_lab
+
+    monkeypatch.setattr(rotundity_lab, "SCAN_PIECE_ROWS", piece_rows)
+    assert_threaded_scan_builds_the_reference_rows(ctx8, monkeypatch, samples)
+
+
 def test_a_failed_draw_raises_in_the_caller(ctx8, monkeypatch):
+    # the second chunk's draw fails between two of its noise pieces
     import threading
 
     from banachlab import rotundity_lab
@@ -720,11 +755,12 @@ def test_a_failed_draw_raises_in_the_caller(ctx8, monkeypatch):
     calls = []
     draw = rotundity_lab._draw_chunk
 
-    def second_fails(rng, n, m, eps2):
+    def second_fails(rng, n, m, eps2, buffers):
         calls.append(m)
-        if len(calls) == 2:
-            raise RuntimeError("second draw failed")
-        return draw(rng, n, m, eps2)
+        for i, piece in enumerate(draw(rng, n, m, eps2, buffers)):
+            if len(calls) == 2 and i == 2:  # after the head and one noise piece
+                raise RuntimeError("second draw failed")
+            yield piece
 
     monkeypatch.setattr(rotundity_lab, "_draw_chunk", second_fails)
     before = threading.active_count()
@@ -736,7 +772,7 @@ def test_a_failed_draw_raises_in_the_caller(ctx8, monkeypatch):
 
 def test_a_failed_screen_leaves_no_draw_thread(ctx8, monkeypatch):
     # the forged bound sends a sample of the first chunk to the exact check,
-    # which raises while the second chunk is being drawn
+    # which raises while the draw thread is ahead of the screen
     import threading
 
     from banachlab import rotundity_lab
@@ -751,7 +787,7 @@ def test_a_failed_screen_leaves_no_draw_thread(ctx8, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_one_draw_thread_per_chunk(ctx8, monkeypatch):
+def test_one_draw_thread_per_call(ctx8, monkeypatch):
     import threading
 
     started = []
@@ -767,7 +803,46 @@ def test_one_draw_thread_per_chunk(ctx8, monkeypatch):
     assert rep == {"scanned": 0, "counterexamples": 0, "survivors_full_checked": 0}
     assert started == []
     mlur_adversarial_search(ctx8, cert, samples=3000, seed=8)
-    assert len(started) == 3 and not any(t.is_alive() for t in started)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+@pytest.mark.parametrize("queue_pieces", [1, 4])
+def test_the_draw_runs_at_most_the_queue_bound_ahead(ctx8, monkeypatch, queue_pieces):
+    # behind a slow screen the draw thread fills the queue and holds one
+    # more piece: it never has more than SCAN_QUEUE_PIECES + 1 pieces drawn
+    # beyond those taken, so its SCAN_QUEUE_PIECES + 2 buffers suffice, and
+    # the report stays the one-thread report
+    import time
+
+    from banachlab import rotundity_lab
+
+    monkeypatch.setattr(rotundity_lab, "SCAN_QUEUE_PIECES", queue_pieces)
+    drawn, ahead = [0], []
+    draw, build = rotundity_lab._draw_chunk, rotundity_lab._adversarial_blocks
+
+    def counting(rng, n, m, eps2, buffers):
+        for piece in draw(rng, n, m, eps2, buffers):
+            drawn[0] += 1
+            yield piece
+
+    def slow(pieces, nodes, chunks):
+        def taken():
+            count = 0
+            while True:
+                piece = next(pieces)
+                count += 1
+                time.sleep(0.005)
+                ahead.append(drawn[0] - count)
+                yield piece
+
+        yield from build(taken(), nodes, chunks)
+
+    monkeypatch.setattr(rotundity_lab, "_draw_chunk", counting)
+    monkeypatch.setattr(rotundity_lab, "_adversarial_blocks", slow)
+    rep = mlur_adversarial_search(ctx8, forged_tent(ctx8), samples=3000, seed=8)
+    assert rep == {"scanned": 3000, "counterexamples": ONE_THREAD_REPORTS[3000][0],
+                   "survivors_full_checked": ONE_THREAD_REPORTS[3000][1]}
+    assert 0 < max(ahead) <= queue_pieces + 1
 
 
 def reorder(cert, perm):

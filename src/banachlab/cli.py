@@ -371,7 +371,7 @@ def _run(args) -> tuple[dict | str, str]:
             ys = [(1.0 - 1.0 / (k + 1)) * e1 for k in range(n)]
             res = wur_difference_extraction(sched, xs, ys, tol=0.25)
         else:
-            rep = large_slice_check(sched, args.m, args.eps, budget=args.budget, seed=seed)
+            rep = large_slice_check(sched, args.m, args.eps)
             res = {
                 "best_distance": rep["best_distance"],
                 "tail_product": rep["tail_product"],

@@ -17,13 +17,6 @@ import numpy as np
 
 from .errors import DataError, DomainError, ResolutionError
 
-#: float64 values per block of pair differences in `large_slice_check`'s
-#: screen: 1 MiB a block, however many pairs there are
-_SCREEN_FLOATS = 2**17
-#: screened distances within this relative gap of the screened maximum are
-#: re-ranked with the exact fold; the screen agrees with it to about 1e-15
-_RERANK_REL = 1e-9
-_TINY = np.finfo(np.float64).smallest_subnormal
 #: most exponents a geometric schedule may hold; the tuple is built in full
 MAX_GEOMETRIC_COUNT = 10_000
 
@@ -96,57 +89,6 @@ def nested_norm(sched: ExponentSchedule, v) -> float:
     return acc
 
 
-def _fold_columns(sched: ExponentSchedule, block: np.ndarray) -> np.ndarray:
-    """Folded norms of the columns of a (dim, k) block, one coordinate at a time.
-
-    Each step is hi·(1 + (lo/hi)^p)^(1/p) with hi, lo the larger and smaller
-    of |v_j| and the running norm: the same max-scaling as `nested_norm`, but
-    its last bits may differ, so the result only screens.
-    """
-    acc = np.abs(block[-1])
-    for j in range(block.shape[0] - 2, -1, -1):
-        p = sched.exponents[j]
-        a = np.abs(block[j])
-        hi = np.maximum(a, acc)
-        lo = np.minimum(a, acc, out=a)
-        # the smallest subnormal leaves every positive hi as it is and turns 0/0 into 0
-        ratio = lo / np.maximum(hi, _TINY)
-        acc = hi * (1.0 + ratio**p) ** (1.0 / p)
-    return acc
-
-
-def _near_max_pairs(sched: ExponentSchedule, members: list) -> list[tuple[int, int]]:
-    """Row-major (i, j), i < j, of the member pairs whose screened distance is
-    within `_RERANK_REL` of the screened maximum.
-
-    Pairs are numbered row-major and screened in blocks of at most
-    `_SCREEN_FLOATS` coordinates, so no array grows with the number of pairs.
-    """
-    cols = np.array(members).T.copy()  # (dim, n): one coordinate per row
-    dim, n = cols.shape
-    rows = np.arange(n)
-    starts = rows * (n - 1) - rows * (rows - 1) // 2  # pairs before row i
-    total = n * (n - 1) // 2
-    step = max(1, _SCREEN_FLOATS // dim)
-    top = -np.inf
-    near = []
-    for lo in range(0, total, step):
-        lin = np.arange(lo, min(lo + step, total))
-        i = np.searchsorted(starts, lin, side="right") - 1
-        j = lin - starts[i] + i + 1
-        d = _fold_columns(sched, cols[:, i] - cols[:, j])
-        top = max(top, float(d.max()))
-        # a pair near the final maximum is near the running one too
-        keep = d >= top * (1.0 - _RERANK_REL)
-        near.append((i[keep], j[keep], d[keep]))
-    cut = top * (1.0 - _RERANK_REL)
-    return [
-        (int(a), int(b))
-        for i, j, d in near
-        for a, b in zip(i[d >= cut], j[d >= cut])
-    ]
-
-
 def identity_operator_norm(p: float) -> float:
     """‖I : ℓ_∞(2) → ℓ_p(2)‖ = 2^(1/p), attained at (1, 1)."""
     if p < 1.0:
@@ -208,25 +150,20 @@ def wur_difference_extraction(sched: ExponentSchedule, xs, ys, tol: float) -> di
     }
 
 
-def large_slice_check(
-    sched: ExponentSchedule,
-    m: int,
-    epsilon: float,
-    budget: int = 200,
-    seed: int = 0,
-) -> dict:
-    """Best distance between members of the coordinate slice {v_m > 1−ε}.
+def large_slice_check(sched: ExponentSchedule, m: int, epsilon: float) -> dict:
+    """Two members of the coordinate slice {v_m > 1−ε}, 2c apart.
 
     Requires the tail from m to be (1+ε/4)-close to the sup-norm model,
-    i.e. 2^(Σ_{i≥m} 1/p_i) ≤ 1 + ε/4.  The deterministic witness pair
-    a·e_m ± c·e_K already achieves 2c with c = (1 − a^{p_m})^{1/p_m}, and
-    a random search tries to do better.  Every pair of members is screened
-    whole-array; the near-best ones are ranked by the exact `nested_norm`.
+    i.e. 2^(Σ_{i≥m} 1/p_i) ≤ 1 + ε/4.  The pair is a·e_m ± c·e_k with a
+    just above 1−ε and c = (1 − a^p)^(1/p): k = K (the last coordinate) and
+    p = p_m for m < K, and k = K−1 and p = p_{K−1} at m = K.  Both members
+    have norm 1, up to rounding that is checked to stay inside the ball, and
+    x − y = 2c·e_k, so the distance is exactly 2c.  c → 1 as p grows, so on
+    a fast-growing schedule the pair is nearly 2 apart, the most that two
+    members of the unit ball can be.
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0,1)")
-    if budget < 0:
-        raise DomainError("budget must be >= 0 (0 keeps the deterministic pair only)")
     if not 1 <= m <= sched.capacity:
         raise DomainError(f"coordinate index m={m} outside 1..{sched.capacity}")
     tail_product = 2.0 ** sched.inv_sum(start=m)
@@ -236,42 +173,20 @@ def large_slice_check(
         )
     dim = sched.capacity
     a = (1.0 - epsilon) * (1.0 + 1e-12) + 1e-15
-    p_m = sched.exponents[m - 1] if m < dim else sched.exponents[-1]
-    c = (1.0 - a ** p_m) ** (1.0 / p_m) if m < dim else 0.0
+    # k is the 0-based coordinate that carries ±c, folded in with exponent p
+    k, p = (dim - 1, sched.exponents[m - 1]) if m < dim else (dim - 2, sched.exponents[-1])
+    c = (1.0 - a**p) ** (1.0 / p)
     x = np.zeros(dim)
-    y = np.zeros(dim)
     x[m - 1] = a
-    y[m - 1] = a
-    if m < dim:
-        x[-1] = c
-        y[-1] = -c
-    best = nested_norm(sched, x - y)
-    best_pair = (x.copy(), y.copy())
+    x[k] = c
+    y = x.copy()
+    y[k] = -c
     if nested_norm(sched, x) > 1.0 or nested_norm(sched, y) > 1.0:
         raise DomainError("deterministic witness left the ball; epsilon too extreme")
-    rng = np.random.default_rng(seed)
-    members = [x, y]
-    for _ in range(budget):
-        cand = rng.standard_normal(dim)
-        cand[m - 1] = abs(cand[m - 1]) + 1.0
-        nrm = nested_norm(sched, cand)
-        cand = cand / (nrm * (1.0 + 1e-12))
-        if cand[m - 1] > 1.0 - epsilon:
-            members.append(cand)
-    # the screen only nominates pairs; the exact fold ranks them in row-major
-    # order, so the strict `>` keeps the first of any tie.  No two members of
-    # the unit ball are more than 2 apart, so a deterministic pair at that
-    # ceiling ends the search
-    pairs = _near_max_pairs(sched, members) if best < 2.0 else ()
-    for i, j in pairs:
-        d = nested_norm(sched, members[i] - members[j])
-        if d > best:
-            best = d
-            best_pair = (members[i].copy(), members[j].copy())
     return {
-        "best_distance": float(best),
-        "pair": best_pair,
+        "best_distance": nested_norm(sched, x - y),
+        "pair": (x, y),
         "tail_product": tail_product,
-        "members": len(members),
+        "members": 2,
         "target": 2.0 / (1.0 + epsilon / 3.0),
     }

@@ -39,7 +39,7 @@ SCAN_PIECE_ROWS = 64
 #: pieces the scan's draw thread may queue ahead of the screen
 SCAN_QUEUE_PIECES = 4
 
-#: half-width of each flip of the local octahedral witness
+#: largest half-width of a flip of the local octahedral witness
 FLIP_HALF_WIDTH = 1e-9
 
 
@@ -503,11 +503,13 @@ def local_octahedral_witness(
     and that certified value.
 
     y is x flipped once per stored interval D_n: an exact maximizer of |x|
-    on cl D_n, clamped 2 half-widths inside D_n, becomes the centre of a
-    flip of half-width FLIP_HALF_WIDTH (`build_flip`), and y is scaled into
-    the ball.  Away from the flips x + y = 2x, and at each centre
-    x − y = 2x, so every ‖x±y‖_n is within a few Lip(x)·FLIP_HALF_WIDTH of
-    2‖x‖_n.  Three norm evaluations; nothing is searched or drawn.
+    on cl D_n, clamped 2·FLIP_HALF_WIDTH inside D_n, becomes the centre of
+    a flip (`build_flip`), and y is scaled into the ball.  A flip's
+    half-width is FLIP_HALF_WIDTH, or 1e-6 over the steeper slope of x at
+    its centre if that is less, so x moves under 1e-6 across it even on a
+    narrow spike.  Away from the flips x + y = 2x, and at each centre
+    x − y = 2x, so every ‖x±y‖_n is within a few 1e-6 of 2‖x‖_n.  Three
+    norm evaluations; nothing is searched or drawn.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise DomainError("epsilon must be finite and positive")
@@ -523,7 +525,21 @@ def local_octahedral_witness(
         if t - kept[-1] >= 3.0 * h:
             kept.append(t)
     c = np.array(kept)
-    y = build_flip(x, np.column_stack([c - h, c, c + h]))
+    # a half-width of at most 1e-6 over the steeper of x's two pieces at the
+    # centre keeps x within 1e-6 of x(centre) across the flip, however narrow
+    # the peak is.  Each centre lies strictly inside (0, 1), so both pieces
+    # exist; they are one piece unless the centre is a breakpoint
+    slope = np.abs(np.diff(x.values) / np.diff(x.breakpoints))
+    s = np.maximum(slope[np.searchsorted(x.breakpoints, c) - 1],
+                   slope[np.searchsorted(x.breakpoints, c, side="right") - 1])
+    with np.errstate(divide="ignore"):
+        w = np.minimum(h, 1e-6 / s)
+    if not np.all((c - w < c) & (c < c + w)):
+        raise WitnessNotFoundError(
+            "a flip narrowed to 1e-6 / slope has no room between floats",
+            diagnostics={"evaluations": 1},
+        )
+    y = build_flip(x, np.column_stack([c - w, c, c + w]))
     y = y.scaled(1.0 / (d_norm(ctx, y).hi * RESCALE_SAFETY))
     val = min(
         d_norm(ctx, lin_comb(1.0, x, 1.0, y)).lo,

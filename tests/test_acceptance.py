@@ -177,7 +177,7 @@ def test_criterion_8_nested_space():
     sched = ExponentSchedule.geometric(2.0, 4.0, 12)
     prod, holds = product_condition(sched)
     assert prod == math.sqrt(2.0) and holds
-    rep = large_slice_check(sched, m=8, epsilon=0.3, budget=200, seed=88)
+    rep = large_slice_check(sched, m=8, epsilon=0.3)
     assert rep["best_distance"] > 1.8
     dt = time.perf_counter() - t0
     assert dt < 60.0

@@ -1,13 +1,10 @@
-import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banachlab import nested_sum_space
 from banachlab.errors import DataError, DomainError, ResolutionError
 from banachlab.nested_sum_space import (
     ExponentSchedule,
@@ -146,151 +143,53 @@ class TestWur:
             wur_difference_extraction(GEO, [np.zeros(3)], [np.zeros(3)], tol=0.1)
 
 
-def scalar_members(sched, m, epsilon, budget, seed):
-    """The slice members in `large_slice_check`'s order: the deterministic
-    pair, then the accepted random candidates."""
+#: the tests' schedules and four more geometric ones, (base, start, count)
+SURVEY = [GEO, FAST, WITH_INF] + [
+    ExponentSchedule.geometric(*bsc)
+    for bsc in ((2.0, 2.0, 12), (1.5, 4.0, 16), (2.0, 8.0, 8), (3.0, 2.0, 10))
+]
+
+
+def admissible_slices():
+    """(schedule, m, ε) for every m whose tail product 2^(Σ_{i≥m} 1/p_i)
+    stays within 1 + ε/4."""
+    for i, sched in enumerate(SURVEY):
+        for eps in (0.1, 0.3, 0.6, 0.9):
+            for m in range(1, sched.capacity + 1):
+                if 2.0 ** sched.inv_sum(start=m) <= 1.0 + eps / 4.0:
+                    yield pytest.param(sched, m, eps, id=f"s{i}-m{m}-eps{eps}")
+
+
+@pytest.mark.parametrize("sched,m,eps", admissible_slices())
+def test_deterministic_pair(sched, m, eps):
+    rep = large_slice_check(sched, m, eps)
+    x, y = rep["pair"]
+    assert rep["members"] == 2
+    for v in (x, y):
+        assert nested_norm(sched, v) <= 1.0
+        assert v[m - 1] > 1.0 - eps
+    # ±c sits on the last coordinate, or on the one before it at m = capacity
     dim = sched.capacity
-    a = (1.0 - epsilon) * (1.0 + 1e-12) + 1e-15
-    p_m = sched.exponents[m - 1] if m < dim else sched.exponents[-1]
-    c = (1.0 - a ** p_m) ** (1.0 / p_m) if m < dim else 0.0
-    x = np.zeros(dim)
-    y = np.zeros(dim)
-    x[m - 1] = a
-    y[m - 1] = a
-    if m < dim:
-        x[-1] = c
-        y[-1] = -c
-    rng = np.random.default_rng(seed)
-    members = [x, y]
-    for _ in range(budget):
-        cand = rng.standard_normal(dim)
-        cand[m - 1] = abs(cand[m - 1]) + 1.0
-        nrm = nested_norm(sched, cand)
-        cand = cand / (nrm * (1.0 + 1e-12))
-        if cand[m - 1] > 1.0 - epsilon:
-            members.append(cand)
-    return members
-
-
-def scalar_large_slice(sched, m, epsilon, budget, seed):
-    """The quadratic scalar pair loop that the whole-array screen replaced,
-    kept as the reference for its results (`large_slice_check` checks the
-    inputs, so this copy does not)."""
-    members = scalar_members(sched, m, epsilon, budget, seed)
-    best = nested_norm(sched, members[0] - members[1])
-    best_pair = (members[0].copy(), members[1].copy())
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = nested_norm(sched, members[i] - members[j])
-            if d > best:
-                best = d
-                best_pair = (members[i].copy(), members[j].copy())
-    return {
-        "best_distance": float(best),
-        "pair": best_pair,
-        "tail_product": 2.0 ** sched.inv_sum(start=m),
-        "members": len(members),
-        "target": 2.0 / (1.0 + epsilon / 3.0),
-    }
-
-
-def assert_same_report(got, want):
-    for key in ("best_distance", "members", "tail_product", "target"):
-        assert got[key] == want[key], key
-    for u, v in zip(got["pair"], want["pair"]):
-        assert np.array_equal(u, v)
-
-
-class TestPairScreen:
-    """The screen nominates pairs; the exact fold ranks them in the scalar
-    loop's order, so every field of the report is that loop's."""
-
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("budget", [0, 1, 50, 600])
-    @pytest.mark.parametrize("m", [8, 12, 13])  # 13 = capacity: c = 0, x == y
-    def test_matches_scalar_loop(self, m, budget, seed):
-        got = large_slice_check(GEO, m, 0.3, budget=budget, seed=seed)
-        assert_same_report(got, scalar_large_slice(GEO, m, 0.3, budget, seed))
-
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_fast_schedule_first_coordinate(self, seed):
-        got = large_slice_check(FAST, 1, 0.5, budget=200, seed=seed)
-        assert_same_report(got, scalar_large_slice(FAST, 1, 0.5, 200, seed))
-
-    @pytest.mark.parametrize("m", [6, 7])
-    def test_infinite_exponent(self, m):
-        got = large_slice_check(WITH_INF, m, 0.3, budget=200, seed=2)
-        assert_same_report(got, scalar_large_slice(WITH_INF, m, 0.3, 200, 2))
-
-    # at m=13, seed 9 the screened distance of the best pair is two ulps off
-    # the exact fold, so returning the screened value would show here
-    @pytest.mark.parametrize("m,budget,seed", [(8, 300, 1), (8, 300, 88), (13, 100, 9)])
-    def test_distance_is_the_exact_fold_of_the_pair(self, m, budget, seed):
-        rep = large_slice_check(GEO, m, 0.3, budget=budget, seed=seed)
-        x, y = rep["pair"]
-        assert rep["best_distance"] == nested_norm(GEO, x - y)
-
-    def test_screen_agrees_with_scalar_fold(self):
-        # 1000x inside the re-rank cut of 1e-9
-        members = scalar_members(GEO, 8, 0.3, 600, 1)
-        assert len(members) == large_slice_check(GEO, 8, 0.3, budget=600, seed=1)["members"]
-        i, j = (np.array(t) for t in zip(*itertools.combinations(range(len(members)), 2)))
-        cols = np.array(members).T
-        screened = nested_sum_space._fold_columns(GEO, cols[:, i] - cols[:, j])
-        exact = np.array([nested_norm(GEO, members[a] - members[b]) for a, b in zip(i, j)])
-        np.testing.assert_allclose(screened, exact, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("budget", [0, 50, 600, 2000])
-    def test_search_stops_at_the_distance_ceiling(self, budget, seed, monkeypatch):
-        # at m=8 the deterministic pair is already 2 apart, the most two
-        # members of the unit ball can be, so no pair is screened; the
-        # members are still drawn and counted
-        def screen(sched, members):
-            raise AssertionError("screened past the ceiling")
-
-        monkeypatch.setattr(nested_sum_space, "_near_max_pairs", screen)
-        rep = large_slice_check(GEO, 8, 0.3, budget=budget, seed=seed)
-        assert rep["best_distance"] == 2.0
-        assert rep["members"] == len(scalar_members(GEO, 8, 0.3, budget, seed))
-
-    def test_pairs_are_enumerated_row_major_across_blocks(self, monkeypatch):
-        # a tiny block size, and a cut that keeps every pair
-        members = list(np.random.default_rng(0).standard_normal((23, GEO.capacity)))
-        monkeypatch.setattr(nested_sum_space, "_SCREEN_FLOATS", 7 * GEO.capacity)
-        monkeypatch.setattr(nested_sum_space, "_RERANK_REL", 2.0)
-        got = nested_sum_space._near_max_pairs(GEO, members)
-        assert got == list(itertools.combinations(range(23), 2))
-
-    def test_near_ties_are_all_reranked(self):
-        # two pairs 1e-12 apart: the screen may order them either way
-        x = np.zeros(GEO.capacity)
-        x[7] = 0.8
-        y = -x
-        y2 = y.copy()
-        y2[7] *= 1.0 - 1e-12
-        got = nested_sum_space._near_max_pairs(GEO, [x, y, y2])
-        assert got == [(0, 1), (0, 2)]
-
-    def test_memory_stays_bounded(self):
-        # 1384 members: an all-pairs difference array would take about 100 MB
-        tracemalloc.start()
-        try:
-            large_slice_check(GEO, 8, 0.3, budget=2000, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+    k, p = (dim - 1, sched.exponents[m - 1]) if m < dim else (dim - 2, sched.exponents[-1])
+    c = (1.0 - x[m - 1] ** p) ** (1.0 / p)
+    want = np.zeros(dim)
+    want[m - 1] = x[m - 1]
+    want[k] = c
+    assert np.array_equal(x, want)
+    want[k] = -c
+    assert np.array_equal(y, want)
+    assert rep["best_distance"] == nested_norm(sched, x - y) == 2.0 * c
+    assert rep["best_distance"] > 0.0
 
 
 class TestLargeSlice:
     def test_deep_coordinate_wide_slice(self):
-        rep = large_slice_check(GEO, m=8, epsilon=0.3, budget=100, seed=1)
+        rep = large_slice_check(GEO, m=8, epsilon=0.3)
         assert rep["best_distance"] > rep["target"]
         assert rep["best_distance"] > 1.8
 
     def test_pair_members_verify(self):
-        rep = large_slice_check(GEO, m=8, epsilon=0.3, budget=50, seed=2)
+        rep = large_slice_check(GEO, m=8, epsilon=0.3)
         x, y = rep["pair"]
         for v in (x, y):
             assert nested_norm(GEO, v) <= 1.0 + 1e-12
@@ -299,16 +198,12 @@ class TestLargeSlice:
     def test_shallow_coordinate_logged(self):
         # a fast schedule makes even the first coordinate workable
         fast = ExponentSchedule.geometric(2.0, 32.0, 8)
-        rep = large_slice_check(fast, m=1, epsilon=0.5, budget=50, seed=3)
+        rep = large_slice_check(fast, m=1, epsilon=0.5)
         assert rep["best_distance"] > 0.0  # exploratory, no target asserted
 
     def test_resolution_error_for_tiny_eps(self):
         with pytest.raises(ResolutionError):
-            large_slice_check(GEO, m=1, epsilon=0.01, budget=10, seed=0)
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(DomainError):
-            large_slice_check(GEO, m=8, epsilon=0.3, budget=-1, seed=0)
+            large_slice_check(GEO, m=1, epsilon=0.01)
 
 
 class TestSchedule:

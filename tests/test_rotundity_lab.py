@@ -376,6 +376,23 @@ class TestOctahedral:
         assert achieved >= 2.0 - 1e-6
         assert d_norm(ctx, y).hi <= 1.0
 
+    def test_spike_narrower_than_a_flip(self, ctx8):
+        # the peak lasts 8e-10, less than a 2e-9 flip: the flip is narrowed
+        # so that x + y keeps the spike
+        x = unit(ctx8, PLFunction(np.array([0.0, 0.3, 0.3 + 4e-10, 0.3 + 8e-10, 1.0]),
+                                  np.array([0.5, 0.5, 1.0, 0.5, 0.5])))
+        y, achieved = local_octahedral_witness(ctx8, x, 0.5)
+        assert achieved >= 1.99
+        assert d_norm(ctx8, y).hi <= 1.0
+
+    def test_flip_without_room_between_floats(self, ctx8):
+        # slope about 5e10: a flip narrow enough would have coincident
+        # points, so even the threshold 2 − ε = 0 is not met
+        x = unit(ctx8, PLFunction(np.array([0.0, 0.7, 0.7 + 1e-11, 0.7 + 2e-11, 1.0]),
+                                  np.array([0.5, 0.5, 1.0, 0.5, 0.5])))
+        with pytest.raises(WitnessNotFoundError):
+            local_octahedral_witness(ctx8, x, 2.0)
+
     def test_gap_probe_rejects_equal(self, ctx8):
         one = PLFunction.constant(1.0)
         with pytest.raises(DomainError):

@@ -29,6 +29,7 @@ from .core_model import (
     measure_combine,
 )
 from .d_norm import (
+    RESCALE_SAFETY,
     DNormContext,
     ball_norm,
     conservative_value,
@@ -51,6 +52,8 @@ from .gridsearch import GridContext
 
 #: largest cross-term slack `small_diameter_combo` certifies
 COMBO_MAX_SLACK = 1.0
+#: depth of a slice diameter's flip, beyond the anchor's own norm deficit
+FLIP_DELTA = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +86,10 @@ class SliceSpec:
         return raw / self.functional_norm.hi > 1.0 - self.epsilon
 
     def anchor(self, ctx: DNormContext) -> PLFunction:
-        """The norming element a diameter's members perturb: the witness the
-        spec was built with, else the norming bump of one isolated atom,
-        signed like its weight, else the dual-norm program's witness."""
+        """The norming element a diameter's flip pair starts from and its
+        sampled members perturb: the witness the spec was built with, else
+        the norming bump of one isolated atom, signed like its weight, else
+        the dual-norm program's witness."""
         if self.witness is not None:
             return self.witness
         m = self.functional
@@ -692,38 +696,34 @@ def diameter_lower_bound(
     seed: int,
     grid_cells: int = 512,
 ) -> DiameterEstimate:
-    """Best certified distance between feasible points of the set found
-    within the budget.  Lower bounds only: both points of the returned pair
-    re-verify feasibly, and the distance is the exact norm enclosure's lo.
+    """A certified lower bound on the set's diameter, with its pair.
+
+    The ball's pair is ±x, x the constant 1 rescaled as `rescale_to_ball`
+    does: lo(a − b) ≤ lo(a) + lo(b) ≤ 2·lo(x) for a, b in the ball, so
+    nothing is drawn (2 samples, 2 evaluations; a random row can read 2 ulps
+    more on a 4-interval custom base).  A slice or shell is the flip pair of
+    x = `into_unit_ball(S.anchor(ctx))` at δ = min(ε/2, FLIP_DELTA + 1 −
+    ‖x‖.lo), certified more than 2 − 2δ apart, a shell's members keeping
+    lo ≥ 1 − τ (2 samples, 3 evaluations: the norms of x, y and x − y).
+    A combination, and a slice or shell with no such pair, samples
+    max(8, min(64, budget / (4 · slices))) members per slice around each
+    anchor on a grid that refines it and reports its best pair; a slice
+    then keeps the flip from its first member where that is farther.
     """
     if isinstance(set_spec, BallSet):
-        gc = GridContext(ctx, grid_cells=grid_cells)
-        rng = np.random.default_rng(seed)
-        rows = gc.rescale_to_ball(
-            np.vstack([gc.random_smooth(rng, max(4, min(budget // 4, 48))),
-                       np.ones((1, gc.size))])
-        )
-        rows = np.vstack([rows, -rows[-1][None, :]])
-        evals = rows.shape[0]
-        ia, ib, lo = _pair_distances(gc, rows)
-        evals += lo.size
-        k = int(np.argmax(lo))
-        pair = (gc.to_plfunction(rows[ia[k]]), gc.to_plfunction(rows[ib[k]]))
-        value = d_norm(ctx, lin_comb(1.0, pair[0], -1.0, pair[1])).lo
-        return DiameterEstimate(
-            value, pair, rows.shape[0], evals, tuple(float(v) for v in lo)
-        )
+        one = PLFunction.constant(1.0)
+        x = one.scaled(1.0 / (d_norm(ctx, one).hi * RESCALE_SAFETY))
+        value = d_norm(ctx, x.scaled(2.0)).lo
+        return DiameterEstimate(value, (x, x.scaled(-1.0)), 2, 2, (value,))
 
-    if isinstance(set_spec, SliceSet):
-        sets = [set_spec.slice]
-        weights = [1.0]
-        shell_tau = None
-    elif isinstance(set_spec, ShellSliceSet):
+    shell_tau = None
+    if isinstance(set_spec, ShellSliceSet):
         if not 0.0 < set_spec.tau <= 1.0:  # nan compares false
             raise DomainError("tau must lie in (0, 1]")
-        sets = [set_spec.slice]
-        weights = [1.0]
         shell_tau = set_spec.tau
+    single = isinstance(set_spec, (SliceSet, ShellSliceSet))
+    if single:
+        sets, weights = [set_spec.slice], [1.0]
     elif isinstance(set_spec, ComboSet):
         sets = list(set_spec.slices)
         weights = list(set_spec.weights)
@@ -731,13 +731,17 @@ def diameter_lower_bound(
             raise DomainError("a combination needs one weight per slice")
         if abs(sum(weights) - 1.0) > 1e-12 or any(w <= 0 for w in weights):
             raise DomainError("combination weights must be positive and sum to 1")
-        shell_tau = None
     else:
         raise DomainError(f"unknown set spec {set_spec!r}")
 
+    anchors = [s.anchor(ctx) for s in sets]
+    if single:
+        flip = _flip_pair(ctx, sets[0], anchors[0], shell_tau)
+        if flip is not None:
+            return DiameterEstimate(flip[0], flip[1], 2, 3, (flip[0],))
+
     # each slice's members perturb its anchor, and the grid refines the
     # anchors, so they are sampled exactly
-    anchors = [s.anchor(ctx) for s in sets]
     gc = GridContext(ctx, *(s.functional for s in sets), *anchors, grid_cells=grid_cells)
 
     per_slice = max(8, min(64, budget // (4 * len(sets))))
@@ -763,53 +767,25 @@ def diameter_lower_bound(
     ia, ib, lo = _pair_distances(gc, rows)
     evals += lo.size
     k = int(np.argmax(lo))
-    best_a, best_b = rows[ia[k]].copy(), rows[ib[k]].copy()
-
-    # local refinement: push the pair apart along their difference; combination
-    # points would need per-component witnesses, so it runs on single slices
-    coeffs = gc.functional_coeffs(sets[0].functional) if len(sets) == 1 else None
-    rng = np.random.default_rng(seed + 7)
-    best = float(lo[k])
-    while coeffs is not None and evals + 4 <= budget:
-        direction = best_a - best_b
-        scale = 0.1 * rng.uniform()
-        cand_a = gc.rescale_to_ball(best_a + scale * direction)[0]
-        cand_b = gc.rescale_to_ball(best_b - scale * direction)[0]
-        evals += 2
-        ok = all(sets[0].admits(float(c @ coeffs)) for c in (cand_a, cand_b))
-        if ok and shell_tau is not None:
-            c_lo, _ = gc.enclosures(np.vstack([cand_a, cand_b]))
-            evals += 2
-            ok = bool(np.all(c_lo >= 1.0 - shell_tau))
-        if ok:
-            d_lo, _ = gc.enclosures((cand_a - cand_b)[None, :])
-            evals += 1
-            if float(d_lo[0]) > best:
-                best = float(d_lo[0])
-                best_a, best_b = cand_a, cand_b
-                continue
-        break
-
-    pair = (gc.to_plfunction(best_a), gc.to_plfunction(best_b))
+    pair = (gc.to_plfunction(rows[ia[k]]), gc.to_plfunction(rows[ib[k]]))
     value = d_norm(ctx, lin_comb(1.0, pair[0], -1.0, pair[1])).lo
-
-    pair_log = list(float(v) for v in lo)
-    # flip-witness seeding: for plain slices the flip pair is feasible and
-    # sits near distance 2, far beyond anything random sampling finds
-    if isinstance(set_spec, (SliceSet, ShellSliceSet)):
-        seeded = _flip_seed_pair(ctx, sets[0], gc, rows[0], shell_tau)
-        if seeded is not None:
-            pair_log.append(seeded[0])
-            if seeded[0] > value:
-                value, pair = seeded
-    return DiameterEstimate(value, pair, count, evals, tuple(pair_log))
+    if single:
+        flip = _flip_pair(ctx, sets[0], gc.to_plfunction(rows[0]), shell_tau)
+        if flip is not None and flip[0] > value:
+            value, pair = flip
+    return DiameterEstimate(value, pair, count, evals, tuple(float(v) for v in lo))
 
 
-def _flip_seed_pair(ctx, S, gc, anchor_row, shell_tau):
-    flip = flip_from_point(ctx, S, gc.to_plfunction(anchor_row), min(0.08, S.epsilon / 2.0))
+def _flip_pair(ctx, S, x, shell_tau):
+    """(distance lo, (x', y)) for the flip pair of x' = x pulled into the
+    ball at δ = min(ε/2, FLIP_DELTA + 1 − ‖x'‖.lo); None where it is not
+    certified, or where a member of a shell's pair has lo below 1 − τ."""
+    x = into_unit_ball(ctx, x)
+    delta = min(S.epsilon / 2.0, FLIP_DELTA + (1.0 - d_norm(ctx, x).lo))
+    flip = flip_from_point(ctx, S, x, delta)
     if flip is None:
         return None
-    x_pl, cert = flip
-    if shell_tau is not None and d_norm(ctx, cert.y).lo < 1.0 - shell_tau:
+    x, cert = flip
+    if shell_tau is not None and min(d_norm(ctx, p).lo for p in (x, cert.y)) < 1.0 - shell_tau:
         return None
-    return cert.achieved_distance_lo, (x_pl, cert.y)
+    return cert.achieved_distance_lo, (x, cert.y)

@@ -24,6 +24,9 @@ def files(tmp_path_factory):
     (d / "sliceset.json").write_text(
         json.dumps({"kind": "slice", "dirac": 0.5, "eps": 0.3})
     )
+    (d / "combo.json").write_text(
+        json.dumps({"kind": "combo", "slices": [{"dirac": 0, "eps": 0.3}, {"dirac": 1, "eps": 0.3}]})
+    )
     ctx = DNormContext(build_leveled(1, levels=8))  # the default --base
     for name, f in (("one_unit.json", PLFunction.constant(1.0)), ("tent_unit.json", PLFunction.tent())):
         dump_function(f.scaled(1.0 / d_norm(ctx, f).hi), str(d / name))
@@ -439,15 +442,25 @@ class TestNestedEdges:
         if argv[4] == "combo-diam":  # budget 0 skips only the empirical check
             assert json.loads(out.read_text())["results"]["empirical_diameter"] is None
 
-    @pytest.mark.parametrize("seed,evaluations", [("1", 45), ("2", 37)])
+    @pytest.mark.parametrize("seed,evaluations", [("1", 62), ("2", 62)])
     def test_zero_budget_diam_still_samples(self, files, seed, evaluations, tmp_path):
-        # 8 members per slice at any budget: 1 anchor rescale, 8 rescales per
-        # sampling round (seed 1 takes two rounds, seed 2 one), 28 pair distances
+        # a combination samples 8 members per slice at any budget: its
+        # evaluations count the anchors' and members' rescales and the 28
+        # pair distances of its 8 points
         out = tmp_path / "d.json"
-        argv = ["--budget", "0", "--seed", seed, "diam", "--set", str(files / "sliceset.json")]
+        argv = ["--budget", "0", "--seed", seed, "diam", "--set", str(files / "combo.json")]
         assert run(argv, out) == 0
         res = json.loads(out.read_text())["results"]
         assert (res["feasible_samples"], res["evaluations"]) == (8, evaluations)
+
+    def test_zero_budget_slice_diam_is_its_flip_pair(self, files, tmp_path):
+        # a slice stands on its anchor's flip pair, whatever the budget
+        out = tmp_path / "d.json"
+        argv = ["--budget", "0", "--seed", "1", "diam", "--set", str(files / "sliceset.json")]
+        assert run(argv, out) == 0
+        res = json.loads(out.read_text())["results"]
+        assert (res["feasible_samples"], res["evaluations"]) == (2, 3)
+        assert res["value"] >= 2.0 - 2e-4
 
 
 class TestWitnessAndReports:
@@ -663,11 +676,12 @@ LEBESGUE = {"atoms": [], "density": {"breakpoints": [0, 1], "values": [1, 1]}}
 
 
 class TestOneDualNormSolve:
-    # a non-dirac slice's members perturb the witness of its own bracket,
-    # which the member grid refines; `SliceSpec.anchor` solves nothing again
+    # a non-dirac slice's flip pair starts from the witness of its own
+    # bracket, and a combination's members perturb it on a grid that refines
+    # it; `SliceSpec.anchor` solves nothing again
     @pytest.mark.parametrize("spec,solves,results", [
         ({"kind": "slice", "eps": 0.02, "measure": LEBESGUE}, 1,
-         b'"results":{"evaluations":2177,"feasible_samples":64,"value":1.9952517170815236}'),
+         b'"results":{"evaluations":3,"feasible_samples":2,"value":1.9999988615027113}'),
         ({"kind": "combo", "slices": [{"eps": 0.3, "measure": LEBESGUE},
                                       {"eps": 0.3, "measure": {"atoms": [{"t": 0, "w": 1}, {"t": 1, "w": -1}]}}]},
          2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448748534009}'),

@@ -21,6 +21,7 @@ from banachlab.d_norm import (
     dual_norm,
     functional_bracket,
     functional_bracket_witness,
+    into_unit_ball,
 )
 from banachlab.errors import CertificateFailure, DomainError, ParameterError, SamplingError
 from banachlab.gridsearch import GridContext
@@ -430,10 +431,17 @@ class TestDiameter:
         assert est.value <= 2.0 + 1e-9
         # the truncation term plus the float slack of the radial rescale
         assert est.value >= 2.0 - 2.0 ** (-ctx8.base.n_max / 2) - 1e-10
+        # the pair is ±1 rescaled into the ball, and nothing is drawn
+        one = PLFunction.constant(1.0)
+        x = one.scaled(1.0 / (d_norm(ctx8, one).hi * RESCALE_SAFETY))
+        assert np.array_equal(est.pair[0].values, x.values)
+        assert np.array_equal(est.pair[1].values, -x.values)
+        assert (est.feasible_samples, est.evaluations) == (2, 2)
+        assert est.pair_distances == (est.value,) == (d_norm(ctx8, x.scaled(2.0)).lo,)
 
     def test_combo_spends_nothing_on_refinement(self):
-        # a combination has no one functional to keep a refined pair inside
-        # its set, so no refinement runs and no evaluation is counted for it
+        # a combination's evaluations are its members' rescales and its pair
+        # distances, however large the budget
         ctx = DNormContext(build_leveled(2, levels=8))
         slices, _, _ = small_diameter_combo(ctx, 2)
         est = diameter_lower_bound(ctx, ComboSet(slices, (0.5, 0.5)), 5000, 1)
@@ -465,16 +473,20 @@ class TestDiameter:
         assert cert.empirical_diameter is not None
         assert cert.empirical_diameter <= bound
 
-    def test_monotone_in_budget(self, ctx8, lam_slice):
-        small = diameter_lower_bound(ctx8, SliceSet(lam_slice), budget=600, seed=7)
-        big = diameter_lower_bound(ctx8, SliceSet(lam_slice), budget=2400, seed=7)
+    def test_monotone_in_budget(self, combos):
+        # only a combination's value depends on the budget: more members per
+        # slice, the first ones drawn as before
+        ctx, slices = combos(2)
+        spec = ComboSet(slices, (0.5, 0.5))
+        small = diameter_lower_bound(ctx, spec, budget=600, seed=7)
+        big = diameter_lower_bound(ctx, spec, budget=2400, seed=7)
         assert big.value >= small.value - 1e-12
 
     @pytest.mark.parametrize("budget", [0, 500, 2000, 5000])
     @pytest.mark.parametrize("levels", [2, 4, 8])
     def test_pair_members_reverify(self, levels, budget):
-        # the refinement loop runs from a budget of about 2040; at levels 2
-        # its pushed-apart shell pair used to fall below 1 − τ
+        # both members re-verify in the slice and the ball, and a shell's
+        # at lo ≥ 1 − τ, whichever path built the pair
         ctx = DNormContext(build_leveled(1, levels=levels))
         leb = Measure.lebesgue()
         enc, witness = functional_bracket_witness(ctx, leb, 2000)
@@ -629,3 +641,77 @@ class TestSliceAnchor:
         enc, witness = functional_bracket_witness(ctx, m, 2000)
         est = diameter_lower_bound(ctx, SliceSet(SliceSpec(m, enc, eps, witness)), 2000, 1)
         assert 1.98 < est.value <= 2.0
+
+
+FLIP_MEASURES = {
+    **{name: ANCHOR_MEASURES[name] for name in ("lebesgue", "rising", "mixture")},
+    "dirac_0+dirac_1": Measure(((0.0, 1.0), (1.0, 1.0))),
+    "dirac_3/16": Measure.dirac(3.0 / 16.0),
+    "dirac_half_neg": Measure.dirac(0.5, -2.0),
+}
+
+
+def _check_members(ctx, spec, pair):
+    """Both members certified in the slice, in the ball, and for a shell
+    with lo ≥ 1 − τ."""
+    S = spec.slice
+    for p in pair:
+        e = d_norm(ctx, p)
+        assert S.admits(integrate(p, S.functional))
+        assert e.hi <= 1.0
+        if isinstance(spec, ShellSliceSet):
+            assert e.lo >= 1.0 - spec.tau
+
+
+class TestFlipPair:
+    """A slice or shell stands on the flip pair of its anchor, pulled into
+    the ball, at δ = min(ε/2, FLIP_DELTA + 1 − ‖x‖.lo)."""
+
+    @pytest.fixture(scope="class")
+    def brackets(self):
+        import functools
+
+        @functools.cache
+        def build(levels_i, name):
+            i, levels = levels_i
+            ctx = DNormContext(build_leveled(i, levels=levels))
+            return ctx, functional_bracket_witness(ctx, FLIP_MEASURES[name], 2000)
+
+        return build
+
+    @pytest.mark.parametrize("tau", [None, 0.2, 0.01])
+    @pytest.mark.parametrize("eps", [0.02, 0.3, 0.9])
+    @pytest.mark.parametrize("name", list(FLIP_MEASURES))
+    @pytest.mark.parametrize("base", [(1, 8), (2, 6)])
+    def test_slice_and_shell(self, brackets, base, name, eps, tau):
+        from banachlab.slice_lab import FLIP_DELTA
+
+        ctx, (enc, witness) = brackets(base, name)
+        S = SliceSpec(FLIP_MEASURES[name], enc, eps, witness)
+        spec = SliceSet(S) if tau is None else ShellSliceSet(S, tau)
+        est = diameter_lower_bound(ctx, spec, 2000, 1)
+        x = into_unit_ball(ctx, S.anchor(ctx))
+        delta = min(eps / 2.0, FLIP_DELTA + (1.0 - d_norm(ctx, x).lo))
+        assert est.feasible_samples == 2 and est.evaluations == 3
+        assert np.array_equal(est.pair[0].values, x.values)
+        dist = d_norm(ctx, lin_comb(1.0, est.pair[0], -1.0, est.pair[1])).lo
+        assert est.value == dist > 2.0 - 2.0 * delta
+        assert est.pair_distances == (est.value,)
+        _check_members(ctx, spec, est.pair)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shell_without_a_flip_pair_samples(self, seed):
+        # the anchor of δ_{3/16} at levels 2 has lo 0.988, below the shell's
+        # 1 − τ: its members are sampled, and the flip from the first follows
+        ctx = DNormContext(build_leveled(1, levels=2))
+        m = Measure.dirac(3.0 / 16.0)
+        enc, witness = functional_bracket_witness(ctx, m, 2000)
+        S = SliceSpec(m, enc, 0.6, witness)
+        assert d_norm(ctx, into_unit_ball(ctx, S.anchor(ctx))).lo < 0.99
+        spec = ShellSliceSet(S, 0.01)
+        est = diameter_lower_bound(ctx, spec, 0, seed)
+        assert est.feasible_samples == 8
+        # the sampled pairs alone read 1.9291 and 1.9326
+        assert est.value > 1.98
+        assert est.value == d_norm(ctx, lin_comb(1.0, est.pair[0], -1.0, est.pair[1])).lo
+        _check_members(ctx, spec, est.pair)

@@ -3,12 +3,16 @@
 The single operation that dominates every optimizer loop in this package is
 "exact supremum of |f| over many closed subintervals of [0,1]" for a
 piecewise-linear f.  ``searchsorted`` finds the nodes inside each interval,
-and `range_reduce` takes the max of |f| over them from a doubling table,
-built for a block of rows at a time so the table stays in cache; a caller
-that runs many blocks on one geometry passes a `doubling_workspace` to hold
-every block's table, so none is allocated per block.  Only an
-interval end strictly between two nodes needs an interpolated value: an end
-on a node blends to that node's own value, which the range already holds.
+and `range_reduce` takes the max of |f| over them from a doubling table.
+It runs on two paths.  One function on its own breakpoints (`sup_abs_many`,
+behind every `d_norm`) takes one row: two ``searchsorted`` calls and one
+`blend` of both interval ends.  Many rows on one shared grid
+(`sup_abs_rows`, behind `gridsearch`) go through in blocks whose table
+stays in cache; a caller that runs many blocks on one geometry passes a
+`doubling_workspace` to hold every block's table, so none is allocated per
+block.  Only an interval end strictly between two nodes needs an
+interpolated value: an end on a node blends to that node's own value, which
+the range already holds.
 """
 
 from __future__ import annotations
@@ -153,9 +157,22 @@ def sup_abs_many(bx, by, lo, hi):
     f is the piecewise-linear interpolant of (bx, by); every lo/hi must lie
     inside [bx[0], bx[-1]].  The supremum of a PL function over a closed
     interval is attained at an endpoint or an interior breakpoint.
+
+    The one-row path: breakpoints ``starts:ends`` lie inside, and both ends
+    blend in one call, lo in cell starts − 1 and hi in cell ends − 1
+    (clipped).  Those are the cells of `interval_geometry` except where lo
+    is a breakpoint; there lo blends to that breakpoint's value as
+    v'·0 + v·1, which the range already holds, so the result equals
+    ``sup_abs_rows(by[None], interval_geometry(bx, lo, hi))[0]`` bit for
+    bit, for finite by.
     """
     by = np.asarray(by, dtype=np.float64)
-    return sup_abs_rows(by[None], interval_geometry(bx, lo, hi))[0]
+    starts = np.searchsorted(bx, lo, side="left")
+    ends = np.searchsorted(bx, hi, side="right")
+    k, th = _fraction(bx, np.concatenate([lo, hi]), np.concatenate([starts, ends]) - 1)
+    fa, fb = np.abs(blend(by[k], by[k + 1], th)).reshape(2, -1)
+    interior = range_reduce(np.maximum, np.abs(by)[None], starts, ends, 0.0)[0]
+    return np.maximum(interior, np.maximum(fa, fb, out=fa), out=fa)
 
 
 def min_abs_many(bx, by, lo, hi):

@@ -139,15 +139,21 @@ def seminorms_all(ctx: DNormContext, f: PLFunction) -> np.ndarray:
 
 
 def d_norm(ctx: DNormContext, f: PLFunction) -> Enclosure:
-    """Certified enclosure of the norm of f.
+    """Certified enclosure of the norm of f: `norm_enclosure` of its
+    effective seminorms and its max-norm."""
+    return norm_enclosure(ctx, seminorms_all(ctx, f), f.sup_abs())
 
-    lo² sums the stored terms; hi² adds 2^-N·‖f‖_∞², which dominates every
-    unseen term because each seminorm is at most the max-norm.  Where ‖f‖_∞
+
+def norm_enclosure(ctx: DNormContext, s: np.ndarray, sup: float) -> Enclosure:
+    """Certified enclosure of the norm of a function whose effective
+    seminorms are s (`seminorms_all`) and whose max-norm is sup.
+
+    lo² sums the stored terms; hi² adds 2^-N·sup², which dominates every
+    unseen term because each seminorm is at most the max-norm.  Where sup
     lies outside [2^-200, 2^200] the squares would under- or overflow, so the
-    sums run on f scaled by `_pow2`, and the ends scale back rounded outward.
+    sums run on s and sup scaled by `_pow2`, and the ends scale back rounded
+    outward.
     """
-    s = seminorms_all(ctx, f)
-    sup = f.sup_abs()
     if 2.0 ** -200 <= sup <= 2.0 ** 200:
         return Enclosure(*_root_sums(ctx, s, sup))
     scale = _pow2(sup)
@@ -164,7 +170,12 @@ def _root_sums(ctx: DNormContext, s: np.ndarray, sup: float) -> tuple[float, flo
 
 def ball_norm(ctx: DNormContext, x: PLFunction) -> Enclosure:
     """The norm enclosure of x, which must certify x in the unit ball."""
-    enc = d_norm(ctx, x)
+    return ball_member(d_norm(ctx, x))
+
+
+def ball_member(enc: Enclosure) -> Enclosure:
+    """enc, the norm enclosure of some x, which must certify x in the unit
+    ball."""
     if enc.hi > 1.0 + BALL_TOL:
         raise DomainError("x is not a certified ball member")
     return enc

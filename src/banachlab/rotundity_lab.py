@@ -528,11 +528,12 @@ def local_octahedral_witness(
     # a half-width of at most 1e-6 over the steeper of x's two pieces at the
     # centre keeps x within 1e-6 of x(centre) across the flip, however narrow
     # the peak is.  Each centre lies strictly inside (0, 1), so both pieces
-    # exist; they are one piece unless the centre is a breakpoint
-    slope = np.abs(np.diff(x.values) / np.diff(x.breakpoints))
-    s = np.maximum(slope[np.searchsorted(x.breakpoints, c) - 1],
-                   slope[np.searchsorted(x.breakpoints, c, side="right") - 1])
-    with np.errstate(divide="ignore"):
+    # exist; they are one piece unless the centre is a breakpoint.  A slope
+    # may overflow to inf, and 1e-6 over a subnormal one too
+    with np.errstate(divide="ignore", over="ignore"):
+        slope = np.abs(np.diff(x.values) / np.diff(x.breakpoints))
+        s = np.maximum(slope[np.searchsorted(x.breakpoints, c) - 1],
+                       slope[np.searchsorted(x.breakpoints, c, side="right") - 1])
         w = np.minimum(h, 1e-6 / s)
     if not np.all((c - w < c) & (c < c + w)):
         raise WitnessNotFoundError(

@@ -25,18 +25,21 @@ from .core_model import (
     abs_argmax,
     build_flip,
     integrate,
+    integrate_many,
     lin_comb,
     measure_combine,
 )
 from .d_norm import (
     RESCALE_SAFETY,
     DNormContext,
+    ball_member,
     ball_norm,
     conservative_value,
     d_norm,
     dirac_dual_norm,
     dual_norm,
     into_unit_ball,
+    norm_enclosure,
     seminorms_all,
     sup_norm_bounds,
 )
@@ -176,15 +179,17 @@ class WitnessCertificate:
     x_norm_hi: float
 
     def verify(self, ctx: DNormContext, S: SliceSpec, x: PLFunction) -> dict:
-        """Re-derive every certified inequality by exact arithmetic."""
-        fy, dist, ynorm, _ = _flip_inequalities(ctx, S, x, self.y, self.delta)
+        """Re-derive every certified inequality by exact arithmetic, x's
+        norm included."""
+        fy, dist, ynorm = _flip_inequalities(ctx, S, x, self.y, self.delta, d_norm(ctx, x).hi)
         return {"functional": fy, "distance_lo": dist, "norm_hi": ynorm}
 
 
-def _flip_inequalities(ctx, S: SliceSpec, x: PLFunction, y: PLFunction, delta: float):
-    """The three flip-witness inequalities by exact arithmetic, in order;
-    raises CertificateFailure naming the first that fails.  Returns
-    (functional value of y, distance lo, norm hi of y, norm hi of x)."""
+def _flip_inequalities(ctx, S: SliceSpec, x: PLFunction, y: PLFunction, delta: float,
+                       xnorm: float):
+    """The three flip-witness inequalities by exact arithmetic, in order,
+    xnorm the norm hi of x; raises CertificateFailure naming the first that
+    fails.  Returns (functional value of y, distance lo, norm hi of y)."""
     fy = S.value(y)
     if not fy > 1.0 - S.epsilon:
         raise CertificateFailure(
@@ -198,10 +203,9 @@ def _flip_inequalities(ctx, S: SliceSpec, x: PLFunction, y: PLFunction, delta: f
             inequality="flip distance lower bound",
         )
     ynorm = d_norm(ctx, y).hi
-    xnorm = d_norm(ctx, x).hi
     if not ynorm <= xnorm:
         raise CertificateFailure(f"norm {ynorm} exceeds {xnorm}", inequality="norm domination")
-    return fy, dist, ynorm, xnorm
+    return fy, dist, ynorm
 
 
 def _near_max_component(
@@ -282,7 +286,9 @@ def tent_flip_witness(
     each of the first N intervals the near-max region of |x|, packs
     pairwise-disjoint flip intervals into those regions away from the
     functional's atoms, shrinks until the mass conditions hold, builds the
-    flipped y, and verifies the certificate by exact arithmetic.
+    flipped y, and verifies the certificate by exact arithmetic.  x's
+    seminorms are read once: they give its norm, as `d_norm` does, and the
+    depth N.  Each attempt integrates over all its flips in one call.
     """
     eps = S.epsilon
     delta = float(delta_target)
@@ -292,14 +298,14 @@ def tent_flip_witness(
         eta = (eps - delta) / 2.0
     if not (math.isfinite(eta) and eta > 0.0):
         raise DomainError("eta must be finite and positive")
-    xe = ball_norm(ctx, x)
+    s_all = seminorms_all(ctx, x)
+    xe = ball_member(norm_enclosure(ctx, s_all, x.sup_abs()))
     if not xe.lo > 1.0 - delta:
         raise DomainError(f"norm lower bound {xe.lo} fails > 1-delta={1.0 - delta}")
     raw_total = integrate(x, S.functional)
     if not S.admits(raw_total):
         raise DomainError("x is not a certified member of the slice")
 
-    s_all = seminorms_all(ctx, x)
     cum = np.cumsum(ctx.weights * s_all * s_all)
     target = (1.0 - delta) ** 2
     above = np.nonzero(cum > target)[0]
@@ -347,10 +353,10 @@ def tent_flip_witness(
             diag["packing_failed_at_attempt"] = attempt
             continue
 
-        mass_hat = sum(
-            S.functional.abs_mass_on(r, t) for r, _, t in flips
-        ) / S.functional_norm.lo
-        raw_on_e = sum(integrate(x, S.functional, r, t) for r, _, t in flips)
+        r, _, t = np.array(flips).T
+        # Python's sum of the per-flip values, in flip order
+        mass_hat = sum(S.functional.abs_mass_many(r, t).tolist()) / S.functional_norm.lo
+        raw_on_e = sum(integrate_many(x, S.functional, r, t).tolist())
         rest_value = conservative_value(raw_total - raw_on_e, S.functional_norm)
         if not (mass_hat / b_lo < eta and rest_value - eta > 1.0 - eps):
             diag["mass_condition"] = {
@@ -363,7 +369,7 @@ def tent_flip_witness(
 
         y = build_flip(x, flips)
         try:
-            fy, dist, ye_hi, x_hi = _flip_inequalities(ctx, S, x, y, delta)
+            fy, dist, ye_hi = _flip_inequalities(ctx, S, x, y, delta, xe.hi)
         except CertificateFailure as exc:
             diag["last_checks"] = {
                 "attempt": attempt, "inequality": exc.inequality, "detail": str(exc)
@@ -378,7 +384,7 @@ def tent_flip_witness(
             achieved_functional=fy,
             achieved_distance_lo=dist,
             achieved_norm_hi=ye_hi,
-            x_norm_hi=x_hi,
+            x_norm_hi=xe.hi,
         )
     raise WitnessNotFoundError(
         "flip construction failed within the iteration cap "
@@ -705,7 +711,8 @@ def diameter_lower_bound(
     x = `into_unit_ball(S.anchor(ctx))` at δ = min(ε/2, FLIP_DELTA + 1 −
     ‖x‖.lo), certified more than 2 − 2δ apart, a shell's members keeping
     lo ≥ 1 − τ (2 samples, 3 evaluations: the norms of x, y and x − y).
-    A combination, and a slice or shell with no such pair, samples
+    A combination of one slice at weight 1.0 is that slice.  Any other
+    combination, and a slice or shell with no such pair, samples
     max(8, min(64, budget / (4 · slices))) members per slice around each
     anchor on a grid that refines it and reports its best pair; a slice
     then keeps the flip from its first member where that is farther.
@@ -731,6 +738,7 @@ def diameter_lower_bound(
             raise DomainError("a combination needs one weight per slice")
         if abs(sum(weights) - 1.0) > 1e-12 or any(w <= 0 for w in weights):
             raise DomainError("combination weights must be positive and sum to 1")
+        single = weights == [1.0]
     else:
         raise DomainError(f"unknown set spec {set_spec!r}")
 

@@ -18,6 +18,7 @@ from banachlab.core_model import (
     function_from_dict,
     function_to_dict,
     integrate,
+    integrate_many,
     lin_comb,
     measure_combine,
     measure_from_dict,
@@ -362,3 +363,35 @@ def test_integrate_bit_identical(f, rho, atoms, lo, hi):
     lo, hi = min(lo, hi), max(lo, hi)
     assert integrate(f, m) == ref_integrate(f, m)
     assert integrate(f, m, lo, hi) == ref_integrate(f, m, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=pl_densities(),
+    rho=pl_densities() | st.none(),
+    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=3),
+    data=st.data(),
+)
+def test_many_intervals_in_one_call(f, rho, atoms, data):
+    # each interval is cut and summed as on its own, so the bits are equal;
+    # the intervals may overlap, repeat, be points, span [0, 1], or end on a
+    # breakpoint or an atom
+    m = Measure(tuple(atoms.items()), rho)
+    marks = [0.0, 1.0, *f.breakpoints, *atoms] + ([] if rho is None else [*rho.breakpoints])
+    point = st.sampled_from(marks) | st.floats(0.0, 1.0)
+    ends = data.draw(st.lists(st.tuples(point, point), max_size=8))
+    lo, hi = np.array([sorted(e) for e in ends]).reshape(-1, 2).T
+    ref = np.array([integrate(f, m, a, b) for a, b in zip(lo, hi)], dtype=float)
+    assert integrate_many(f, m, lo, hi).tobytes() == ref.tobytes()
+    ref = np.array([m.abs_mass_on(a, b) for a, b in zip(lo, hi)], dtype=float)
+    assert m.abs_mass_many(lo, hi).tobytes() == ref.tobytes()
+
+
+def test_many_intervals_outside_the_unit_interval():
+    m = Measure(((0.5, 1.0),), PLFunction.constant(1.0))
+    with pytest.raises(DomainError):
+        integrate_many(PLFunction.tent(), m, np.array([0.2, -0.1]), np.array([0.4, 0.3]))
+    with pytest.raises(DomainError):
+        m.abs_mass_many(np.array([0.6]), np.array([0.4]))
+    # abs_mass_on clamps the density's range to [0, 1], as here
+    assert m.abs_mass_many(np.array([-1.0]), np.array([2.0])).tolist() == [m.abs_mass_on(-1.0, 2.0)]

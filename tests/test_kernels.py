@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banachlab import _kernels
 from banachlab._kernels import pl_eval
@@ -83,6 +85,31 @@ def test_sup_abs_many_matches_its_old_body():
         got = _kernels.sup_abs_many(bx, by, lo, hi)
         assert got.tolist() == ref_sup_abs_many(bx, by, lo, hi).tolist()
 
+
+@st.composite
+def pl_with_intervals(draw):
+    """Breakpoints (2 or more) and values, signed zeros among them, and
+    closed intervals whose ends sit on breakpoints, between them (a quarter
+    and a half of the way, so some intervals hold no breakpoint), at 0 and
+    1, or anywhere; lo == hi included."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=10))
+    bx = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    by = np.array(draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+                                min_size=bx.size, max_size=bx.size)))
+    between = np.concatenate([0.5 * (bx[:-1] + bx[1:]), 0.75 * bx[:-1] + 0.25 * bx[1:]])
+    point = (st.sampled_from(bx.tolist()) | st.sampled_from(between.tolist())
+             | st.floats(0.0, 1.0))
+    ends = draw(st.lists(st.tuples(point, point), min_size=1, max_size=12))
+    lo, hi = np.array([sorted(e) for e in ends]).T
+    return bx, by, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(pl_with_intervals())
+def test_one_row_path_matches_the_block_path(case):
+    bx, by, lo, hi = case
+    ref = _kernels.sup_abs_rows(by[None], _kernels.interval_geometry(bx, lo, hi))[0]
+    assert same_bits(_kernels.sup_abs_many(bx, by, lo, hi), ref)
 
 
 def same_bits(a, b):

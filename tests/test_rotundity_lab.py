@@ -385,6 +385,20 @@ class TestOctahedral:
         assert achieved >= 1.99
         assert d_norm(ctx8, y).hi <= 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bx, vals", [
+        # on (0.75, 1) the slope is about 4e-320, so 1e-6 / slope overflows
+        # to inf, and the flip keeps its full half-width
+        ([0.0, 0.5, 0.75, 1.0], [-1.0, 1.0, 1e-320, 0.0]),
+        # the slope on (0, 1e-310) overflows; no flip sits there
+        ([0.0, 1e-310, 1.0], [1.0, -1.0, -1.0]),
+    ])
+    def test_extreme_slopes_warn_nothing(self, ctx8, bx, vals):
+        x = unit(ctx8, PLFunction(np.array(bx), np.array(vals)))
+        y, achieved = local_octahedral_witness(ctx8, x, 0.1)
+        assert achieved >= 2.0 - 1e-6
+        assert d_norm(ctx8, y).hi <= 1.0
+
     def test_flip_without_room_between_floats(self, ctx8):
         # slope about 5e10: a flip narrow enough would have coincident
         # points, so even the threshold 2 − ε = 0 is not met

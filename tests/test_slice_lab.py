@@ -122,6 +122,16 @@ class TestTentFlip:
             forged.verify(ctx8, lam_slice, one)
 
 
+    def test_verify_rederives_the_norm_of_x(self, ctx8, lam_slice):
+        # the certificate records ‖x‖.hi, yet verify computes it again: a
+        # slightly shorter x no longer dominates y
+        one = PLFunction.constant(1.0)
+        cert = tent_flip_witness(ctx8, lam_slice, one, delta_target=0.1, eta=0.02)
+        cert.verify(ctx8, lam_slice, one)
+        with pytest.raises(CertificateFailure) as exc:
+            cert.verify(ctx8, lam_slice, one.scaled(1.0 - 1e-6))
+        assert exc.value.inequality == "norm domination"
+
     def test_certificate_holds_the_old_loop_values(self, ctx8):
         # the attempt loop used to compute these before building the certificate
         from banachlab.d_norm import conservative_value
@@ -438,6 +448,20 @@ class TestDiameter:
         assert np.array_equal(est.pair[1].values, -x.values)
         assert (est.feasible_samples, est.evaluations) == (2, 2)
         assert est.pair_distances == (est.value,) == (d_norm(ctx8, x.scaled(2.0)).lo,)
+
+    def test_one_slice_combination_is_its_slice(self, ctx8):
+        # sampling this combination's members reads 1.8998 at budget 5000
+        S = SliceSpec(Measure.dirac(0.5), dirac_dual_norm(ctx8, 0.5), 0.3)
+        est = diameter_lower_bound(ctx8, ComboSet((S,), (1.0,)), 5000, 1)
+        ref = diameter_lower_bound(ctx8, SliceSet(S), 5000, 1)
+        assert (est.feasible_samples, est.evaluations) == (2, 3)
+        assert est.value == ref.value >= 2.0 - 2e-4
+        for p, q in zip(est.pair, ref.pair):
+            assert np.array_equal(p.breakpoints, q.breakpoints)
+            assert np.array_equal(p.values, q.values)
+        # a weight other than exactly 1 scales the slice, which is sampled
+        est = diameter_lower_bound(ctx8, ComboSet((S,), (1.0 - 2.0 ** -45,)), 0, 1)
+        assert est.feasible_samples == 8
 
     def test_combo_spends_nothing_on_refinement(self):
         # a combination's evaluations are its members' rescales and its pair

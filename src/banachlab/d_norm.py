@@ -334,6 +334,20 @@ def _water_fill(mass: float, rest: list, terms: list) -> tuple[list, float]:
     return [max(math.ldexp(level, -k - 1) - r, 0.0) for r, k in zip(rest, terms)], level
 
 
+def _member_classes(held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the bool matrix `held` and each row's index
+    among them, as np.unique(held, axis=0, return_inverse=True) gives them.
+
+    Each row is packed into one void key, most significant bit first, so
+    that byte order on the keys is np.unique's lexicographic order on the
+    rows and one 1-D sort replaces a sort over one field per column.
+    """
+    packed = np.packbits(held, axis=1)
+    key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return held[first], inverse
+
+
 def _split_program(ctx: DNormContext, m: Measure, budget: int):
     """The dual-norm program of m over the first PROGRAM_TERMS stored terms,
     or more while some cell or atom of m's mass has no member among them.
@@ -353,9 +367,12 @@ def _split_program(ctx: DNormContext, m: Measure, budget: int):
     if not covered:
         raise DomainError("mass outside the stored cover")
     # classes: the mass cells and atoms with one closure-member set, the
-    # heaviest first, which is the order the sweeps converge fastest in
-    sets, cls = np.unique(members[mass > 0.0], axis=0, return_inverse=True)
-    mu = np.bincount(cls.ravel(), weights=mass[mass > 0.0])
+    # heaviest first, which is the order the sweeps converge fastest in.
+    # Classes of equal mass keep the order _member_classes gives them, so it
+    # must be np.unique's: the sweep order, and so every bit of the bracket
+    # and the witness, depends on it
+    sets, cls = _member_classes(members[mass > 0.0])
+    mu = np.bincount(cls, weights=mass[mass > 0.0])
     heavy = np.argsort(-mu, kind="stable")
     sets, mu = sets[heavy], mu[heavy]
     pc, pk = np.nonzero(sets)  # (class, term) pairs, by class and then term

@@ -451,7 +451,7 @@ class ComboCertificate:
     radius_bound: float            # sqrt(i+slack)/i: norm of every combo point
     diameter_bound: float          # 2·radius_bound
     empirical_diameter: float | None = None
-    empirical_consistent: bool | None = None
+    empirical_consistent: bool | None = None  # empirical_diameter ≤ diameter_bound
 
 
 def combo_slack(i: int, eta: float, m_bound: float) -> float:
@@ -516,7 +516,7 @@ def small_diameter_combo(
             ctx, ComboSet(slices, tuple(1.0 / i for _ in range(i))), budget, seed
         )
         emp = est.value
-        consistent = emp <= bound
+        consistent = emp <= 2.0 * bound  # a diameter, against the diameter bound
     cert = ComboCertificate(
         points=pts,
         eta=eta,

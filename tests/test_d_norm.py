@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from banachlab.core_model import Enclosure, Interval, Measure, PLFunction, integrate, lin_comb
 from banachlab.d_norm import (
     DNormContext,
+    _member_classes,
     ball_norm,
     conservative_value,
     d_norm,
@@ -421,10 +423,14 @@ PROGRAM_MEASURES = [
 ]
 
 
-def test_program_takes_more_terms_where_the_first_leave_mass_uncovered():
+def uncovered_tail_base():
     # the first 70 intervals lie inside [0, 0.445]; only the last two reach 1
     ivs = [Interval(0.005 * k, 0.005 * k + 0.1) for k in range(70)]
-    ctx = DNormContext(build_custom(ivs + [Interval(0.4, 1.0), Interval(0.0, 1.0)]))
+    return build_custom(ivs + [Interval(0.4, 1.0), Interval(0.0, 1.0)])
+
+
+def test_program_takes_more_terms_where_the_first_leave_mass_uncovered():
+    ctx = DNormContext(uncovered_tail_base())
     for m in (Measure.lebesgue(), Measure.dirac(0.9, -1.0)):
         br = dual_norm(ctx, m, budget=500, seed=0)
         assert 0.0 < br.lower <= br.upper <= br.lower * (1.0 + 1e-5)
@@ -493,6 +499,58 @@ def test_program_bracket_on_random_measures(ctx8, rho, atoms):
     assert d_norm(ctx8, br.witness).hi <= 1.0
     # the lower end is the witness's exact value
     assert integrate(br.witness, m) == pytest.approx(br.lower, rel=1e-12)
+
+
+def unique_rows(held):
+    """The reference grouping: np.unique over the rows, with one field per
+    column."""
+    sets, inverse = np.unique(held, axis=0, return_inverse=True)
+    return sets, inverse.reshape(-1)
+
+
+@st.composite
+def bool_matrices(draw):
+    """Bool matrices whose rows repeat, are all False, or differ from another
+    row in one bit."""
+    width = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 128, 130]))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        pool.append([False] * width)
+    for k, bit in draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(0, width - 1)), max_size=4)):
+        pool.append(list(pool[k]))
+        pool[-1][bit] = not pool[-1][bit]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=200))
+    return np.array([pool[i] for i in picks], dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(held=bool_matrices())
+def test_member_classes_match_unique_rows(held):
+    sets, inverse = _member_classes(held)
+    ref_sets, ref_inverse = unique_rows(held)
+    assert sets.dtype == ref_sets.dtype and sets.shape == ref_sets.shape
+    assert sets.tobytes() == ref_sets.tobytes()
+    assert inverse.tolist() == ref_inverse.tolist()
+
+
+def bracket_bytes(br):
+    return (np.array([br.lower, br.upper]).tobytes(), br.evaluations,
+            br.witness.breakpoints.tobytes(), br.witness.values.tobytes())
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+def test_program_bits_do_not_depend_on_the_grouping(ctx8, ctx12, budget, monkeypatch):
+    # the heaviest-first class order breaks mass ties by the grouping's row
+    # order, so the packed keys must give every bit the reference gives
+    cases = [(ctx, m) for ctx in (ctx8, ctx12) for m in PROGRAM_MEASURES]
+    # its program grows to all 72 terms: 9 bytes per packed key
+    tail = DNormContext(uncovered_tail_base())
+    cases += [(tail, Measure.lebesgue()), (tail, Measure.dirac(0.9, -1.0))]
+    packed = [bracket_bytes(dual_norm(ctx, m, budget=budget)) for ctx, m in cases]
+    # the package exports the function d_norm under the module's name
+    monkeypatch.setattr(sys.modules["banachlab.d_norm"], "_member_classes", unique_rows)
+    assert [bracket_bytes(dual_norm(ctx, m, budget=budget)) for ctx, m in cases] == packed
 
 
 @pytest.mark.parametrize("k", [1040, 1070, 1073])

@@ -26,9 +26,11 @@ from banachlab.d_norm import (
 from banachlab.errors import CertificateFailure, DomainError, ParameterError, SamplingError
 from banachlab.gridsearch import GridContext
 from banachlab.neighborhood_base import build_leveled
+from banachlab import slice_lab
 from banachlab.slice_lab import (
     BallSet,
     ComboSet,
+    DiameterEstimate,
     ShellSliceSet,
     SliceSet,
     SliceSpec,
@@ -256,6 +258,18 @@ class TestCombo:
             _, bound, _ = small_diameter_combo(ctx, i, target_slack=0.05)
             bounds.append(bound * math.sqrt(i))
         assert max(bounds) - min(bounds) < 0.25  # ~ i^{-1/2} scaling
+
+    @pytest.mark.parametrize("emp, consistent", [(1.0, True), (1.5, False)])
+    def test_sampled_diameter_checked_against_the_diameter_bound(self, monkeypatch, emp, consistent):
+        # at i = 2 the radius bound is 0.7331 and the diameter bound 1.4663:
+        # a sampled diameter of 1.0 exceeds the first and not the second
+        ctx = DNormContext(build_leveled(2, levels=8))
+        est = DiameterEstimate(emp, None, 2, 2, (emp,))
+        monkeypatch.setattr(slice_lab, "diameter_lower_bound", lambda *args: est)
+        _, bound, cert = small_diameter_combo(ctx, 2, budget=10, seed=1)
+        assert bound < 1.0 <= 2.0 * bound < 1.5
+        assert cert.empirical_diameter == emp
+        assert cert.empirical_consistent is consistent
 
 
 class TestL2Sum:

@@ -140,23 +140,6 @@ class Interval:
         return max(self.left, 0.0), min(self.right, 1.0)
 
 
-def sup_abs_on(f: PLFunction, interval: Interval) -> float:
-    """Exact supremum of |f| over interval ∩ [0,1].
-
-    Open endpoints use the limit value: for a continuous function the sup
-    over an open interval equals the sup over its closure.
-    """
-    a, b = interval.clamped()
-    if a > b:
-        raise DomainError("interval does not meet [0,1]")
-    if a == b:
-        return abs(f.eval(a))
-    out = _kernels.sup_abs_many(
-        f.breakpoints, f.values, np.array([a]), np.array([b])
-    )
-    return float(out[0])
-
-
 def lin_comb(a: float, f: PLFunction, b: float, g: PLFunction) -> PLFunction:
     """a·f + b·g on the merged breakpoint set; exact at every breakpoint."""
     bx = np.union1d(f.breakpoints, g.breakpoints)
@@ -236,10 +219,9 @@ def _left_to_right_sums(x: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def _interval_points(bx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Every interval lo[k] < hi[k] cut as `integrate` and `abs_integral`
-    cut one: lo[k], the points of bx strictly inside, hi[k].  Returns the
-    cuts of all intervals, one interval after another, and the index of
-    each lo[k] among them."""
+    """Every interval lo[k] < hi[k] cut at lo[k], the points of bx strictly
+    inside and hi[k].  Returns the cuts of all intervals, one interval after
+    another, and the index of each lo[k] among them."""
     inner = np.searchsorted(bx, lo, side="right")
     counts = np.searchsorted(bx, hi, side="left") - inner + 2
     first = np.cumsum(counts) - counts
@@ -338,19 +320,12 @@ class Measure:
             tv += abs_integral(self.density)
         return tv
 
-    def abs_mass_on(self, lo: float, hi: float) -> float:
-        """|m| of the interval (lo, hi); atoms at the endpoints excluded."""
-        mass = 0.0
-        for t, w in self.atoms:
-            if lo < t < hi:
-                mass += abs(w)
-        if self.density is not None:
-            mass += abs_integral(self.density, max(lo, 0.0), min(hi, 1.0))
-        return mass
-
     def abs_mass_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """`abs_mass_on` of every interval (lo[k], hi[k]), bit for bit, in one
-        call: each interval is cut and summed as `abs_mass_on` does."""
+        """|m| of every open interval (lo[k], hi[k]) in one call: the |w| of
+        the atoms strictly inside, added in the atoms' order, plus the exact
+        ∫|density| over the interval clamped to [0, 1], cut at its ends and
+        the density's breakpoints inside, with its pieces added left to right
+        and a piece that changes sign split at its zero crossing."""
         lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
         mass = np.zeros(lo.shape)
         for t, w in self.atoms:
@@ -392,44 +367,29 @@ def measure_combine(a: float, m1: Measure, b: float, m2: Measure) -> Measure:
     return Measure(tuple(sorted(atoms.items())), dens)
 
 
-def integrate(f: PLFunction, m: Measure, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Exact ∫ f dm over [lo, hi]: atom sum plus a piecewise-quadratic part.
-
-    On each merged linear piece f·density is quadratic, so Simpson's rule
-    is exact.  Atoms exactly at ``lo``/``hi`` count only when the range is
-    the full interval.
-    """
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise DomainError("integration range must sit inside [0,1]")
-    full = lo == 0.0 and hi == 1.0
-    total = 0.0
-    for t, w in m.atoms:
-        inside = (lo <= t <= hi) if full else (lo < t < hi)
-        if inside:
-            total += w * f.eval(t)
-    rho = m.density
-    if rho is not None and lo < hi:
-        cuts = np.union1d(np.union1d(f.breakpoints, rho.breakpoints), np.array([lo, hi]))
-        cuts = cuts[(cuts >= lo) & (cuts <= hi)]
-        fv = pl_eval(f.breakpoints, f.values, cuts)
-        rv = pl_eval(rho.breakpoints, rho.values, cuts)
-        xm = 0.5 * (cuts[:-1] + cuts[1:])
-        pm = pl_eval(f.breakpoints, f.values, xm) * pl_eval(rho.breakpoints, rho.values, xm)
-        terms = np.diff(cuts) / 6.0 * (fv[:-1] * rv[:-1] + 4.0 * pm + fv[1:] * rv[1:])
-        # np.cumsum adds left to right, the order of the atom sum before it
-        total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
-    return total
+def integrate(f: PLFunction, m: Measure) -> float:
+    """Exact ∫ f dm over [0, 1]: `integrate_many` over the one interval
+    [0, 1], so atoms at 0 and 1 count."""
+    return float(integrate_many(f, m, np.zeros(1), np.ones(1))[0])
 
 
 def integrate_many(f: PLFunction, m: Measure, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """`integrate(f, m, lo[k], hi[k])` for every k, bit for bit, in one call:
-    each interval is cut and summed as `integrate` does."""
+    """Exact ∫ f dm over every interval [lo[k], hi[k]] ⊆ [0, 1] in one call.
+
+    First the atoms inside, each w·f(t), added in the atoms' order; an atom
+    on an end counts only where the interval is all of [0, 1].  Then the
+    density part, cut at the ends and at the breakpoints of f and of the
+    density strictly inside: on each piece f·density is quadratic, so
+    Simpson's rule is exact, and the pieces are added left to right.
+    """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     _check_ranges(lo, hi)
-    full = (lo == 0.0) & (hi == 1.0)
     total = np.zeros(lo.shape)
-    for t, w in m.atoms:
-        total[np.where(full, (lo <= t) & (t <= hi), (lo < t) & (t < hi))] += w * f.eval(t)
+    if m.atoms:
+        t, w = np.array(m.atoms).T
+        whole = (lo == 0.0) & (hi == 1.0)
+        for tj, cj in zip(t.tolist(), (w * pl_eval(f.breakpoints, f.values, t)).tolist()):
+            total[whole | ((lo < tj) & (tj < hi))] += cj
     rho = m.density
     if rho is not None:
         span = np.nonzero(lo < hi)[0]

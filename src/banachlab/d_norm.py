@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .core_model import Enclosure, Measure, PLFunction, abs_integral_cells, integrate
-from .errors import CertificateFailure, DomainError, HypothesisError, IndexRangeError
+from .errors import CertificateFailure, DomainError, HypothesisError
 from .neighborhood_base import NeighborhoodBase
 
 #: multiplicative safety applied when rescaling candidates into the unit
@@ -119,17 +119,6 @@ class DNormContext:
         pts = self._cell_edges
         probes, wlo = self._weight_probes
         return pts, wlo[np.searchsorted(probes, 0.5 * (pts[:-1] + pts[1:]))]
-
-
-def seminorm(ctx: DNormContext, f: PLFunction, n: int) -> float:
-    """‖f‖_n: exact sup of |f| over the n-th stored interval."""
-    if not 1 <= n <= ctx.base.n_max:
-        raise IndexRangeError(f"seminorm index {n} outside 1..{ctx.base.n_max}")
-    lo, hi = ctx.base.clamped_bounds
-    out = _kernels.sup_abs_many(
-        f.breakpoints, f.values, np.array([lo[n - 1]]), np.array([hi[n - 1]])
-    )
-    return float(out[0])
 
 
 def seminorms_all(ctx: DNormContext, f: PLFunction) -> np.ndarray:

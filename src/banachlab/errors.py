@@ -13,10 +13,6 @@ class ConfigError(BanachLabError, ValueError):
     """A configuration object (schedule, base spec, run config) is invalid."""
 
 
-class IndexRangeError(BanachLabError, IndexError):
-    """A seminorm / interval index is outside the stored truncation."""
-
-
 class ResolutionError(BanachLabError):
     """The stored truncation is too shallow for the requested resolution."""
 

@@ -150,12 +150,12 @@ class GridContext:
             out[i] = np.interp(self.nodes, xs, ys[i])
         return out
 
-    def random_bumps(self, rng: np.random.Generator, count: int, amp: float = 1.0):
+    def random_bumps(self, rng: np.random.Generator, count: int):
         """Batch of single hat bumps at random positions/widths/signs."""
         centers = rng.uniform(0.02, 0.98, count)
         widths = np.exp(rng.uniform(np.log(2.0 ** -9), np.log(0.2), count))
         signs = rng.choice([-1.0, 1.0], count)
-        amps = amp * rng.uniform(0.2, 1.0, count)
+        amps = rng.uniform(0.2, 1.0, count)
         return (signs * amps)[:, None] * hats(self.nodes, centers, widths)
 
 

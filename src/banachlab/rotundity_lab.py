@@ -102,8 +102,8 @@ class MLURCertificate:
 def mlur_certificate(ctx: DNormContext, x: PLFunction, epsilon: float) -> MLURCertificate:
     """Build the oscillation certificate for a unit-sphere x at level ε,
     checked by `MLURCertificate.verify`."""
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError("epsilon must be finite and positive")
+    if not (np.isfinite(2.0 * epsilon) and epsilon > 0.0):  # 2ε is the conclusion bound
+        raise DomainError("epsilon must be positive, with 2·epsilon finite")
     sphere_norm(ctx, x)
     lip = x.lipschitz_bound()
     # zero oscillation: any cover works, take the coarsest stored level
@@ -571,11 +571,7 @@ def non_octahedral_gap(
         raise DomainError("budget must be >= 1")
     if np.any(u.values < 0.0) or np.any(v.values < 0.0):
         raise DomainError("u and v must be nonnegative")
-    if (
-        u.breakpoints.shape == v.breakpoints.shape
-        and np.array_equal(u.breakpoints, v.breakpoints)
-        and np.array_equal(u.values, v.values)
-    ):
+    if lin_comb(1.0, u, -1.0, v).is_zero():  # equal on different breakpoints too
         raise DomainError("u and v must be distinct")
     sphere_norm(ctx, u)
     sphere_norm(ctx, v)

@@ -23,11 +23,13 @@ from .core_model import (
     Measure,
     PLFunction,
     abs_argmax,
+    abs_argmax_many,
     build_flip,
     integrate,
     integrate_many,
     lin_comb,
     measure_combine,
+    pl_eval,
 )
 from .d_norm import (
     RESCALE_SAFETY,
@@ -57,6 +59,8 @@ from .gridsearch import GridContext
 COMBO_MAX_SLACK = 1.0
 #: depth of a slice diameter's flip, beyond the anchor's own norm deficit
 FLIP_DELTA = 1e-4
+#: attempts of `tent_flip_witness`, each halving the flips of the one before
+FLIP_ATTEMPTS = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +150,15 @@ def norming_functional(ctx: DNormContext, x: PLFunction) -> Measure:
     lo = float(np.sqrt(np.dot(ctx.weights, s * s)))
     if lo <= 0.0:
         raise DomainError("cannot norm the zero function")
-    atoms: dict[float, float] = {}
+    top = min(48, ctx.n_eff)
     ilo, ihi = ctx.interval_bounds
-    for n in range(1, min(48, ctx.n_eff) + 1):
+    peaks = abs_argmax_many(x, ilo[:top], ihi[:top])
+    signs = np.copysign(1.0, pl_eval(x.breakpoints, x.values, peaks))
+    atoms: dict[float, float] = {}
+    for n, t_star, sign in zip(range(1, top + 1), peaks.tolist(), signs.tolist()):
         if s[n - 1] == 0.0:
             continue
-        pts, vals, k = abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
-        t_star = float(pts[k])
-        weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, float(vals[k])) / lo
+        weight = 2.0 ** -n * s[n - 1] * sign / lo
         atoms[t_star] = atoms.get(t_star, 0.0) + weight
     return Measure(tuple(atoms.items()))
 
@@ -278,7 +283,6 @@ def tent_flip_witness(
     x: PLFunction,
     delta_target: float,
     eta: float | None = None,
-    max_attempts: int = 48,
 ) -> WitnessCertificate:
     """Construct and certify the flip witness for x inside the slice S.
 
@@ -330,7 +334,7 @@ def tent_flip_witness(
     ]
 
     diag: dict = {"N": big_n, "room": room}
-    for attempt in range(max_attempts):
+    for attempt in range(FLIP_ATTEMPTS):
         shrink = 2.0 ** -attempt
         used: list[tuple[float, float]] = []
         flips: list[tuple[float, float, float]] = []

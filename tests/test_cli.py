@@ -17,6 +17,7 @@ from banachlab.neighborhood_base import build_leveled, parse_base_spec
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("clifiles")
     dump_function(PLFunction.constant(1.0), str(d / "one.json"))
+    dump_function(PLFunction(np.array([0.0, 0.5, 1.0]), np.ones(3)), str(d / "one_split.json"))
     dump_function(PLFunction.tent(), str(d / "tent.json"))
     dump_measure(Measure.dirac(0.0), str(d / "dirac0.json"))
     dump_measure(Measure.dirac(0.5), str(d / "dirac_half.json"))
@@ -94,7 +95,7 @@ class TestBasics:
         ("custom", "9"),  # above n_max = 3
     ])
     def test_seminorms_match_seminorm_per_index(self, files, tmp_path, base, max_n):
-        from banachlab.d_norm import seminorm
+        from banachlab.d_norm import seminorms_all
 
         if base == "custom":
             path = tmp_path / "base.json"
@@ -108,7 +109,8 @@ class TestBasics:
                     "--max-n", max_n], out) == 0
         ctx = DNormContext(parse_base_spec(base))
         top = min(int(max_n), ctx.base.n_max)
-        expect = [{"n": n, "value": seminorm(ctx, f, n)} for n in range(1, top + 1)]
+        s = seminorms_all(ctx, f)
+        expect = [{"n": n, "value": float(s[n - 1])} for n in range(1, top + 1)]
         assert json.loads(out.read_text())["results"]["values"] == expect
 
     def test_usage_error_unknown_flag(self, files):
@@ -230,6 +232,10 @@ class TestBadInputs:
             ["--seed", "1", "diam", "--set", "{dir}/neg_tau.json"],
             ["--seed", "1", "diam", "--set", "{dir}/nan_tau.json"],
             ["--seed", "1", "diam", "--set", "{dir}/inf_tau.json"],
+            # 2ε overflowed, and the certificate concluded "inf"
+            ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps", "1e308"],
+            # the same function on other breakpoints passed as distinct
+            ["--seed", "1", "octa-gap", "--fn", "{dir}/one.json", "--fn2", "{dir}/one_split.json"],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):

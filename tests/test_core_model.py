@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachlab import _kernels
 from banachlab.core_model import (
     Enclosure,
-    Interval,
     Measure,
     PLFunction,
     abs_argmax,
@@ -23,7 +23,6 @@ from banachlab.core_model import (
     measure_combine,
     measure_from_dict,
     measure_to_dict,
-    sup_abs_on,
 )
 from banachlab.errors import DomainError
 
@@ -58,19 +57,24 @@ class TestEval:
             PLFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros(4))
 
 
+def sup_abs_on(f, a, b):
+    """Exact sup of |f| over [a, b], from `_kernels.sup_abs_many`."""
+    return float(_kernels.sup_abs_many(f.breakpoints, f.values, np.array([a]), np.array([b]))[0])
+
+
 class TestSupAbsOn:
     def test_peak_inside(self):
         tent = PLFunction.tent()
-        assert sup_abs_on(tent, Interval(0.4, 0.6)) == 1.0
+        assert sup_abs_on(tent, 0.4, 0.6) == 1.0
 
     def test_monotone_piece_open_endpoint(self):
         tent = PLFunction.tent()
         # sup over the open interval equals the closure value at 0.25
-        assert sup_abs_on(tent, Interval(0.0, 0.25)) == 0.5
+        assert sup_abs_on(tent, 0.0, 0.25) == 0.5
 
     def test_absolute_value(self):
         f = PLFunction.constant(-2.0)
-        assert sup_abs_on(f, Interval(0.1, 0.9)) == 2.0
+        assert sup_abs_on(f, 0.1, 0.9) == 2.0
 
     def test_grid_oracle(self):
         rng = np.random.default_rng(1)
@@ -80,8 +84,7 @@ class TestSupAbsOn:
             a, b = sorted(rng.uniform(0.0, 1.0, 2))
             if b - a < 1e-6:
                 continue
-            iv = Interval(a, b)
-            exact = sup_abs_on(f, iv)
+            exact = sup_abs_on(f, a, b)
             pts = grid[(grid >= a) & (grid <= b)]
             pts = np.concatenate([[a], pts, [b]])
             brute = float(np.max(np.abs(f.eval(pts))))
@@ -187,8 +190,12 @@ class TestIntegrate:
 
     def test_partial_range_open_atoms(self):
         m = Measure(atoms=((0.5, 1.0),))
-        assert integrate(PLFunction.constant(1.0), m, 0.5, 0.7) == 0.0
-        assert integrate(PLFunction.constant(1.0), m, 0.4, 0.7) == 1.0
+        got = integrate_many(PLFunction.constant(1.0), m, np.array([0.5, 0.4]), np.array([0.7, 0.7]))
+        assert got.tolist() == [0.0, 1.0]
+        # atoms at 0 and 1 count on all of [0, 1], and on no other interval
+        ends = Measure(atoms=((0.0, 1.0), (1.0, 2.0)))
+        got = integrate_many(PLFunction.constant(1.0), ends, np.array([0.0, 0.0]), np.array([0.5, 1.0]))
+        assert got.tolist() == [0.0, 3.0] and integrate(PLFunction.constant(1.0), ends) == 3.0
 
 
 class TestLinComb:
@@ -258,8 +265,8 @@ class TestMeasure:
 
     def test_abs_mass_open_interval(self):
         m = Measure(atoms=((0.5, -3.0),), density=PLFunction.constant(2.0))
-        assert m.abs_mass_on(0.5, 0.75) == pytest.approx(0.5)
-        assert m.abs_mass_on(0.4, 0.75) == pytest.approx(3.0 + 0.7)
+        got = m.abs_mass_many(np.array([0.5, 0.4]), np.array([0.75, 0.75]))
+        assert got.tolist() == pytest.approx([0.5, 3.0 + 0.7])
 
 
 class TestJsonRoundTrip:
@@ -312,7 +319,8 @@ def test_lin_comb_pointwise_property(a, b, t, seed):
 
 
 def ref_integrate(f, m, lo=0.0, hi=1.0):
-    """The scalar per-piece Simpson loop that integrate used to run."""
+    """The scalar per-atom and per-piece Simpson loop that integrate used to
+    run, with the lo/hi range it took then."""
     full = lo == 0.0 and hi == 1.0
     total = 0.0
     for t, w in m.atoms:
@@ -350,11 +358,22 @@ def test_abs_integral_bit_identical(rho, lo, hi):
         assert abs_integral(rho, lo, hi) == ref_abs_integral(rho, lo, hi)
 
 
+def ref_abs_mass_on(m, lo, hi):
+    """|m| of (lo, hi) as Measure.abs_mass_on took it, one interval a call."""
+    mass = 0.0
+    for t, w in m.atoms:
+        if lo < t < hi:
+            mass += abs(w)
+    if m.density is not None:
+        mass += ref_abs_integral(m.density, max(lo, 0.0), min(hi, 1.0))
+    return mass
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     f=pl_densities(),
     rho=pl_densities(),
-    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=3),
+    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=48),
     lo=st.floats(0.0, 1.0),
     hi=st.floats(0.0, 1.0),
 )
@@ -362,14 +381,14 @@ def test_integrate_bit_identical(f, rho, atoms, lo, hi):
     m = Measure(tuple(atoms.items()), rho)
     lo, hi = min(lo, hi), max(lo, hi)
     assert integrate(f, m) == ref_integrate(f, m)
-    assert integrate(f, m, lo, hi) == ref_integrate(f, m, lo, hi)
+    assert integrate_many(f, m, np.array([lo]), np.array([hi]))[0] == ref_integrate(f, m, lo, hi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     f=pl_densities(),
     rho=pl_densities() | st.none(),
-    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=3),
+    atoms=st.dictionaries(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), max_size=48),
     data=st.data(),
 )
 def test_many_intervals_in_one_call(f, rho, atoms, data):
@@ -381,9 +400,9 @@ def test_many_intervals_in_one_call(f, rho, atoms, data):
     point = st.sampled_from(marks) | st.floats(0.0, 1.0)
     ends = data.draw(st.lists(st.tuples(point, point), max_size=8))
     lo, hi = np.array([sorted(e) for e in ends]).reshape(-1, 2).T
-    ref = np.array([integrate(f, m, a, b) for a, b in zip(lo, hi)], dtype=float)
+    ref = np.array([ref_integrate(f, m, a, b) for a, b in zip(lo, hi)], dtype=float)
     assert integrate_many(f, m, lo, hi).tobytes() == ref.tobytes()
-    ref = np.array([m.abs_mass_on(a, b) for a, b in zip(lo, hi)], dtype=float)
+    ref = np.array([ref_abs_mass_on(m, a, b) for a, b in zip(lo, hi)], dtype=float)
     assert m.abs_mass_many(lo, hi).tobytes() == ref.tobytes()
 
 
@@ -393,5 +412,5 @@ def test_many_intervals_outside_the_unit_interval():
         integrate_many(PLFunction.tent(), m, np.array([0.2, -0.1]), np.array([0.4, 0.3]))
     with pytest.raises(DomainError):
         m.abs_mass_many(np.array([0.6]), np.array([0.4]))
-    # abs_mass_on clamps the density's range to [0, 1], as here
-    assert m.abs_mass_many(np.array([-1.0]), np.array([2.0])).tolist() == [m.abs_mass_on(-1.0, 2.0)]
+    # the density's range is clamped to [0, 1]
+    assert m.abs_mass_many(np.array([-1.0]), np.array([2.0])).tolist() == [ref_abs_mass_on(m, -1.0, 2.0)]

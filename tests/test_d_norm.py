@@ -17,13 +17,12 @@ from banachlab.d_norm import (
     dual_norm,
     functional_bracket,
     into_unit_ball,
-    seminorm,
     seminorms_all,
     sphere_norm,
     sup_norm_bounds,
     weighted_tv_upper,
 )
-from banachlab.errors import DomainError, HypothesisError, IndexRangeError
+from banachlab.errors import DomainError, HypothesisError
 from banachlab.neighborhood_base import EpsilonSchedule, build_custom, build_leveled
 
 from banachlab.gridsearch import GridContext
@@ -35,20 +34,16 @@ SCHED = EpsilonSchedule()
 
 class TestSeminorm:
     def test_constant(self, ctx8):
-        for n in (1, 5, 100):
-            assert seminorm(ctx8, PLFunction.constant(1.0), n) == 1.0
+        s = seminorms_all(ctx8, PLFunction.constant(1.0))
+        assert s.size == ctx8.n_eff and np.all(s == 1.0)
 
     def test_tent_on_left_quarter(self, ctx8):
         # third stored interval is [0, 0.25 + eps_3); tent slope 2
-        val = seminorm(ctx8, PLFunction.tent(), 3)
+        val = seminorms_all(ctx8, PLFunction.tent())[2]
         assert val == pytest.approx(2.0 * (0.25 + SCHED.eps(3)), abs=1e-15)
 
     def test_zero(self, ctx8):
-        assert seminorm(ctx8, PLFunction.constant(0.0), 2) == 0.0
-
-    def test_index_error(self, ctx8):
-        with pytest.raises(IndexRangeError):
-            seminorm(ctx8, PLFunction.constant(1.0), ctx8.base.n_max + 1)
+        assert np.all(seminorms_all(ctx8, PLFunction.constant(0.0)) == 0.0)
 
 
 class TestDNorm:

@@ -411,6 +411,10 @@ class TestOctahedral:
         one = PLFunction.constant(1.0)
         with pytest.raises(DomainError):
             non_octahedral_gap(ctx8, one, one, budget=10, seed=0)
+        # the same function on other breakpoints is not distinct either
+        split = PLFunction(np.array([0.0, 0.5, 1.0]), np.ones(3))
+        with pytest.raises(DomainError, match="distinct"):
+            non_octahedral_gap(ctx8, one, split, budget=10, seed=1)
 
     def test_gap_estimate_below_two(self, ctx8):
         u = PLFunction.constant(1.0)

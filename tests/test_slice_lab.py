@@ -8,6 +8,7 @@ from banachlab.core_model import (
     Enclosure,
     Measure,
     PLFunction,
+    abs_argmax,
     integrate,
     lin_comb,
     measure_combine,
@@ -22,6 +23,7 @@ from banachlab.d_norm import (
     functional_bracket,
     functional_bracket_witness,
     into_unit_ball,
+    seminorms_all,
 )
 from banachlab.errors import CertificateFailure, DomainError, ParameterError, SamplingError
 from banachlab.gridsearch import GridContext
@@ -46,7 +48,7 @@ from banachlab.slice_lab import (
     tent_flip_witness,
 )
 
-from conftest import make_slice_pair
+from conftest import make_slice_pair, random_pl
 
 
 @pytest.fixture(scope="module")
@@ -175,10 +177,9 @@ class TestTentFlip:
         from banachlab.errors import WitnessNotFoundError
 
         monkeypatch.setattr(slice_lab, "build_flip", lambda x, flips: x)
+        monkeypatch.setattr(slice_lab, "FLIP_ATTEMPTS", 12)
         with pytest.raises(WitnessNotFoundError) as exc:
-            tent_flip_witness(
-                ctx8, lam_slice, PLFunction.constant(1.0), 0.1, eta=0.02, max_attempts=12
-            )
+            tent_flip_witness(ctx8, lam_slice, PLFunction.constant(1.0), 0.1, eta=0.02)
         checks = exc.value.diagnostics["last_checks"]
         assert checks["attempt"] == 11
         assert checks["inequality"] == "flip distance lower bound"
@@ -404,6 +405,39 @@ def test_subslice_premises_hold(ctx8, monkeypatch):
         mixes = [_measure_bytes(measure_combine(1.0 - lam, m_hat, lam, g)) for lam in schedule]
         assert _measure_bytes(Snew.functional) in mixes
         assert dual_norm(ctx8, g).upper <= 1.0 + 1e-5
+
+
+def ref_norming_functional(ctx, x):
+    """norming_functional as it took one `abs_argmax` per stored index."""
+    s = seminorms_all(ctx, x)
+    lo = float(np.sqrt(np.dot(ctx.weights, s * s)))
+    atoms = {}
+    ilo, ihi = ctx.interval_bounds
+    for n in range(1, min(48, ctx.n_eff) + 1):
+        if s[n - 1] == 0.0:
+            continue
+        pts, vals, k = abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
+        t_star = float(pts[k])
+        weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, float(vals[k])) / lo
+        atoms[t_star] = atoms.get(t_star, 0.0) + weight
+    return Measure(tuple(atoms.items()))
+
+
+@pytest.mark.parametrize("levels", [8, 12])
+def test_norming_functional_matches_the_loop_per_index(levels):
+    # peaks on shared interval ends and ties (rounded values, a constant, a
+    # plateau), signed values, and intervals where x is 0, so s_n = 0
+    ctx = DNormContext(build_leveled(1, levels=levels))
+    rng = np.random.default_rng(levels)
+    xs = [PLFunction.tent(), PLFunction.constant(-0.5),
+          PLFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 0.0, -2.0, -2.0])),
+          PLFunction(np.array([0.0, 0.125, 0.25, 1.0]), np.array([1.0, -1.0, 0.0, 0.0]))]
+    for k in range(8):
+        f = random_pl(rng, n_interior=int(rng.integers(1, 300)))
+        xs.append(PLFunction(f.breakpoints, np.round(4.0 * f.values) / 4.0) if k % 2 else f)
+    for x in xs:
+        got, ref = norming_functional(ctx, x), ref_norming_functional(ctx, x)
+        assert np.array(got.atoms).tobytes() == np.array(ref.atoms).tobytes()
 
 
 class TestNormingFunctional:

@@ -40,9 +40,6 @@ class Enclosure:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= v <= self.hi + slack
-
 
 @dataclass(frozen=True, eq=False)
 class PLFunction:
@@ -128,14 +125,6 @@ class Interval:
     def length(self) -> float:
         return self.right - self.left
 
-    def contains(self, t: float) -> bool:
-        left_ok = self.left < t or (not self.left_open and t == self.left)
-        right_ok = t < self.right or (not self.right_open and t == self.right)
-        return left_ok and right_ok
-
-    def closure_contains(self, t: float) -> bool:
-        return self.left <= t <= self.right
-
     def clamped(self) -> tuple[float, float]:
         return max(self.left, 0.0), min(self.right, 1.0)
 
@@ -149,24 +138,22 @@ def lin_comb(a: float, f: PLFunction, b: float, g: PLFunction) -> PLFunction:
     return PLFunction(bx, by)
 
 
-def abs_argmax(f: PLFunction, a: float, b: float):
-    """The ends of [a,b] and the breakpoints of f inside, f's values there,
-    and the index of the largest |f|: an exact maximizer of |f| on [a,b]."""
-    cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
-    pts = np.concatenate([[a], cuts, [b]])
-    vals = pl_eval(f.breakpoints, f.values, pts)
-    return pts, vals, int(np.argmax(np.abs(vals)))
-
-
 def abs_argmax_many(f: PLFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per interval [lo[k], hi[k]], the maximizer of |f| that `abs_argmax`
-    picks: the first of lo[k], the breakpoints strictly inside and hi[k]
-    where |f| is largest.  One pass over every interval, with no array of
-    intervals × breakpoints."""
+    """Per interval [lo[k], hi[k]], an exact maximizer of |f| on it: the
+    first of lo[k], the breakpoints strictly inside and hi[k] where |f| is
+    largest (`abs_peaks`)."""
+    return abs_peaks(f, lo, hi)[0]
+
+
+def abs_peaks(f: PLFunction, lo: np.ndarray, hi: np.ndarray):
+    """`abs_argmax_many`'s maximizers, with what a walk from each one needs:
+    the breakpoints strictly inside each interval, bx[first:stop], and the
+    (2, intervals) values of f at lo and at hi.  One pass over every
+    interval, with no array of intervals × breakpoints."""
     bx, av = f.breakpoints, np.abs(f.values)
     n = bx.size
-    first = np.searchsorted(bx, lo, side="right")  # inside: bx[first:stop]
-    stop = np.searchsorted(bx, hi, side="left")
+    first = bx.searchsorted(lo, side="right")
+    stop = bx.searchsorted(hi, side="left")
     inside = first < stop
     # the even entries reduce av[first:stop]; an empty range reads one value
     top = np.maximum.reduceat(av, np.minimum(np.column_stack([first, stop]).ravel(), n - 1))[::2]
@@ -174,13 +161,14 @@ def abs_argmax_many(f: PLFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     # above (rank of top, first), with keys ordered by |f|, then position
     uniq, rank = np.unique(av, return_inverse=True)
     keys = np.sort(rank * n + np.arange(n))
-    at = np.searchsorted(keys, np.searchsorted(uniq, top) * n + first)
+    at = keys.searchsorted(uniq.searchsorted(top) * n + first)
     arg = keys[np.minimum(at, n - 1)] % n
-    end_lo, end_hi = np.abs(pl_eval(bx, f.values, np.concatenate([lo, hi]))).reshape(2, -1)
+    ends = pl_eval(bx, f.values, np.concatenate([lo, hi])).reshape(2, -1)
+    end_lo, end_hi = np.abs(ends)
     out = np.where(end_hi > end_lo, hi, lo)
     mid = inside & (top > end_lo) & (top >= end_hi)
     out[mid] = bx[arg[mid]]
-    return out
+    return out, first, stop, ends
 
 
 def build_flip(x: PLFunction, flips) -> PLFunction:

@@ -4,15 +4,17 @@ Optimizers and samplers work on value vectors over a fixed grid; the grid
 contains every breakpoint of the functions involved, so grid arithmetic is
 exact PL arithmetic.  Seminorms of whole batches go through
 `_kernels.sup_abs_rows` in cache-sized blocks of rows: per block, one range
-max from a doubling table, plus an interpolation only at the interval ends
+max from a two-tier table, plus an interpolation only at the interval ends
 that fall strictly between grid nodes (an end on a node blends to that
 node's value, which the range max already holds), which is what makes
-budgets of 10^4..10^5 norm evaluations cheap.  Every block's table is built
-in one workspace that the grid owns, a `_kernels.doubling_workspace` sized
-once from the stored geometry and `_kernels.BLOCK_BYTES`, so a batch of any
-size allocates no table per block.  A slice's anchor, its
-norming element, is no search: `slice_lab.SliceSpec.anchor` names it, and a
-grid built with the anchor among its objects samples it exactly.
+budgets of 10^4..10^5 norm evaluations cheap.  The grid plans its stored
+geometry once (`GridContext.plan`, a `_kernels.plan`): each range's reads,
+the rows per block, sized so that a block's table fills
+`_kernels.BLOCK_BYTES`, and the one table every block is built in, so a
+batch of any size plans nothing and allocates no table per block.  A
+slice's anchor, its norming element, is no search:
+`slice_lab.SliceSpec.anchor` names it, and a grid built with the anchor
+among its objects samples it exactly.
 """
 
 from __future__ import annotations
@@ -75,17 +77,17 @@ class GridContext:
                 _kernels.off_node_ends(self.nodes, *bounds))
 
     @cached_property
-    def _workspace(self) -> np.ndarray:
-        """The doubling table every block of `seminorms` is built in."""
-        return _kernels.doubling_workspace(self.size, self.stored_geometry)
+    def plan(self) -> _kernels.Plan:
+        """The `_kernels.plan` of the stored geometry: every block of
+        `seminorms` reads by it, and is built in its one table."""
+        return _kernels.plan(self.size, self.stored_geometry)
 
     # -- batched norms ---------------------------------------------------
 
     def seminorms(self, v2d: np.ndarray, out=None) -> np.ndarray:
         """Exact seminorm matrix [n_funcs, n_intervals] for grid PL rows,
         written into ``out`` if given."""
-        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.stored_geometry, out,
-                                     self._workspace)
+        return _kernels.sup_abs_rows(np.atleast_2d(v2d), self.plan, out)
 
     def enclosures(self, v2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Norm enclosure endpoints (lo, hi) for each row."""
@@ -142,12 +144,19 @@ class GridContext:
     # -- candidate generators ----------------------------------------------
 
     def random_smooth(self, rng: np.random.Generator, count: int, coarse: int = 16):
-        """Batch of smooth-ish random grid functions with values O(1)."""
+        """Batch of smooth-ish random grid functions with values O(1): each
+        row interpolates coarse + 1 normal draws on the uniform coarse grid
+        in np.interp's own form, so bit for bit as np.interp: the value at
+        a coarse node, 1 included, and slope·(x − xs[k]) + ys[k] in cell k
+        elsewhere."""
         xs = np.linspace(0.0, 1.0, coarse + 1)
         ys = rng.standard_normal((count, coarse + 1))
-        out = np.empty((count, self.nodes.size))
-        for i in range(count):
-            out[i] = np.interp(self.nodes, xs, ys[i])
+        j = xs.searchsorted(self.nodes, side="right") - 1
+        k = np.minimum(j, coarse - 1)
+        slope = (ys[:, 1:] - ys[:, :-1]) / (xs[1:] - xs[:-1])
+        out = slope[:, k] * (self.nodes - xs[k]) + ys[:, k]
+        on = self.nodes == xs[j]
+        out[:, on] = ys[:, j[on]]
         return out
 
     def random_bumps(self, rng: np.random.Generator, count: int):

@@ -13,17 +13,17 @@ since both have dual norm ≤ 1, mixed(y) > 1−δ ⇒ m̂(y) > 1 − δ/(1−λ
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core_model import (
     Enclosure,
     Measure,
     PLFunction,
-    abs_argmax,
     abs_argmax_many,
+    abs_peaks,
     build_flip,
     integrate,
     integrate_many,
@@ -213,27 +213,40 @@ def _flip_inequalities(ctx, S: SliceSpec, x: PLFunction, y: PLFunction, delta: f
     return fy, dist, ynorm
 
 
-def _near_max_component(
-    f: PLFunction, a: float, b: float, tau: float
-) -> tuple[float, float]:
-    """Exact connected component of {|f| >= tau} within [a,b] around a
-    maximizer of |f|."""
-    if tau <= 0.0:
-        return a, b
-    pts, vals, k = abs_argmax(f, a, b)
-    lo_idx = k
-    while lo_idx > 0 and abs(vals[lo_idx - 1]) >= tau:
-        lo_idx -= 1
-    left = pts[lo_idx]
-    if lo_idx > 0:
-        left = _abs_crossing(pts[lo_idx - 1], pts[lo_idx], vals[lo_idx - 1], vals[lo_idx], tau)
-    hi_idx = k
-    while hi_idx < pts.size - 1 and abs(vals[hi_idx + 1]) >= tau:
-        hi_idx += 1
-    right = pts[hi_idx]
-    if hi_idx < pts.size - 1:
-        right = _abs_crossing(pts[hi_idx + 1], pts[hi_idx], vals[hi_idx + 1], vals[hi_idx], tau)
-    return float(left), float(right)
+def _near_max_components(f: PLFunction, lo: np.ndarray, hi: np.ndarray,
+                         taus: np.ndarray) -> list[tuple[float, float]]:
+    """Per interval [lo[n], hi[n]], the exact connected component of
+    {|f| >= taus[n]} within it around the maximizer of |f| that
+    `abs_argmax_many` picks, or the whole interval where taus[n] <= 0.
+
+    The peaks come from one `abs_peaks` call; the walk to each τ crossing
+    is per interval, over its ends and the breakpoints strictly inside,
+    where f takes its stored values."""
+    peaks, first, stop, (f_lo, f_hi) = abs_peaks(f, lo, hi)
+    xs, ys = f.breakpoints.tolist(), f.values.tolist()
+    components = []
+    for a, b, tau, peak, i, j, ya, yb in zip(lo.tolist(), hi.tolist(), taus.tolist(), peaks.tolist(),
+                                             first.tolist(), stop.tolist(), f_lo.tolist(), f_hi.tolist()):
+        if tau <= 0.0:
+            components.append((a, b))
+            continue
+        pts, vals = [a, *xs[i:j], b], [ya, *ys[i:j], yb]
+        # the peak's place among pts: an end, or a breakpoint inside
+        k = 0 if peak == a else len(pts) - 1 if peak == b else bisect_left(xs, peak, i, j) - i + 1
+        lo_idx = k
+        while lo_idx > 0 and abs(vals[lo_idx - 1]) >= tau:
+            lo_idx -= 1
+        left = pts[lo_idx]
+        if lo_idx > 0:
+            left = _abs_crossing(pts[lo_idx - 1], pts[lo_idx], vals[lo_idx - 1], vals[lo_idx], tau)
+        hi_idx = k
+        while hi_idx < len(pts) - 1 and abs(vals[hi_idx + 1]) >= tau:
+            hi_idx += 1
+        right = pts[hi_idx]
+        if hi_idx < len(pts) - 1:
+            right = _abs_crossing(pts[hi_idx + 1], pts[hi_idx], vals[hi_idx + 1], vals[hi_idx], tau)
+        components.append((float(left), float(right)))
+    return components
 
 
 def _abs_crossing(x_out, x_in, v_out, v_in, tau):
@@ -328,10 +341,7 @@ def tent_flip_witness(
     b_lo, _ = sup_norm_bounds(ctx)
     atoms = sorted(t for t, _ in S.functional.atoms)
     ilo, ihi = ctx.interval_bounds
-    components = [
-        _near_max_component(x, float(ilo[n]), float(ihi[n]), float(taus[n]))
-        for n in range(big_n)
-    ]
+    components = _near_max_components(x, ilo[:big_n], ihi[:big_n], taus)
 
     diag: dict = {"N": big_n, "room": room}
     for attempt in range(FLIP_ATTEMPTS):
@@ -685,7 +695,7 @@ def _pair_distances(gc: GridContext, rows: np.ndarray):
     difference, and nothing the size of pairs × intervals is built."""
     ia, ib = np.triu_indices(rows.shape[0], k=1)
     lo2 = np.empty(ia.size)
-    step = _kernels.block_rows(gc.size, gc.stored_geometry)
+    step = gc.plan.rows
     block = np.empty((min(step, ia.size), gc.weights.size))
     w = gc.weights[:, None]
     for p in range(0, ia.size, step):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from banachlab.core_model import PLFunction
+from banachlab.core_model import PLFunction, pl_eval
 from banachlab.d_norm import DNormContext
 from banachlab.neighborhood_base import build_leveled
 
@@ -15,6 +15,16 @@ def base8():
 @pytest.fixture(scope="session")
 def ctx8(base8):
     return DNormContext(base8)
+
+
+def ref_abs_argmax(f, a, b):
+    """The ends of [a,b] and the breakpoints of f inside, f's values there,
+    and the index of the largest |f|: the per-interval body that
+    `abs_argmax_many` replaced."""
+    cuts = f.breakpoints[(f.breakpoints > a) & (f.breakpoints < b)]
+    pts = np.concatenate([[a], cuts, [b]])
+    vals = pl_eval(f.breakpoints, f.values, pts)
+    return pts, vals, int(np.argmax(np.abs(vals)))
 
 
 def random_pl(rng, n_interior=12, amplitude=1.0):

@@ -10,7 +10,6 @@ from banachlab.core_model import (
     Enclosure,
     Measure,
     PLFunction,
-    abs_argmax,
     abs_argmax_many,
     abs_integral,
     abs_integral_cells,
@@ -26,7 +25,7 @@ from banachlab.core_model import (
 )
 from banachlab.errors import DomainError
 
-from conftest import pl_densities, random_pl, ref_abs_integral
+from conftest import pl_densities, random_pl, ref_abs_argmax, ref_abs_integral
 
 
 class TestEval:
@@ -110,7 +109,7 @@ class TestAbsArgmaxMany:
         lo, hi = np.concatenate([lo, a[0], a[0]]), np.concatenate([hi, a[1], a[0]])
         got = abs_argmax_many(f, lo, hi)
         for k in range(lo.size):
-            pts, _, j = abs_argmax(f, float(lo[k]), float(hi[k]))
+            pts, _, j = ref_abs_argmax(f, float(lo[k]), float(hi[k]))
             assert got[k] == pts[j]
 
     def test_constant_takes_the_left_end(self):
@@ -294,7 +293,7 @@ class TestEnclosure:
 
     def test_contains(self):
         e = Enclosure(0.9, 1.1)
-        assert e.contains(1.0) and not e.contains(1.2)
+        assert e.lo <= 1.0 <= e.hi and not e.lo <= 1.2 <= e.hi
         assert e.width == pytest.approx(0.2)
 
 

@@ -80,7 +80,7 @@ def ref_seminorms(gc, v2d):
     """The body seminorms ran before it shared _kernels.sup_abs_rows, with its
     _endpoint_values blend."""
     starts, ends, ka, ta, kb, tb = ref_interval_geometry(gc.nodes, *gc.ctx.interval_bounds)
-    interior = _kernels.range_abs_max(v2d, starts, ends)
+    interior = _kernels.range_abs_max(v2d, _kernels.plan(gc.size, (starts, ends), v2d.shape[0]))
     fa = np.abs(v2d[:, ka] * (1.0 - ta) + v2d[:, ka + 1] * ta)
     fb = np.abs(v2d[:, kb] * (1.0 - tb) + v2d[:, kb + 1] * tb)
     return np.maximum(interior, np.maximum(fa, fb))
@@ -98,22 +98,24 @@ def test_seminorms_match_the_old_blend(ctx8, cells):
 
 
 def test_every_block_table_is_built_in_the_grid_workspace(ctx8, monkeypatch):
-    # seminorms, enclosures and rescale_to_ball reuse one doubling table, and
-    # give the bits of the kernel that allocates a table per block
+    # seminorms, enclosures and rescale_to_ball reuse one plan and its one
+    # table, and give the bits of a plan built afresh
     gc = GridContext(ctx8, random_pl(np.random.default_rng(7)), grid_cells=512)
     rows = np.random.default_rng(8).standard_normal((130, gc.size))
-    assert "_workspace" not in vars(gc)  # built on first use only
+    assert "plan" not in vars(gc)  # built on first use only
     seen = []
     traced = _kernels.range_abs_max
     monkeypatch.setattr(_kernels, "range_abs_max",
-                        lambda v, s, e, work=None: seen.append(work) or traced(v, s, e, work))
+                        lambda v, plan: seen.append((v.shape[0], plan)) or traced(v, plan))
     got = gc.seminorms(rows)
     gc.enclosures(rows[:5])
     gc.rescale_to_ball(rows[:1])
-    assert len(seen) == -(-130 // gc._workspace.shape[2]) + 2
-    assert all(work is gc._workspace for work in seen)
+    block = gc.plan.rows
+    assert [n for n, _ in seen] == [block] * (130 // block) + [130 % block] * (130 % block > 0) + [5, 1]
+    assert all(plan is gc.plan for _, plan in seen)
     monkeypatch.undo()
-    assert got.tobytes() == _kernels.sup_abs_rows(rows, gc.stored_geometry).tobytes()
+    fresh = _kernels.plan(gc.size, gc.stored_geometry)
+    assert got.tobytes() == _kernels.sup_abs_rows(rows, fresh).tobytes()
 
 
 def test_atom_coeffs_match_the_loop(ctx8):
@@ -179,3 +181,41 @@ def test_density_coeffs_match_the_piece_cells(ctx8, rho):
     for gc in (GridContext(ctx8, grid_cells=64), GridContext(ctx8, rho, grid_cells=64)):
         got = gc.functional_coeffs(Measure(density=rho))
         assert got.tolist() == ref_density_coeffs(gc, rho).tolist()
+
+
+def ref_random_smooth(nodes, ys, coarse):
+    """random_smooth's body before it went vectorised: one np.interp per row."""
+    xs = np.linspace(0.0, 1.0, coarse + 1)
+    out = np.empty((ys.shape[0], nodes.size))
+    for i in range(ys.shape[0]):
+        out[i] = np.interp(nodes, xs, ys[i])
+    return out
+
+
+class ScaledNormals:
+    """A generator whose normal draws come scaled, up to 1e±300."""
+
+    def __init__(self, seed, scale):
+        self.rng, self.scale = np.random.default_rng(seed), scale
+
+    def standard_normal(self, size):
+        return self.scale * self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("coarse", [1, 5, 16, 32])
+def test_random_smooth_matches_the_interp_loop(ctx8, coarse):
+    # grids of 2 to 1025 uniform nodes refined by a few random points, some
+    # nodes on the coarse grid and some off it, and draws at scales 1e±300
+    rng = np.random.default_rng(coarse)
+    for trial in range(100):
+        gc = GridContext(ctx8, random_pl(rng, int(rng.integers(0, 5))),
+                         grid_cells=int(rng.integers(1, 1025)))
+        count = int(rng.integers(1, 9))
+        scale = 10.0 ** float(rng.choice([-300, -1, 0, 300]))
+        got = gc.random_smooth(ScaledNormals(trial, scale), count, coarse)
+        ys = ScaledNormals(trial, scale).standard_normal((count, coarse + 1))
+        assert got.tobytes() == ref_random_smooth(gc.nodes, ys, coarse).tobytes()
+    # the generator's own draws, in the order the loop took them
+    got = gc.random_smooth(np.random.default_rng(9), 64, coarse)
+    ys = np.random.default_rng(9).standard_normal((64, coarse + 1))
+    assert got.tobytes() == ref_random_smooth(gc.nodes, ys, coarse).tobytes()

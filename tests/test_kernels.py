@@ -45,7 +45,7 @@ def test_range_abs_max_matches_loop():
     # [0, 50) and [20, 50) end at the last column with s < g-1
     starts = np.array([0, 10, 49, 20, 5, 0, 20, 50])
     ends = np.array([10, 10, 50, 45, 6, 50, 50, 50])
-    out = _kernels.range_abs_max(values, starts, ends)
+    out = _kernels.range_abs_max(values, _kernels.plan(50, (starts, ends), 7))
     for i in range(7):
         for j in range(starts.size):
             expect = np.max(np.abs(values[i, starts[j]:ends[j]])) if ends[j] > starts[j] else 0.0
@@ -108,7 +108,7 @@ def pl_with_intervals(draw):
 @given(pl_with_intervals())
 def test_one_row_path_matches_the_block_path(case):
     bx, by, lo, hi = case
-    ref = _kernels.sup_abs_rows(by[None], _kernels.interval_geometry(bx, lo, hi))[0]
+    ref = _kernels.sup_abs_rows(by[None], _kernels.plan(bx.size, _kernels.interval_geometry(bx, lo, hi)))[0]
     assert same_bits(_kernels.sup_abs_many(bx, by, lo, hi), ref)
 
 
@@ -240,9 +240,31 @@ def edge_ranges(g):
 
 
 def block_rows(g, starts, ends):
-    """Rows per block of sup_abs_rows: its doubling table fills BLOCK_BYTES."""
-    depth = int(np.max(ends - starts, initial=1)).bit_length()
-    return max(1, _kernels.BLOCK_BYTES // (8 * depth * g))
+    """Rows per block of sup_abs_rows: its table fills BLOCK_BYTES, the
+    fine tier's levels up to FINE over g nodes, and where some range is
+    longer than 2^(FINE+1) nodes, the coarse tier's levels over the g //
+    2^FINE aligned blocks, as many as the most blocks inside one range
+    need."""
+    fine = 1 << _kernels.FINE
+    span = np.maximum(ends - starts, 1)
+    entries = min(int(span.max(initial=1)).bit_length(), _kernels.FINE + 1) * g
+    long = span > 2 * fine
+    if long.any():
+        inside = ends[long] // fine - -(-starts[long] // fine)
+        entries += g // fine * int(inside.max()).bit_length()
+    return max(1, _kernels.BLOCK_BYTES // (8 * entries))
+
+
+def planned_reduce(ufunc, values, starts, ends, empty, rows):
+    """range_reduce of the values' rows by the plan of these ranges for
+    blocks of ``rows`` rows: with rows = 0, blocks sized from BLOCK_BYTES,
+    whose table has two tiers wherever a range is longer than 2^(FINE+1);
+    with the values' own row count, a whole doubling table where it fits."""
+    g = values.shape[1]
+    p = _kernels.plan(g, (starts, ends), rows)
+    table = p.table(values.shape[0])
+    table[:g] = values.T
+    return _kernels.range_reduce(ufunc, table, p, empty)
 
 
 @pytest.mark.parametrize("cells", GRIDS)
@@ -252,11 +274,65 @@ def test_range_reduce_matches_reduceat(base_ctx, cells):
     starts, ends = (np.concatenate(p) for p in zip(gc.stored_geometry[:2], edge_ranges(gc.size)))
     values = awkward_rows(rng, 12, gc.size)
     padded = np.concatenate([values, np.zeros((12, 1))], axis=1)
-    for ufunc, empty in ((np.maximum, -np.inf), (np.minimum, np.inf)):
-        got = _kernels.range_reduce(ufunc, values, starts, ends, empty)
-        assert np.array_equal(got, ref_range_reduce(ufunc, padded, starts, ends, empty), equal_nan=True)
-    got = _kernels.range_abs_max(values, starts, ends)
-    assert same_bits(got, ref_range_abs_max(values, starts, ends))
+    for rows in (0, 12):
+        for ufunc, empty in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+            got = planned_reduce(ufunc, values, starts, ends, empty, rows)
+            assert np.array_equal(got, ref_range_reduce(ufunc, padded, starts, ends, empty), equal_nan=True)
+        got = _kernels.range_abs_max(values, _kernels.plan(gc.size, (starts, ends), rows))
+        assert same_bits(got, ref_range_abs_max(values, starts, ends))
+
+
+def test_plan_builds_the_whole_table_where_it_fits(ctx8):
+    # a block of rows sized from BLOCK_BYTES, and one row on 2^15 + 1 nodes,
+    # take the coarse tier for the ranges longer than 2^(FINE+1); one row
+    # on 513 nodes builds every level, as its table fits
+    lo, hi = ctx8.interval_bounds
+    for g, rows, tiers in ((513, 0, 2), ((1 << 15) + 1, 1, 2), (513, 1, 1)):
+        starts, ends = _kernels.interval_geometry(np.linspace(0.0, 1.0, g), lo, hi)[:2]
+        p = _kernels.plan(g, (starts, ends), rows)
+        longest = int(np.max(ends - starts)).bit_length()
+        assert (p.depth, p.blocks > 0) == ((_kernels.FINE + 1, True) if tiers == 2 else (longest, False))
+
+
+@st.composite
+def planned_ranges(draw):
+    """A grid of 2 to 1100 nodes, no multiple of 2^FINE; index ranges of
+    every length near 2^FINE and 2^(FINE+1), of powers of two, and of any
+    length, some ending at g, and empty ones (e = s, e < s, s = g); rows of
+    normal values with NaN, ±inf and ±0 among them."""
+    fine = 1 << _kernels.FINE
+    g = draw(st.integers(2, 1100).filter(lambda g: g % fine))
+    near = [n for c in (fine, 2 * fine) for n in range(c - 2, c + 3)]
+    length = st.sampled_from(near) | st.sampled_from([1 << j for j in range(11)]) | st.integers(-3, g)
+    starts, ends = [], []
+    for n in draw(st.lists(length, min_size=1, max_size=40)):
+        n = min(n, g)
+        if draw(st.booleans()):
+            s = g - max(n, 0)  # ending at g; an empty range there has s = g
+        else:
+            s = draw(st.integers(0, g - max(n, 0)))
+        starts.append(s)
+        ends.append(max(s + n, 0))
+    rows = draw(st.integers(1, 4))
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((rows, g))
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for r, k, v in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, g - 1), special),
+                                 max_size=8)):
+        values[r, k] = v
+    return values, np.array(starts), np.array(ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planned_ranges())
+def test_planned_range_reduce_matches_reduceat(case):
+    values, starts, ends = case
+    padded = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
+    for rows in (0, values.shape[0]):
+        for ufunc, empty in ((np.maximum, -np.inf), (np.minimum, np.inf)):
+            got = planned_reduce(ufunc, values, starts, ends, empty, rows)
+            assert np.array_equal(got, ref_range_reduce(ufunc, padded, starts, ends, empty), equal_nan=True)
+        got = _kernels.range_abs_max(values, _kernels.plan(values.shape[1], (starts, ends), rows))
+        assert same_bits(got, ref_range_abs_max(values, starts, ends))
 
 
 @pytest.mark.parametrize("cells", GRIDS)
@@ -280,7 +356,7 @@ def test_sup_abs_rows_matches_reduceat(base_ctx, cells, monkeypatch):
         # the inf and NaN rows make inf − inf and 0 · inf on purpose, in the
         # kernel and in its reference alike
         with np.errstate(invalid="ignore"):
-            got = _kernels.sup_abs_rows(values, geometry)
+            got = _kernels.sup_abs_rows(values, _kernels.plan(gc.size, geometry))
             ref = ref_sup_abs_rows(values, geometry)
         assert got.flags.c_contiguous
         assert same_bits(got, ref)
@@ -367,15 +443,15 @@ def test_pair_distances_match_the_difference_matrix(base_ctx, cells):
 @pytest.mark.parametrize("block", [1, 7])
 def test_pair_distances_across_small_blocks(base_ctx, block, monkeypatch):
     # a BLOCK_BYTES of a few rows per block puts block ends inside every
-    # run of pairs, and the grid's workspace is sized from it
+    # run of pairs, and the grid's plan sizes its blocks from it
     rng = np.random.default_rng(26)
     gc = grid_context(base_ctx, 64, rng)
-    rows = _kernels.block_rows(gc.size, gc.stored_geometry)
+    rows = gc.plan.rows
+    assert rows == block_rows(gc.size, *gc.stored_geometry[:2])
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", _kernels.BLOCK_BYTES * block // rows)
-    assert _kernels.block_rows(gc.size, gc.stored_geometry) == block
     gc = grid_context(base_ctx, 64, rng)
+    assert gc.plan.rows == block
     check_pair_distances(base_ctx, gc, rng, (2, 5, 9))
-    assert gc._workspace.shape[2] == block
 
 
 def test_pair_distances_peak_memory():
@@ -394,7 +470,7 @@ def test_pair_distances_peak_memory():
         ctx = DNormContext(build_leveled(i, levels=8))
         gc = GridContext(ctx, grid_cells=512)
         rows = np.random.default_rng(25).standard_normal((64, gc.size))
-        gc.seminorms(rows[:1])  # the geometry and the workspace, built before the measurement
+        gc.seminorms(rows[:1])  # the geometry and its plan, built before the measurement
         tracemalloc.start()
         try:
             ia, _, _ = _pair_distances(gc, rows)
@@ -402,7 +478,7 @@ def test_pair_distances_peak_memory():
         finally:
             tracemalloc.stop()
         intervals = ctx.interval_bounds[0].size
-        block = _kernels.block_rows(gc.size, gc.stored_geometry)
+        block = block_rows(gc.size, *gc.stored_geometry[:2])
         assert ia.size == 2016
         assert peak <= 32 * ia.size + 8 * block * (4 * gc.size + 4 * intervals)
         assert peak < 8 * ia.size * intervals / 3

@@ -116,9 +116,12 @@ class TestCover:
         b = build_leveled(1, levels=5)
         idx = b.cover_for(0.1)
         pts = np.linspace(0.0, 1.0, 1001)
-        for t in pts:
-            assert any(b.intervals[n - 1].contains(float(t)) or
-                       b.intervals[n - 1].closure_contains(float(t)) for n in idx)
+        for t in pts.tolist():
+            # membership by the openness flags, or in the closure
+            assert any((iv.left < t or (not iv.left_open and t == iv.left))
+                       and (t < iv.right or (not iv.right_open and t == iv.right))
+                       or iv.left <= t <= iv.right
+                       for iv in (b.intervals[n - 1] for n in idx))
 
 
 def ref_level_indices(b, level):

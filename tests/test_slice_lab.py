@@ -8,7 +8,6 @@ from banachlab.core_model import (
     Enclosure,
     Measure,
     PLFunction,
-    abs_argmax,
     integrate,
     lin_comb,
     measure_combine,
@@ -48,7 +47,7 @@ from banachlab.slice_lab import (
     tent_flip_witness,
 )
 
-from conftest import make_slice_pair, random_pl
+from conftest import make_slice_pair, random_pl, ref_abs_argmax
 
 
 @pytest.fixture(scope="module")
@@ -408,7 +407,8 @@ def test_subslice_premises_hold(ctx8, monkeypatch):
 
 
 def ref_norming_functional(ctx, x):
-    """norming_functional as it took one `abs_argmax` per stored index."""
+    """norming_functional as it took one `abs_argmax` (`ref_abs_argmax`) per
+    stored index."""
     s = seminorms_all(ctx, x)
     lo = float(np.sqrt(np.dot(ctx.weights, s * s)))
     atoms = {}
@@ -416,11 +416,64 @@ def ref_norming_functional(ctx, x):
     for n in range(1, min(48, ctx.n_eff) + 1):
         if s[n - 1] == 0.0:
             continue
-        pts, vals, k = abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
+        pts, vals, k = ref_abs_argmax(x, float(ilo[n - 1]), float(ihi[n - 1]))
         t_star = float(pts[k])
         weight = 2.0 ** -n * s[n - 1] * math.copysign(1.0, float(vals[k])) / lo
         atoms[t_star] = atoms.get(t_star, 0.0) + weight
     return Measure(tuple(atoms.items()))
+
+
+def ref_near_max_component(f, a, b, tau):
+    """The component of {|f| >= tau} in [a, b] around the maximizer of |f|,
+    as tent_flip_witness took it with one `abs_argmax` (`ref_abs_argmax`)
+    per stored index."""
+    if tau <= 0.0:
+        return a, b
+    pts, vals, k = ref_abs_argmax(f, a, b)
+    lo_idx = k
+    while lo_idx > 0 and abs(vals[lo_idx - 1]) >= tau:
+        lo_idx -= 1
+    left = pts[lo_idx]
+    if lo_idx > 0:
+        left = slice_lab._abs_crossing(pts[lo_idx - 1], pts[lo_idx], vals[lo_idx - 1], vals[lo_idx], tau)
+    hi_idx = k
+    while hi_idx < pts.size - 1 and abs(vals[hi_idx + 1]) >= tau:
+        hi_idx += 1
+    right = pts[hi_idx]
+    if hi_idx < pts.size - 1:
+        right = slice_lab._abs_crossing(pts[hi_idx + 1], pts[hi_idx], vals[hi_idx + 1], vals[hi_idx], tau)
+    return float(left), float(right)
+
+
+def awkward_functions(rng):
+    """The tent, a negative constant, a plateau, a function that is 0 on
+    part of [0, 1], and eight random functions, half with rounded (tied)
+    values."""
+    xs = [PLFunction.tent(), PLFunction.constant(-0.5),
+          PLFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 0.0, -2.0, -2.0])),
+          PLFunction(np.array([0.0, 0.125, 0.25, 1.0]), np.array([1.0, -1.0, 0.0, 0.0]))]
+    for k in range(8):
+        f = random_pl(rng, n_interior=int(rng.integers(1, 300)))
+        xs.append(PLFunction(f.breakpoints, np.round(4.0 * f.values) / 4.0) if k % 2 else f)
+    return xs
+
+
+@pytest.mark.parametrize("levels", [8, 12])
+def test_near_max_components_match_the_loop_per_index(levels):
+    # levels at a peak's own value, just below it, at the values of the
+    # seminorms less a margin (as tent_flip_witness takes them), 0 and below
+    ctx = DNormContext(build_leveled(1, levels=levels))
+    rng = np.random.default_rng(levels + 40)
+    ilo, ihi = ctx.interval_bounds
+    n = min(ctx.n_eff, 300)
+    for x in awkward_functions(rng):
+        s = seminorms_all(ctx, x)[:n]
+        for taus in (s, np.nextafter(s, 0.0), np.maximum(s - rng.uniform(0.0, 0.5, n), 0.0),
+                     np.where(rng.random(n) < 0.3, -1.0, 0.5 * s)):
+            got = slice_lab._near_max_components(x, ilo[:n], ihi[:n], taus)
+            ref = [ref_near_max_component(x, float(a), float(b), float(tau))
+                   for a, b, tau in zip(ilo[:n], ihi[:n], taus)]
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("levels", [8, 12])
@@ -428,14 +481,7 @@ def test_norming_functional_matches_the_loop_per_index(levels):
     # peaks on shared interval ends and ties (rounded values, a constant, a
     # plateau), signed values, and intervals where x is 0, so s_n = 0
     ctx = DNormContext(build_leveled(1, levels=levels))
-    rng = np.random.default_rng(levels)
-    xs = [PLFunction.tent(), PLFunction.constant(-0.5),
-          PLFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.0, 0.0, -2.0, -2.0])),
-          PLFunction(np.array([0.0, 0.125, 0.25, 1.0]), np.array([1.0, -1.0, 0.0, 0.0]))]
-    for k in range(8):
-        f = random_pl(rng, n_interior=int(rng.integers(1, 300)))
-        xs.append(PLFunction(f.breakpoints, np.round(4.0 * f.values) / 4.0) if k % 2 else f)
-    for x in xs:
+    for x in awkward_functions(np.random.default_rng(levels)):
         got, ref = norming_functional(ctx, x), ref_norming_functional(ctx, x)
         assert np.array(got.atoms).tobytes() == np.array(ref.atoms).tobytes()
 

@@ -30,7 +30,7 @@ from .core_model import (
     measure_from_dict,
     read_json,
 )
-from .d_norm import DNormContext, d_norm, dual_norm, functional_bracket_witness
+from .d_norm import DNormContext, d_norm, dual_norm
 from .errors import BanachLabError, CertificateFailure, ConfigError, WitnessNotFoundError
 from .neighborhood_base import parse_base_spec
 from .nested_sum_space import (
@@ -184,11 +184,6 @@ def _parse_vec(text: str | None) -> np.ndarray:
     return vec
 
 
-def _slice_spec(ctx, m: Measure, eps: float, budget: int):
-    enc, witness = functional_bracket_witness(ctx, m, budget)
-    return SliceSpec(m, enc, eps, witness)
-
-
 def _set_from_json(ctx, path: str, budget: int):
     spec = json_object(read_json(path), "a set file")
     kind = spec.get("kind", "slice")
@@ -203,7 +198,7 @@ def _set_from_json(ctx, path: str, budget: int):
         else:
             m = Measure.dirac(json_number(json_key(d, "dirac", "a slice"), "dirac"))
         eps = json_number(json_key(d, "eps", "a slice"), "eps")
-        return _slice_spec(ctx, m, eps, budget)
+        return SliceSpec.of(ctx, m, eps, budget)
 
     if kind == "ball":
         return BallSet()
@@ -253,7 +248,7 @@ def _run(args) -> tuple[dict | str, str]:
             raise ConfigError("--max-n must be >= 1")
         f = load_function(args.fn)
         top = min(args.max_n, ctx.base.n_max)
-        # one kernel call for indices 1..top: the bits of d_norm.seminorm at each
+        # one kernel call for indices 1..top: `d_norm.seminorms_all`'s bits at each
         lo, hi = (b[:top] for b in ctx.base.clamped_bounds)
         values = _kernels.sup_abs_many(f.breakpoints, f.values, lo, hi)
         res = {"values": [{"n": n, "value": float(v)} for n, v in enumerate(values, 1)]}
@@ -264,7 +259,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "slice-witness":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget)
+        S = SliceSpec.of(ctx, m, args.eps, args.budget)
         cert = tent_flip_witness(ctx, S, x, args.delta, eta=args.eta)
         res = {
             "N": cert.N,
@@ -305,7 +300,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "subslice":
         m = load_measure(args.measure)
         x = load_function(args.fn)
-        S = _slice_spec(ctx, m, args.eps, args.budget)
+        S = SliceSpec.of(ctx, m, args.eps, args.budget)
         Snew = subslice(ctx, S, x, args.delta)
         res = {
             "functional": Snew.functional,

@@ -6,7 +6,7 @@ seminorm is bounded by ‖f‖_∞, giving a tail of width 2^-N.  Dual norms of
 measures come either from the closed dirac formula 1/sqrt(w(t)) or from a
 finite split program over the first stored terms, whose split certifies the
 upper end and whose dual point, made a PL function, the lower;
-`functional_bracket` picks between the two.
+`slice_lab.SliceSpec.of` picks between the two.
 """
 
 from __future__ import annotations
@@ -485,25 +485,3 @@ def dual_norm(
         )
     return DualNormBracket(float(min(lower, upper)), float(upper), witness, sweeps)
 
-
-def functional_bracket(ctx: DNormContext, m: Measure, budget: int) -> Enclosure:
-    """Certified bracket for ‖m‖*: |w| times the dirac formula for one
-    isolated atom, the dual_norm bracket for anything else."""
-    return functional_bracket_witness(ctx, m, budget)[0]
-
-
-def functional_bracket_witness(
-    ctx: DNormContext, m: Measure, budget: int
-) -> tuple[Enclosure, PLFunction | None]:
-    """`functional_bracket`, and the witness of its lower end where the
-    dual-norm program gave it (None where the dirac formula did)."""
-    if len(m.atoms) == 1 and m.density is None:
-        t, w = m.atoms[0]
-        try:
-            enc = dirac_dual_norm(ctx, t)
-        except HypothesisError:
-            pass
-        else:
-            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi), None
-    br = dual_norm(ctx, m, budget=budget)
-    return br.as_enclosure(), br.witness

@@ -257,6 +257,11 @@ class NeighborhoodBase:
             return "boundary"
         return "outside"
 
+    @cached_property
+    def _isolation(self) -> dict[float, IsolationCheck]:
+        """`isolated_at`'s answer at each point asked so far."""
+        return {}
+
     def isolated_at(self, t: float) -> IsolationCheck:
         """Whether every interval not containing t keeps its closure away from t.
 
@@ -265,10 +270,16 @@ class NeighborhoodBase:
         tail of a leveled base the guarantee is structural: t = 0, t = 1,
         or t a dyadic grid point of a stored level, where deeper closures
         sit at distance 2^-l − ε_n > 0 and a dyadic-width schedule cannot
-        hit a dyadic point exactly.
+        hit a dyadic point exactly.  Each point is tested once per base.
         """
         if not 0.0 <= t <= 1.0:
             raise DomainError("t outside [0,1]")
+        check = self._isolation.get(t)
+        if check is None:  # setdefault: every caller gets the first answer stored
+            check = self._isolation.setdefault(t, self._isolation_test(t))
+        return check
+
+    def _isolation_test(self, t: float) -> IsolationCheck:
         open_mask = self.membership_mask(t)
         closed_mask = self.closure_mask(t)
         lo, hi = self.clamped_bounds

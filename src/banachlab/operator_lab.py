@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import Enclosure, Measure, PLFunction, integrate, lin_comb
-from .d_norm import DNormContext, d_norm, functional_bracket
+from .d_norm import DNormContext, d_norm, into_unit_ball
 from .errors import ConstructionError, DomainError
 from .gridsearch import GridContext
 from .slice_lab import SliceSpec, flip_from_point
@@ -119,11 +119,10 @@ def ld2p_plus_projection_check(
     slice reaches diameter 2.
     """
     # one bracket for ‖m‖* serves ‖P‖ and the seeding slice
-    mb = functional_bracket(ctx, P.functional, NORM_BUDGET)
-    pe = P.norm_from(ctx, mb)
-    S = SliceSpec(P.functional, mb, SEED_EPSILON)
-    flip = flip_from_point(ctx, S, P.direction, SEED_EPSILON / 2.0)
-    seeds = () if flip is None else (flip[1].y,)
+    S = SliceSpec.of(ctx, P.functional, SEED_EPSILON, NORM_BUDGET)
+    pe = P.norm_from(ctx, S.functional_norm)
+    cert = flip_from_point(ctx, S, into_unit_ball(ctx, P.direction), SEED_EPSILON / 2.0)
+    seeds = () if cert is None else (cert.y,)
     res = i_minus_p_norm_lower(ctx, P, budget, seed, extra_inits=seeds)
     upper = 1.0 + pe.hi
     lower = res["lower"]

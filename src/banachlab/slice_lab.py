@@ -40,7 +40,6 @@ from .d_norm import (
     d_norm,
     dirac_dual_norm,
     dual_norm,
-    into_unit_ball,
     norm_enclosure,
     seminorms_all,
     sup_norm_bounds,
@@ -48,6 +47,7 @@ from .d_norm import (
 from .errors import (
     CertificateFailure,
     DomainError,
+    HypothesisError,
     ParameterError,
     ResolutionError,
     SamplingError,
@@ -68,8 +68,8 @@ class SliceSpec:
     """A slice {x in the ball : ∫x dm / ‖m‖* > 1 − ε} with a norm bracket.
 
     Membership divides by the bracket's hi, so only certified members pass.
-    A bracket from the dual-norm program may bring the witness of its lower
-    end, which `anchor` then returns without solving the program again.
+    `SliceSpec.of` builds the slice with its norming element as the witness,
+    which `anchor` then returns without building it again.
     """
 
     functional: Measure
@@ -83,6 +83,26 @@ class SliceSpec:
         if self.functional_norm.lo <= 0.0:
             raise DomainError("functional norm bracket must be positive")
 
+    @classmethod
+    def of(cls, ctx: DNormContext, m: Measure, epsilon: float, budget: int = 2000) -> SliceSpec:
+        """The slice of m at depth ε with a certified bracket for ‖m‖* and
+        the norming element of its lower end: for one isolated atom t of
+        weight w, |w| times `dirac_dual_norm` and the norming bump at t
+        signed like w; for anything else, the `dual_norm` bracket at
+        `budget` sweeps and its witness.  Only a failed isolation falls
+        back to the program; every other error propagates."""
+        if len(m.atoms) == 1 and m.density is None:
+            t, w = m.atoms[0]
+            try:
+                enc = dirac_dual_norm(ctx, t)
+            except HypothesisError:
+                pass
+            else:
+                bump = norming_bump(ctx, t).scaled(math.copysign(1.0, w))
+                return cls(m, Enclosure(abs(w) * enc.lo, abs(w) * enc.hi), epsilon, bump)
+        br = dual_norm(ctx, m, budget=budget)
+        return cls(m, br.as_enclosure(), epsilon, br.witness)
+
     def value(self, x: PLFunction) -> float:
         """Conservative normalized functional value of x."""
         return conservative_value(integrate(x, self.functional), self.functional_norm)
@@ -95,18 +115,10 @@ class SliceSpec:
     def anchor(self, ctx: DNormContext) -> PLFunction:
         """The norming element a diameter's flip pair starts from and its
         sampled members perturb: the witness the spec was built with, else
-        the norming bump of one isolated atom, signed like its weight, else
-        the dual-norm program's witness."""
+        that of `SliceSpec.of` at budget 2000."""
         if self.witness is not None:
             return self.witness
-        m = self.functional
-        if len(m.atoms) == 1 and m.density is None:
-            t, w = m.atoms[0]
-            try:
-                return norming_bump(ctx, t).scaled(math.copysign(1.0, w))
-            except DomainError:
-                pass
-        return dual_norm(ctx, m).witness
+        return SliceSpec.of(ctx, self.functional, self.epsilon).witness
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +137,8 @@ def norming_bump(ctx: DNormContext, t: float) -> PLFunction:
     if not iso.ok:
         raise DomainError(f"no isolation margin at t={t}: {iso.reason}")
     w = ctx.base.weight(t)
+    if w.lo <= 0.0:
+        raise DomainError(f"t={t} carries no stored weight")
     c = 1.0 / math.sqrt(w.lo + ctx.tail_weight)
     r = iso.margin / 2.0
     pts = {0.0: 0.0, 1.0: 0.0}
@@ -408,15 +422,14 @@ def tent_flip_witness(
 
 
 def flip_from_point(ctx: DNormContext, S: SliceSpec, x: PLFunction, delta: float):
-    """(x', certificate) for the flip witness of x' = x pulled into the unit
-    ball, with η half of the slice margin of x'; None when x' lies outside
-    the slice or no witness is found.  A CertificateFailure surfaces."""
+    """The certified flip witness of x, a member of the unit ball, with η
+    half of the slice margin of x; None when x lies outside the slice or no
+    witness is found.  A CertificateFailure surfaces."""
     try:
-        x = into_unit_ball(ctx, x)
         margin = S.value(x) - (1.0 - S.epsilon)
         if not margin > 0.0:
             return None
-        return x, tent_flip_witness(ctx, S, x, delta, eta=margin / 2.0)
+        return tent_flip_witness(ctx, S, x, delta, eta=margin / 2.0)
     except (DomainError, WitnessNotFoundError):
         return None
 
@@ -519,9 +532,7 @@ def small_diameter_combo(
             f"eta={eta} gives slack {slack} > {COMBO_MAX_SLACK}",
             max_feasible=max_feasible_eta(i, m_bound, COMBO_MAX_SLACK),
         )
-    slices = tuple(
-        SliceSpec(Measure.dirac(t), dirac_dual_norm(ctx, t), eta) for t in pts
-    )
+    slices = tuple(SliceSpec.of(ctx, Measure.dirac(t), eta) for t in pts)
     bound = math.sqrt(i + slack) / i
     emp = None
     consistent = None
@@ -802,12 +813,13 @@ def _flip_pair(ctx, S, x, shell_tau):
     """(distance lo, (x', y)) for the flip pair of x' = x pulled into the
     ball at δ = min(ε/2, FLIP_DELTA + 1 − ‖x'‖.lo); None where it is not
     certified, or where a member of a shell's pair has lo below 1 − τ."""
-    x = into_unit_ball(ctx, x)
-    delta = min(S.epsilon / 2.0, FLIP_DELTA + (1.0 - d_norm(ctx, x).lo))
-    flip = flip_from_point(ctx, S, x, delta)
-    if flip is None:
+    xe = d_norm(ctx, x)
+    if xe.hi > 1.0:  # pulled in as `into_unit_ball` pulls, and measured again
+        x = x.scaled(1.0 / (xe.hi * RESCALE_SAFETY))
+        xe = d_norm(ctx, x)
+    cert = flip_from_point(ctx, S, x, min(S.epsilon / 2.0, FLIP_DELTA + (1.0 - xe.lo)))
+    if cert is None:
         return None
-    x, cert = flip
-    if shell_tau is not None and min(d_norm(ctx, p).lo for p in (x, cert.y)) < 1.0 - shell_tau:
+    if shell_tau is not None and min(xe.lo, d_norm(ctx, cert.y).lo) < 1.0 - shell_tau:
         return None
     return cert.achieved_distance_lo, (x, cert.y)

@@ -218,6 +218,9 @@ class TestBadInputs:
             ["--budget", "0", "--seed", "1", "octa-gap", "--fn", "{dir}/one_unit.json",
              "--fn2", "{dir}/tent_unit.json"],
             ["--budget", "0", "--seed", "1", "op-check", "--proj", "{dir}/proj.json"],
+            # a slice of any measure but one isolated atom runs the program
+            ["--budget", "0", "slice-witness", "--measure", "{dir}/leb.json", "--fn", "{dir}/one.json",
+             "--eps", "0.3", "--delta", "0.15"],
             ["--budget", "-5", "--seed", "1", "diam", "--set", "{dir}/sliceset.json"],
             ["--budget", "-5", "--seed", "1", "combo-diam", "--i", "2"],
             ["--budget", "-5", "--seed", "1", "octa-local", "--fn", "{dir}/one_unit.json", "--eps", "0.5"],
@@ -439,6 +442,11 @@ class TestNestedEdges:
             ["combo-diam", "--i", "2"],
             ["diam", "--set", "{dir}/sliceset.json"],
             ["octa-local", "--fn", "{dir}/one_unit.json", "--eps", "0.5"],
+            # one isolated atom's slice takes the dirac formula: no sweeps
+            ["slice-witness", "--measure", "{dir}/dirac_half.json", "--fn", "{dir}/one.json",
+             "--eps", "0.3", "--delta", "0.15"],
+            ["subslice", "--measure", "{dir}/dirac_half.json", "--fn", "{dir}/one.json",
+             "--eps", "0.3", "--delta", "0.1"],
         ],
     )
     def test_zero_budget_stays_valid(self, files, argv, tmp_path):

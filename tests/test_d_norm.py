@@ -15,7 +15,6 @@ from banachlab.d_norm import (
     d_norm,
     dirac_dual_norm,
     dual_norm,
-    functional_bracket,
     into_unit_ball,
     seminorms_all,
     sphere_norm,
@@ -24,6 +23,7 @@ from banachlab.d_norm import (
 )
 from banachlab.errors import DomainError, HypothesisError
 from banachlab.neighborhood_base import EpsilonSchedule, build_custom, build_leveled
+from banachlab.slice_lab import SliceSpec, norming_bump
 
 from banachlab.gridsearch import GridContext
 
@@ -250,21 +250,27 @@ class TestBallAndSphere:
 
 
 class TestFunctionalBracket:
+    """The bracket `SliceSpec.of` builds a slice with."""
+
+    @staticmethod
+    def bracket(ctx, m, budget):
+        return SliceSpec.of(ctx, m, 0.5, budget).functional_norm
+
     def test_isolated_dirac_takes_the_formula(self, ctx8):
         enc = dirac_dual_norm(ctx8, 0.0)
-        got = functional_bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100)
+        got = self.bracket(ctx8, Measure.dirac(0.0, -2.5), budget=100)
         assert (got.lo, got.hi) == (2.5 * enc.lo, 2.5 * enc.hi)
 
     @pytest.mark.parametrize("budget", [512, 64])
     def test_non_isolated_dirac_takes_dual_norm(self, ctx8, budget):
         m = Measure.dirac(1 / 3)
-        got = functional_bracket(ctx8, m, budget=budget)
+        got = self.bracket(ctx8, m, budget=budget)
         ref = dual_norm(ctx8, m, budget=budget)
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
     def test_density_takes_dual_norm(self, ctx8):
         m = Measure(((0.0, 1.0),), PLFunction.tent())
-        got = functional_bracket(ctx8, m, budget=200)
+        got = self.bracket(ctx8, m, budget=200)
         ref = dual_norm(ctx8, m, budget=200)
         assert (got.lo, got.hi) == (ref.lower, ref.upper)
 
@@ -272,7 +278,15 @@ class TestFunctionalBracket:
         # isolated, but outside every stored interval: no fallback to dual_norm
         ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
         with pytest.raises(DomainError, match="no stored weight"):
-            functional_bracket(ctx, Measure.dirac(0.8), budget=50)
+            self.bracket(ctx, Measure.dirac(0.8), budget=50)
+
+    def test_uncovered_bump_is_a_domain_error(self):
+        # w + tail is 0 here, so the bump has no height 1/sqrt(w + tail)
+        ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
+        with pytest.raises(DomainError, match="no stored weight"):
+            norming_bump(ctx, 0.8)
+        with pytest.raises(DomainError, match="no stored weight"):
+            SliceSpec(Measure.dirac(0.8), Enclosure(1.0, 1.0), 0.3).anchor(ctx)
 
 
 def test_conservative_value_directions():

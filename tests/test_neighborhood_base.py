@@ -4,6 +4,7 @@ import pytest
 from banachlab.errors import ConfigError, DomainError, ResolutionError
 from banachlab.neighborhood_base import (
     EpsilonSchedule,
+    NeighborhoodBase,
     build_custom,
     build_leveled,
     parse_base_spec,
@@ -188,6 +189,24 @@ class TestIsolation:
     def test_generic_point_not_certified(self):
         b = build_leveled(1, levels=4)
         assert not b.isolated_at(1 / 3).ok
+
+    @pytest.mark.parametrize("t", [0.375, 0.5 - SCHED.eps(2)])
+    def test_exact_relations_run_once_per_point_and_base(self, monkeypatch, t):
+        calls = []
+        real = NeighborhoodBase._exact_relation
+
+        def counting(self, n, t):
+            calls.append((n, t))
+            return real(self, n, t)
+
+        monkeypatch.setattr(NeighborhoodBase, "_exact_relation", counting)
+        b = build_leveled(1, levels=8)
+        first = b.isolated_at(t)
+        once = list(calls)
+        assert once
+        assert b.isolated_at(t) is first and calls == once
+        # another base asks again, and answers alike
+        assert build_leveled(1, levels=8).isolated_at(t) == first and calls == once + once
 
 
 class TestCustomAndSpec:

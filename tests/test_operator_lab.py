@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from banachlab.core_model import Measure, PLFunction, integrate, lin_comb
-from banachlab.d_norm import d_norm, dirac_dual_norm, functional_bracket
+from banachlab.d_norm import d_norm, dirac_dual_norm
 from banachlab.errors import (
     CertificateFailure,
     ConstructionError,
@@ -12,12 +12,13 @@ from banachlab.errors import (
 from banachlab.gridsearch import GridContext
 from banachlab.operator_lab import (
     NORM_BUDGET,
+    SEED_EPSILON,
     Rank1Projection,
     c0_model_control,
     i_minus_p_norm_lower,
     ld2p_plus_projection_check,
 )
-from banachlab.slice_lab import norming_bump
+from banachlab.slice_lab import SliceSpec, norming_bump
 
 from conftest import random_pl
 
@@ -53,7 +54,8 @@ class TestProjection:
             Rank1Projection(proj.direction, Measure.dirac(0.0, 7.0))
 
     def test_norm_bracket_factorizes(self, ctx8, proj):
-        enc = proj.norm_from(ctx8, functional_bracket(ctx8, proj.functional, NORM_BUDGET))
+        S = SliceSpec.of(ctx8, proj.functional, SEED_EPSILON, NORM_BUDGET)
+        enc = proj.norm_from(ctx8, S.functional_norm)
         ue = d_norm(ctx8, proj.direction)
         t, w = proj.functional.atoms[0]
         de = dirac_dual_norm(ctx8, t)
@@ -141,17 +143,16 @@ class TestProjectionEquation:
 
     def test_one_dual_norm_ascent(self, ctx8, monkeypatch):
         # ‖P‖ and the seeding slice share one bracket for a non-dirac functional
-        import sys
+        from banachlab import slice_lab
 
-        d_norm_module = sys.modules["banachlab.d_norm"]  # the package exports d_norm()
         budgets = []
-        ascent = d_norm_module.dual_norm
+        ascent = slice_lab.dual_norm
 
         def counted(ctx, m, budget=2000, **kw):
             budgets.append(budget)
             return ascent(ctx, m, budget=budget, **kw)
 
-        monkeypatch.setattr(d_norm_module, "dual_norm", counted)
+        monkeypatch.setattr(slice_lab, "dual_norm", counted)  # SliceSpec.of's
         P = Rank1Projection(PLFunction.constant(1.0), Measure.lebesgue())
         ld2p_plus_projection_check(ctx8, P, budget=64, seed=1)
         assert budgets == [1500]

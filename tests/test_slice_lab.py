@@ -6,6 +6,7 @@ import pytest
 
 from banachlab.core_model import (
     Enclosure,
+    Interval,
     Measure,
     PLFunction,
     integrate,
@@ -19,14 +20,18 @@ from banachlab.d_norm import (
     d_norm,
     dirac_dual_norm,
     dual_norm,
-    functional_bracket,
-    functional_bracket_witness,
     into_unit_ball,
     seminorms_all,
 )
-from banachlab.errors import CertificateFailure, DomainError, ParameterError, SamplingError
+from banachlab.errors import (
+    CertificateFailure,
+    DomainError,
+    HypothesisError,
+    ParameterError,
+    SamplingError,
+)
 from banachlab.gridsearch import GridContext
-from banachlab.neighborhood_base import build_leveled
+from banachlab.neighborhood_base import NeighborhoodBase, build_custom, build_leveled
 from banachlab import slice_lab
 from banachlab.slice_lab import (
     BallSet,
@@ -370,8 +375,7 @@ def _subslice_inputs(ctx, monkeypatch):
             S, x, delta, _ = witness_inputs(ctx, rng, k)
             inputs.append((S, x, delta))
     half = Measure.dirac(0.5)
-    inputs.append((SliceSpec(half, functional_bracket(ctx, half, 2000), 0.3),
-                   PLFunction.constant(1.0), 0.1))
+    inputs.append((SliceSpec.of(ctx, half, 0.3), PLFunction.constant(1.0), 0.1))
     br = dual_norm(ctx, Measure.lebesgue())
     inputs.append((SliceSpec(Measure.lebesgue(), br.as_enclosure(), 0.3), br.witness, 0.1))
     return inputs
@@ -566,11 +570,11 @@ class TestDiameter:
         assert est.evaluations == 2226
 
     def test_each_norming_bump_built_once(self, ctx8, monkeypatch):
-        # the grid and a one-atom slice's anchor share one bump per atom
+        # the grid and a one-atom slice's anchor share one bump per atom; a
+        # combination's slices are built with theirs
         from banachlab import slice_lab
 
         ctx2 = DNormContext(build_leveled(2, levels=8))
-        combo, _, _ = small_diameter_combo(ctx2, 2)
         calls = []
 
         def counting(ctx, t):
@@ -582,6 +586,7 @@ class TestDiameter:
         diameter_lower_bound(ctx8, SliceSet(S), budget=400, seed=1)
         assert calls == [0.5]
         calls.clear()
+        combo, _, _ = small_diameter_combo(ctx2, 2)
         diameter_lower_bound(ctx2, ComboSet(combo, (0.5, 0.5)), 400, 1)
         assert calls == [t for s in combo for t, _ in s.functional.atoms]
 
@@ -607,9 +612,8 @@ class TestDiameter:
         # at lo ≥ 1 − τ, whichever path built the pair
         ctx = DNormContext(build_leveled(1, levels=levels))
         leb = Measure.lebesgue()
-        enc, witness = functional_bracket_witness(ctx, leb, 2000)
         dirac = SliceSpec(Measure.dirac(0.0), dirac_dual_norm(ctx, 0.0), 0.9)
-        lebesgue = SliceSpec(leb, enc, 0.3, witness)
+        lebesgue = SliceSpec.of(ctx, leb, 0.3)
         sets = [SliceSet(dirac), ShellSliceSet(dirac, 0.01),
                 SliceSet(lebesgue), ShellSliceSet(lebesgue, 0.2)]
         for spec in sets:
@@ -756,9 +760,99 @@ class TestSliceAnchor:
         # slices; sampled exactly on a grid that refines it, it stays in
         ctx = DNormContext(build_leveled(2, levels=6))
         m = ANCHOR_MEASURES[name]
-        enc, witness = functional_bracket_witness(ctx, m, 2000)
-        est = diameter_lower_bound(ctx, SliceSet(SliceSpec(m, enc, eps, witness)), 2000, 1)
+        est = diameter_lower_bound(ctx, SliceSet(SliceSpec.of(ctx, m, eps)), 2000, 1)
         assert 1.98 < est.value <= 2.0
+
+
+def ref_functional_bracket_witness(ctx, m, budget):
+    """The bracket for ‖m‖* and its lower end's witness as
+    `d_norm.functional_bracket_witness` chose them: the dirac formula with
+    no witness for one isolated atom, else the `dual_norm` bracket."""
+    if len(m.atoms) == 1 and m.density is None:
+        t, w = m.atoms[0]
+        try:
+            enc = dirac_dual_norm(ctx, t)
+        except HypothesisError:
+            pass
+        else:
+            return Enclosure(abs(w) * enc.lo, abs(w) * enc.hi), None
+    br = dual_norm(ctx, m, budget=budget)
+    return br.as_enclosure(), br.witness
+
+
+def ref_anchor(ctx, S):
+    """`SliceSpec.anchor` as it made its own choice: the spec's witness,
+    else the signed bump of one isolated atom, else the program's
+    witness at budget 2000."""
+    if S.witness is not None:
+        return S.witness
+    m = S.functional
+    if len(m.atoms) == 1 and m.density is None:
+        t, w = m.atoms[0]
+        try:
+            return norming_bump(ctx, t).scaled(math.copysign(1.0, w))
+        except DomainError:
+            pass
+    return dual_norm(ctx, m).witness
+
+
+CHOOSER_MEASURES = {
+    "dirac_0_neg": Measure.dirac(0.0, -2.5),
+    "dirac_third": Measure.dirac(1.0 / 3.0),  # not isolated: the program
+    "two_atoms": ANCHOR_MEASURES["two_atoms"],
+    "lebesgue": ANCHOR_MEASURES["lebesgue"],
+    "tent": Measure((), PLFunction.tent()),
+}
+
+
+def _pl_bytes(f):
+    return f.breakpoints.tobytes(), f.values.tobytes()
+
+
+class TestSliceOf:
+    """`SliceSpec.of` is the one chooser from a measure to its slice: the
+    bracket and witness of the two choosers it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [64, 2000])
+    @pytest.mark.parametrize("levels", [2, 8, 12])
+    @pytest.mark.parametrize("name", list(CHOOSER_MEASURES))
+    def test_matches_the_bracket_and_anchor_it_replaced(self, name, levels, budget):
+        ctx = DNormContext(build_leveled(1, levels=levels))
+        m = CHOOSER_MEASURES[name]
+        S = SliceSpec.of(ctx, m, 0.3, budget)
+        enc, witness = ref_functional_bracket_witness(ctx, m, budget)
+        got = (S.functional_norm.lo.hex(), S.functional_norm.hi.hex())
+        assert got == (float(enc.lo).hex(), float(enc.hi).hex())
+        assert _pl_bytes(S.witness) == _pl_bytes(ref_anchor(ctx, SliceSpec(m, enc, 0.3, witness)))
+        # a spec built by position with no witness anchors as before
+        bare = SliceSpec(m, enc, 0.3)
+        assert _pl_bytes(bare.anchor(ctx)) == _pl_bytes(ref_anchor(ctx, bare))
+
+    @pytest.mark.parametrize("budget", [64, 2000])
+    def test_uncovered_atom_raises_as_before(self, budget):
+        # isolated, but outside every stored interval of a base with no tail
+        ctx = DNormContext(build_custom([Interval(0.2, 0.4)], has_tail=False))
+        m = Measure.dirac(0.8)
+        with pytest.raises(DomainError, match="carries no stored weight"):
+            ref_functional_bracket_witness(ctx, m, budget)
+        with pytest.raises(DomainError, match="carries no stored weight"):
+            SliceSpec.of(ctx, m, 0.3, budget)
+
+    def test_a_dirac_diameter_tests_isolation_once(self, monkeypatch):
+        # the bracket, the bump and the flip pair ask the base once
+        ctx = DNormContext(build_leveled(1, levels=8))
+        calls = []
+        real = NeighborhoodBase._isolation_test
+
+        def counting(self, t):
+            calls.append(t)
+            return real(self, t)
+
+        monkeypatch.setattr(NeighborhoodBase, "_isolation_test", counting)
+        S = SliceSpec.of(ctx, Measure.dirac(0.375), 0.3, 1)
+        diameter_lower_bound(ctx, SliceSet(S), 0, 1)
+        diameter_lower_bound(ctx, SliceSet(SliceSpec(S.functional, S.functional_norm, 0.3)), 0, 1)
+        assert calls == [0.375]
 
 
 FLIP_MEASURES = {
@@ -793,7 +887,7 @@ class TestFlipPair:
         def build(levels_i, name):
             i, levels = levels_i
             ctx = DNormContext(build_leveled(i, levels=levels))
-            return ctx, functional_bracket_witness(ctx, FLIP_MEASURES[name], 2000)
+            return ctx, SliceSpec.of(ctx, FLIP_MEASURES[name], 0.5)
 
         return build
 
@@ -804,8 +898,8 @@ class TestFlipPair:
     def test_slice_and_shell(self, brackets, base, name, eps, tau):
         from banachlab.slice_lab import FLIP_DELTA
 
-        ctx, (enc, witness) = brackets(base, name)
-        S = SliceSpec(FLIP_MEASURES[name], enc, eps, witness)
+        ctx, of = brackets(base, name)
+        S = dataclasses.replace(of, epsilon=eps)
         spec = SliceSet(S) if tau is None else ShellSliceSet(S, tau)
         est = diameter_lower_bound(ctx, spec, 2000, 1)
         x = into_unit_ball(ctx, S.anchor(ctx))
@@ -817,14 +911,31 @@ class TestFlipPair:
         assert est.pair_distances == (est.value,)
         _check_members(ctx, spec, est.pair)
 
+    def test_x_is_measured_once(self, ctx8, monkeypatch):
+        # the norms of x (its pull into the ball and its δ), x − y and y
+        import sys
+
+        calls = []
+        real = slice_lab.d_norm
+
+        def counting(ctx, f):
+            calls.append(f)
+            return real(ctx, f)
+
+        # slice_lab's own calls, and those of d_norm.into_unit_ball
+        for module in (slice_lab, sys.modules["banachlab.d_norm"]):
+            monkeypatch.setattr(module, "d_norm", counting)
+        S = SliceSpec.of(ctx8, Measure.dirac(0.375), 0.3)
+        est = diameter_lower_bound(ctx8, SliceSet(S), 0, 1)
+        assert len(calls) == 3 and calls[0] is S.witness is est.pair[0]
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shell_without_a_flip_pair_samples(self, seed):
         # the anchor of δ_{3/16} at levels 2 has lo 0.988, below the shell's
         # 1 − τ: its members are sampled, and the flip from the first follows
         ctx = DNormContext(build_leveled(1, levels=2))
         m = Measure.dirac(3.0 / 16.0)
-        enc, witness = functional_bracket_witness(ctx, m, 2000)
-        S = SliceSpec(m, enc, 0.6, witness)
+        S = SliceSpec.of(ctx, m, 0.6)
         assert d_norm(ctx, into_unit_ball(ctx, S.anchor(ctx))).lo < 0.99
         spec = ShellSliceSet(S, 0.01)
         est = diameter_lower_bound(ctx, spec, 0, seed)

@@ -159,6 +159,8 @@ def _parse_schedule(spec: str) -> ExponentSchedule:
     try:
         if head == "geometric":
             kw = dict(part.split("=") for part in rest.split(",") if part)
+            if unknown := set(kw) - {"base", "start", "count"}:
+                raise ValueError(f"unknown key {min(unknown)!r}")
             return ExponentSchedule.geometric(
                 base=float(kw.get("base", 2)),
                 start=float(kw.get("start", 4)),
@@ -166,7 +168,7 @@ def _parse_schedule(spec: str) -> ExponentSchedule:
             )
         if head == "list":
             return ExponentSchedule(tuple(float(v) for v in rest.split(",")))
-    except ValueError as exc:  # malformed numbers, and DomainError from the schedule
+    except ValueError as exc:  # malformed numbers and keys, and DomainError from the schedule
         raise ConfigError(f"bad schedule spec {spec!r}: {exc}") from None
     raise BanachLabError(f"unknown schedule spec {spec!r}")
 

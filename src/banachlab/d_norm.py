@@ -92,33 +92,23 @@ class DNormContext:
     # -- weight landscape (piecewise constant in t) ----------------------
 
     @cached_property
-    def _cell_edges(self) -> np.ndarray:
-        """0, 1 and every stored endpoint: the weight is constant between them."""
+    def _landscape(self) -> tuple[np.ndarray, np.ndarray]:
+        """0, 1 and every stored endpoint, between which the weight is
+        constant, and the (lo) weight at each cell's midpoint."""
         lo, hi = self.base.clamped_bounds
-        return np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+        pts = np.unique(np.concatenate([[0.0, 1.0], lo, hi]))
+        return pts, _closure_weights(self.base, 0.5 * (pts[:-1] + pts[1:]))
 
-    @cached_property
-    def _weight_probes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cell edges and midpoints with the (lo) weight at each: the landscape."""
-        pts = self._cell_edges
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        probes = np.unique(np.concatenate([pts, mids]))
-        return probes, _closure_weights(self.base, probes)
-
-    def min_weight(self) -> tuple[float, float]:
-        probes, wlo = self._weight_probes
-        k = int(np.argmin(wlo))
-        return float(wlo[k]), float(probes[k])
+    def min_weight(self) -> float:
+        """The least (lo) weight on [0,1]: the least cell weight, since every
+        closure that holds a cell's interior holds both of its edges, so no
+        edge weighs less than the cells beside it."""
+        return float(self._landscape[1].min())
 
     def weight_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Consecutive cells [p_k, p_k+1] with the (lo) weight on each interior.
-
-        Every cell midpoint is a probe, so the weights are read from the
-        landscape rather than recomputed.
-        """
-        pts = self._cell_edges
-        probes, wlo = self._weight_probes
-        return pts, wlo[np.searchsorted(probes, 0.5 * (pts[:-1] + pts[1:]))]
+        """Consecutive cells [p_k, p_k+1] with the (lo) weight on each
+        interior, read at its midpoint."""
+        return self._landscape
 
 
 def seminorms_all(ctx: DNormContext, f: PLFunction) -> np.ndarray:
@@ -184,24 +174,19 @@ def into_unit_ball(ctx: DNormContext, f: PLFunction) -> PLFunction:
     return f.scaled(1.0 / (hi * RESCALE_SAFETY)) if hi > 1.0 else f
 
 
-def sup_norm_bounds(ctx: DNormContext) -> tuple[float, dict]:
+def sup_norm_bounds(ctx: DNormContext) -> float:
     """Certified lower equivalence constant b_lo with ‖·‖_D ≥ b_lo·‖·‖_∞.
 
     At a maximizer t* of |f| we have ‖f‖_D² ≥ w(t*)‖f‖_∞², so the square
-    root of the minimum stored weight works; the weight is piecewise
-    constant between stored interval endpoints, making the scan exact.
-    The upper inequality ‖f‖_D ≤ ‖f‖_∞ holds identically since Σ2^-n = 1.
+    root of the least stored weight works; the weight is constant on each
+    cell between stored interval endpoints and no less at its edges, so the
+    cells give the minimum exactly.  The upper inequality ‖f‖_D ≤ ‖f‖_∞
+    holds identically since Σ2^-n = 1.
     """
-    wmin, argmin_t = ctx.min_weight()
+    wmin = ctx.min_weight()
     if wmin <= 0.0:
         raise DomainError("stored intervals do not cover [0,1]; no positive bound")
-    b_lo = float(np.sqrt(wmin))
-    note = {
-        "min_weight_lo": wmin,
-        "argmin_t": argmin_t,
-        "upper": "d_norm(f).hi <= sup|f| holds identically",
-    }
-    return b_lo, note
+    return float(np.sqrt(wmin))
 
 
 def dirac_dual_norm(ctx: DNormContext, t: float) -> Enclosure:
@@ -289,6 +274,7 @@ def _program_cells(ctx: DNormContext, m: Measure, terms: int):
     the density changes sign.  Returns the edges, the closure-member
     matrices of the open cells between them and of the edges, the |m| mass
     of each open cell and the atom weight at each edge (0 where none is).
+    A closed cell lies in a closure exactly when both of its edges do.
     """
     lo, hi = (b[:terms] for b in ctx.base.clamped_bounds)
     rho = m.density
@@ -297,8 +283,8 @@ def _program_cells(ctx: DNormContext, m: Measure, terms: int):
         points += [_kernels.zero_crossings(rho.breakpoints, rho.values)[1],
                    rho.breakpoints[rho.values == 0.0]]
     edges = np.unique(np.concatenate(points))
-    cell_in = (lo <= edges[:-1, None]) & (edges[1:, None] <= hi)
     edge_in = (lo <= edges[:, None]) & (edges[:, None] <= hi)
+    cell_in = edge_in[:-1] & edge_in[1:]
     cell_mass = np.zeros(edges.size - 1) if rho is None else abs_integral_cells(rho, edges)
     edge_w = np.zeros(edges.size)
     for t, w in m.atoms:
@@ -362,6 +348,10 @@ def _split_program(ctx: DNormContext, m: Measure, budget: int):
     # and the witness, depends on it
     sets, cls = _member_classes(members[mass > 0.0])
     mu = np.bincount(cls, weights=mass[mass > 0.0])
+    # the sweeps square the masses: scaled, as the peak was, by the power
+    # of two that puts the largest in [1/2, 1), tiny ones cannot underflow
+    mscale = _pow2(mu.max())
+    mu *= mscale
     heavy = np.argsort(-mu, kind="stable")
     sets, mu = sets[heavy], mu[heavy]
     pc, pk = np.nonzero(sets)  # (class, term) pairs, by class and then term
@@ -400,7 +390,7 @@ def _split_program(ctx: DNormContext, m: Measure, budget: int):
     load = np.bincount(np.concatenate([pk, pk[first]]), np.concatenate([share, deficit]), terms)
     pieces = edges.size + terms + (0 if m.density is None else m.density.breakpoints.size)
     slack = 1.0 + 8.0 * math.ulp(1.0) * pieces
-    upper = math.sqrt(np.dot(np.ldexp(load, n), load)) * slack
+    upper = _unscale(math.sqrt(np.dot(np.ldexp(load, n), load)) * slack, mscale, math.inf)
     return upper, _program_witness(m, s, edges, cell_in, edge_in, edge_w), sweep
 
 
@@ -460,9 +450,11 @@ def dual_norm(
     exactly, for the program's dual point x made a PL function and put in
     the unit ball through its exact norm enclosure.  Both are computed for
     m scaled by the power of two that puts its largest weight or density
-    value in [1/2, 1): every step is linear and the scaling exact, so the
-    bits are m's own wherever those neither overflow nor underflow.  Where
-    the scaling back underflows, both ends are rounded outward.  `seed`
+    value in [1/2, 1), and the program, which squares its masses, scales
+    them again so that the largest lies there: every step is linear and
+    the scaling exact, so the bits are m's own wherever those neither
+    overflow nor underflow.  Where the scaling back underflows, both ends
+    are rounded outward.  The ends must agree to a relative 1e-12.  `seed`
     changes nothing; it stays only because the benchmark's dual-bracket
     workload (`perfbench/workloads.py`) passes it.
     """
@@ -478,7 +470,7 @@ def dual_norm(
         raise DomainError(f"dual norm upper bound is not finite ({upper})")
     witness = into_unit_ball(ctx, x)
     lower = _unscale(float(integrate(witness, ms)), scale, -math.inf)
-    if lower > upper + 1e-12:
+    if lower > upper * (1.0 + 1e-12):
         raise CertificateFailure(
             f"feasible value {lower} exceeds certified upper bound {upper}",
             inequality="dual norm bracket consistency",

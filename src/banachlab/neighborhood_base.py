@@ -9,6 +9,7 @@ quantities over unstored deeper levels are bracketed (weights) or refused
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,6 +85,13 @@ class IsolationCheck:
 class NeighborhoodBase:
     """A finitely truncated interval base of [0,1] with tail metadata.
 
+    A base stores only what its construction cannot give back: the
+    intervals, and for a leveled base its starting level i and schedule.
+    A base is leveled exactly when it has a schedule.  Its index n (1-based)
+    then has the level-1 enumeration index g = n + 2^i − 2, which fixes the
+    rest: the level (g + 1).bit_length() − 1, the slot g + 1 − 2^level and
+    the overlap ε_g.
+
     Stored interval endpoints are float roundings of the construction; at
     deep levels the overlap width drops below the endpoint's ulp, so open
     float comparisons can misclassify points that sit exactly on a rounded
@@ -94,12 +102,8 @@ class NeighborhoodBase:
     """
 
     intervals: tuple[Interval, ...]
-    kind: str = "custom"                 # "leveled" | "custom"
     param_i: int = 0                     # starting level (leveled only)
-    level_of: tuple[int, ...] = ()       # per-index level (leveled only)
-    slot_of: tuple[int, ...] = ()        # per-index slot within its level
-    eps_index: tuple[int, ...] = ()      # per-index level-1 enumeration index
-    schedule: EpsilonSchedule | None = None
+    schedule: EpsilonSchedule | None = None  # set exactly on leveled bases
     has_tail: bool = True                # custom bases are exact finite families
 
     def __post_init__(self):
@@ -109,6 +113,10 @@ class NeighborhoodBase:
             a, b = iv.clamped()
             if a >= b:
                 raise ConfigError("base intervals must meet [0,1] with positive length")
+
+    @property
+    def kind(self) -> str:
+        return "custom" if self.schedule is None else "leveled"
 
     @property
     def n_max(self) -> int:
@@ -168,11 +176,13 @@ class NeighborhoodBase:
     @cached_property
     def _levels(self) -> dict[int, tuple[int, ...]]:
         """Each stored level's 1-based indices, ascending, levels ascending:
-        one pass over level_of."""
-        out: dict[int, list[int]] = {}
-        for n, level in enumerate(self.level_of, 1):
-            out.setdefault(level, []).append(n)
-        return {level: tuple(out[level]) for level in sorted(out)}
+        level l holds 2^l − 2^i + 1 to 2^(l+1) − 2^i, cut at n_max."""
+        out = {}
+        level, start = self.param_i, 1
+        while start <= self.n_max:
+            out[level] = tuple(range(start, min(start + 2 ** level, self.n_max + 1)))
+            level, start = level + 1, start + 2 ** level
+        return out
 
     @cached_property
     def _level_covers(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -203,9 +213,7 @@ class NeighborhoodBase:
                 if longest < delta:
                     return idx
             needed = 1
-            while 2.0 ** -needed + 2.0 * (
-                self.schedule.eps(2 ** needed - 1) if self.schedule else 0.0
-            ) >= delta:
+            while 2.0 ** -needed + 2.0 * self.schedule.eps(2 ** needed - 1) >= delta:
                 needed += 1
             raise ResolutionError(
                 f"no stored level has lengths < {delta}; deepen the base to level {needed}",
@@ -241,11 +249,11 @@ class NeighborhoodBase:
         """
         from fractions import Fraction
 
-        if self.kind != "leveled" or self.schedule is None or not self.schedule.is_dyadic():
+        if self.kind != "leveled" or not self.schedule.is_dyadic():
             return "boundary"  # cannot certify: treat as the worst case
-        level = self.level_of[n - 1]
-        slot = self.slot_of[n - 1]
-        g = self.eps_index[n - 1]
+        g = n + 2 ** self.param_i - 2
+        level = (g + 1).bit_length() - 1
+        slot = g + 1 - 2 ** level
         eps = Fraction(self.schedule.eps1) * Fraction(self.schedule.ratio) ** (g - 1)
         width = Fraction(1, 2 ** level)
         tf = Fraction(t)
@@ -299,7 +307,7 @@ class NeighborhoodBase:
             return IsolationCheck(True, margin, "finite base, all intervals checked")
         if t in (0.0, 1.0):
             return IsolationCheck(True, margin, "endpoint: deeper levels stay clear structurally")
-        if self.kind == "leveled" and self.schedule is not None and self.schedule.is_dyadic():
+        if self.kind == "leveled" and self.schedule.is_dyadic():
             deepest = max(self.stored_levels)
             for level in range(1, deepest + 1):
                 scaled = t * 2.0 ** level
@@ -315,16 +323,7 @@ class NeighborhoodBase:
         """First n stored intervals (tail metadata preserved)."""
         if not 1 <= n <= self.n_max:
             raise DomainError("truncation length out of range")
-        return NeighborhoodBase(
-            self.intervals[:n],
-            kind=self.kind,
-            param_i=self.param_i,
-            level_of=self.level_of[:n],
-            slot_of=self.slot_of[:n],
-            eps_index=self.eps_index[:n],
-            schedule=self.schedule,
-            has_tail=self.has_tail,
-        )
+        return dataclasses.replace(self, intervals=self.intervals[:n])
 
 
 def build_leveled(
@@ -349,9 +348,6 @@ def build_leveled(
         )
     sched = schedule or EpsilonSchedule()
     intervals: list[Interval] = []
-    level_of: list[int] = []
-    slot_of: list[int] = []
-    eps_index: list[int] = []
     for level in range(i, i + levels):
         sched.validate_level(level)
         count = 2 ** level
@@ -366,23 +362,11 @@ def build_leveled(
             else:
                 iv = Interval(k * width - e, (k + 1) * width + e)
             intervals.append(iv)
-            level_of.append(level)
-            slot_of.append(k)
-            eps_index.append(g)
-    return NeighborhoodBase(
-        tuple(intervals),
-        kind="leveled",
-        param_i=i,
-        level_of=tuple(level_of),
-        slot_of=tuple(slot_of),
-        eps_index=tuple(eps_index),
-        schedule=sched,
-        has_tail=True,
-    )
+    return NeighborhoodBase(tuple(intervals), param_i=i, schedule=sched, has_tail=True)
 
 
 def build_custom(intervals, has_tail: bool = False) -> NeighborhoodBase:
-    return NeighborhoodBase(tuple(intervals), kind="custom", has_tail=has_tail)
+    return NeighborhoodBase(tuple(intervals), has_tail=has_tail)
 
 
 def parse_base_spec(spec: str) -> NeighborhoodBase:
@@ -395,10 +379,13 @@ def parse_base_spec(spec: str) -> NeighborhoodBase:
         kw: dict[str, float] = {}
         for part in filter(None, (p.strip() for p in rest.split(","))):
             key, _, val = part.partition("=")
+            key = key.strip()
+            if key not in ("i", "levels", "eps1", "ratio"):
+                raise ConfigError(f"base spec {spec!r}: unknown key {key!r}")
             try:
-                kw[key.strip()] = float(val)
+                kw[key] = float(val)
             except ValueError:
-                raise ConfigError(f"base spec {spec!r}: {key.strip()} needs a number") from None
+                raise ConfigError(f"base spec {spec!r}: {key} needs a number") from None
         for key in ("i", "levels"):
             if key in kw and not kw[key].is_integer():
                 raise ConfigError(f"base spec {spec!r}: {key} must be a whole number")

@@ -352,7 +352,7 @@ def tent_flip_witness(
     tol_n = (room / 2.0) / math.sqrt(big_n) * np.sqrt(2.0 ** np.arange(1, big_n + 1))
     taus = np.maximum(s_all[:big_n] - tol_n, 0.0)
 
-    b_lo, _ = sup_norm_bounds(ctx)
+    b_lo = sup_norm_bounds(ctx)
     atoms = sorted(t for t, _ in S.functional.atoms)
     ilo, ihi = ctx.interval_bounds
     components = _near_max_components(x, ilo[:big_n], ihi[:big_n], taus)
@@ -520,7 +520,7 @@ def small_diameter_combo(
     if i < 2:
         raise ParameterError("the combination construction needs i >= 2")
     pts = disjoint_points(base)
-    b_lo, _ = sup_norm_bounds(ctx)
+    b_lo = sup_norm_bounds(ctx)
     m_bound = 1.0 / b_lo
     if eta is None:
         eta = max_feasible_eta(i, m_bound, target_slack)

@@ -52,7 +52,7 @@ def test_criterion_1_norm_normalization():
 
 def test_criterion_2_equivalence_inequalities(ctx8):
     rng = np.random.default_rng(202)
-    b_lo, _ = sup_norm_bounds(ctx8)
+    b_lo = sup_norm_bounds(ctx8)
     t0 = time.perf_counter()
     worst_upper = -np.inf
     worst_lower = np.inf

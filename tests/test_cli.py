@@ -239,6 +239,13 @@ class TestBadInputs:
             ["--base", "leveled:i=1,levels=8", "mlur-cert", "--fn", "{dir}/one.json", "--eps", "1e308"],
             # the same function on other breakpoints passed as distinct
             ["--seed", "1", "octa-gap", "--fn", "{dir}/one.json", "--fn2", "{dir}/one_split.json"],
+            # misspelt keys ran at the defaults: levels 8, the default
+            # overlap, base 2
+            ["--base", "leveled:i=1,level=12", "norm", "--fn", "{dir}/one.json"],
+            ["--base", "leveled:i=1,eps=0.01", "norm", "--fn", "{dir}/one.json"],
+            ["--base", "dyadic:levels=4,ratio=0.25,eps=0.01", "norm", "--fn", "{dir}/one.json"],
+            ["nested", "--p", "geometric:bse=3,count=4", "--op", "product"],
+            ["nested", "--p", "geometric:base=3,cnt=4", "--op", "product"],
         ],
     )
     def test_one_line_error(self, argv, files, capsys):

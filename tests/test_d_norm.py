@@ -1,14 +1,17 @@
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from banachlab.core_model import Enclosure, Interval, Measure, PLFunction, integrate, lin_comb
 from banachlab.d_norm import (
     DNormContext,
+    _closure_weights,
     _member_classes,
     ball_norm,
     conservative_value,
@@ -21,7 +24,7 @@ from banachlab.d_norm import (
     sup_norm_bounds,
     weighted_tv_upper,
 )
-from banachlab.errors import DomainError, HypothesisError
+from banachlab.errors import CertificateFailure, DomainError, HypothesisError
 from banachlab.neighborhood_base import EpsilonSchedule, build_custom, build_leveled
 from banachlab.slice_lab import SliceSpec, norming_bump
 
@@ -120,9 +123,9 @@ class TestEquivalence:
             assert d_norm(ctx8, f).hi <= f.sup_abs() + 1e-12
 
     def test_lower_with_b(self, ctx8):
-        b_lo, note = sup_norm_bounds(ctx8)
+        b_lo = sup_norm_bounds(ctx8)
         assert b_lo > 0.0
-        assert note["min_weight_lo"] == pytest.approx(b_lo * b_lo)
+        assert ctx8.min_weight() == pytest.approx(b_lo * b_lo)
         rng = np.random.default_rng(9)
         for _ in range(100):
             f = random_pl(rng)
@@ -177,7 +180,7 @@ class TestDualNorm:
         assert big.lower >= small.lower - 1e-12
 
     def test_weighted_upper_dominates_crude(self, ctx8):
-        b_lo, _ = sup_norm_bounds(ctx8)
+        b_lo = sup_norm_bounds(ctx8)
         for m in (Measure.lebesgue(), Measure(atoms=((0.5, 1.0),), density=PLFunction.tent())):
             assert weighted_tv_upper(ctx8, m) <= m.total_variation() / b_lo + 1e-12
 
@@ -394,29 +397,38 @@ def test_functional_coeffs_bit_identical(ctx8, grid64, rho):
 # ---------------------------------------------------------------------------
 
 
-def ref_weight_probes(ctx):
-    """One base.weight call per probe, as _weight_probes used to make."""
+def ref_min_weight(ctx):
+    """The least (lo) weight over every cell edge and midpoint, as
+    min_weight took it before it read the cells alone."""
     pts = np.unique(np.concatenate([[0.0, 1.0], *ctx.base.clamped_bounds]))
     probes = np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
-    return probes, np.array([ctx.base.weight(float(t)).lo for t in probes])
+    return float(np.min(_closure_weights(ctx.base, probes)))
 
 
-def random_custom_base():
+def random_custom_base(has_tail=False):
     rng = np.random.default_rng(12)
     lefts = rng.uniform(-0.05, 0.95, 300)
-    return build_custom([Interval(a, a + rng.uniform(0.06, 0.5)) for a in lefts])
+    return build_custom([Interval(a, a + rng.uniform(0.06, 0.5)) for a in lefts], has_tail)
 
 
 @pytest.mark.parametrize(
     "base",
     [build_leveled(i, levels=levels) for i, levels in ((1, 8), (1, 9), (1, 12), (2, 9), (2, 12), (3, 8))]
-    + [random_custom_base()],
+    + [random_custom_base(), random_custom_base(has_tail=True),
+       # the least weight, 1/4 on (0.5, 0.55), lies inside, with 5/16 and
+       # more at every edge
+       build_custom([Interval(0.0, 0.5), Interval(0.4, 1.0), Interval(0.0, 0.45), Interval(0.55, 1.0)],
+                    has_tail=True),
+       build_custom([Interval(0.2, 0.4)])],
 )
 def test_weight_probes_bit_identical(base):
+    # the cells alone give the probes' minimum, and each cell's weight is
+    # base.weight's at its midpoint
     ctx = DNormContext(base)
-    probes, wlo = ctx._weight_probes
-    ref_probes, ref_wlo = ref_weight_probes(ctx)
-    assert probes.tobytes() == ref_probes.tobytes()
+    assert ctx.min_weight().hex() == ref_min_weight(ctx).hex()
+    pts, wlo = ctx.weight_cells()
+    ref_pts, ref_wlo = ref_weight_cells(ctx)
+    assert pts.tobytes() == ref_pts.tobytes()
     assert wlo.tobytes() == ref_wlo.tobytes()
 
 
@@ -498,6 +510,9 @@ atom_lists = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(rho=pl_densities(), atoms=atom_lists)
+# a density of mass 2.5e-258 whose squared cell masses underflowed: the
+# witness got inf and nan values
+@example(rho=PLFunction(np.array([0.0, 5.08138134e-258, 1.0]), np.array([1.0, 0.0, 0.0])), atoms=[])
 def test_program_bracket_on_random_measures(ctx8, rho, atoms):
     m = Measure(tuple(atoms), rho)
     # a norm that underflows has no positive certified lower end; the
@@ -508,6 +523,56 @@ def test_program_bracket_on_random_measures(ctx8, rho, atoms):
     assert d_norm(ctx8, br.witness).hi <= 1.0
     # the lower end is the witness's exact value
     assert integrate(br.witness, m) == pytest.approx(br.lower, rel=1e-12)
+
+
+def tiny_mass(e):
+    """The density 1 → 0 over [0, e], 0 after: its mass is e/2."""
+    return Measure(density=PLFunction(np.array([0.0, e, 1.0]), np.array([1.0, 0.0, 0.0])))
+
+
+def exact_integral(x, e):
+    """∫x d(tiny_mass(e)) in rationals, for x linear on [0, b] with e < b."""
+    x0, x1, b = (Fraction(float(v)) for v in (x.values[0], x.values[1], x.breakpoints[1]))
+    e = Fraction(e)
+    return x0 * e / 2 + (x1 - x0) / b * e * e / 6
+
+
+def test_program_sound_on_densities_of_tiny_mass(ctx8, monkeypatch):
+    # the member x = 1 → 0 over [0, 1e-3], scaled into the ball
+    f = PLFunction(np.array([0.0, 1e-3, 1.0]), np.array([1.0, 0.0, 0.0]))
+    x = f.scaled(1.0 / d_norm(ctx8, f).hi)
+    assert d_norm(ctx8, x).hi <= 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(5, 301):
+            br = dual_norm(ctx8, tiny_mass(10.0 ** -k), budget=500)
+            assert math.isfinite(br.upper) and 0.0 < br.lower <= br.upper
+    # the program's own upper end, without the weighted total-variation
+    # bound, dominates ∫x dm: its squared masses used to underflow, and at
+    # e = 1e-160 it read 6.2712e-161 against ∫x dm = 6.2852e-161
+    monkeypatch.setattr(sys.modules["banachlab.d_norm"], "weighted_tv_upper", lambda ctx, m: math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(5, 301):
+            br = dual_norm(ctx8, tiny_mass(10.0 ** -k), budget=500)
+            assert math.isfinite(br.upper) and 0.0 < br.lower <= br.upper
+            assert Fraction(br.upper) >= exact_integral(x, 10.0 ** -k)
+
+
+def test_forged_upper_end_fails_the_consistency_check(ctx8, monkeypatch):
+    # an upper end forged to half the program's, on a measure so small that
+    # the gap to the lower end lies far below any absolute tolerance
+    dn = sys.modules["banachlab.d_norm"]
+    real = dn._split_program
+
+    def halved(ctx, m, budget):
+        upper, x, sweeps = real(ctx, m, budget)
+        return 0.5 * upper, x, sweeps
+
+    monkeypatch.setattr(dn, "_split_program", halved)
+    for m in (Measure.lebesgue(), tiny_mass(1e-5)):
+        with pytest.raises(CertificateFailure, match="exceeds certified upper bound"):
+            dual_norm(ctx8, m.scaled(2.0 ** -200), budget=500)
 
 
 def unique_rows(held):

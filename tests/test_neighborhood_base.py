@@ -30,12 +30,13 @@ class TestBuildLeveled:
         third = b.intervals[2]
         assert third.left == 0.0
         assert third.right == 0.25 + SCHED.eps(3)
-        assert b.level_of == (1, 1, 2, 2, 2, 2)
+        assert b.stored_levels == (1, 2)
+        assert b.level_indices(1) == (1, 2) and b.level_indices(2) == (3, 4, 5, 6)
 
     def test_start_level_two(self):
         b = build_leveled(2, levels=2)
         assert b.n_max == 4 + 8
-        assert b.level_of[:4] == (2, 2, 2, 2)
+        assert b.level_indices(2) == (1, 2, 3, 4)
         # epsilon keeps its level-1 enumeration index
         assert b.intervals[0].right == 0.25 + SCHED.eps(3)
 
@@ -125,49 +126,116 @@ class TestCover:
                        for iv in (b.intervals[n - 1] for n in idx))
 
 
-def ref_level_indices(b, level):
-    """level_indices' body before the base kept its level map."""
-    return tuple(n + 1 for n, l in enumerate(b.level_of) if l == level)
+def ref_layout(b):
+    """(level, slot, level-1 enumeration index g) of each stored index of the
+    leveled base b, from build_leveled's own enumeration loop."""
+    out = []
+    level = b.param_i
+    while len(out) < b.n_max:
+        count = 2 ** level
+        out += [(level, k, count - 1 + k) for k in range(count)]
+        level += 1
+    return out[:b.n_max]
 
 
-def ref_cover_for(b, delta):
+def ref_levels(b):
+    """Each stored level's indices, from ref_layout."""
+    out = {}
+    for n, (level, _, _) in enumerate(ref_layout(b), 1):
+        out.setdefault(level, []).append(n)
+    return {level: tuple(idx) for level, idx in out.items()}
+
+
+def ref_cover_for(b, levels, delta):
     """cover_for's leveled search before the base kept its level covers:
-    the first complete stored level whose intervals are all shorter than
-    delta, or None."""
-    for level in sorted(set(b.level_of)):
-        idx = ref_level_indices(b, level)
+    the first complete stored level of `levels` (ref_levels(b)) whose
+    intervals are all shorter than delta, or None."""
+    for level, idx in sorted(levels.items()):
         if len(idx) == 2 ** level and max(b.intervals[n - 1].length for n in idx) < delta:
             return idx
     return None
 
 
-def leveled_bases():
-    for i in (1, 2, 3):
-        for levels in range(1, 10):
-            b = build_leveled(i, levels=levels)
-            yield b
-            if levels > 1:
-                # a truncation that ends inside its last level
-                yield b.truncated(b.n_max - 2 ** (i + levels - 1) + 3)
+def ref_exact_relation(b, layout, n, t):
+    """_exact_relation's body before the base derived level, slot and g,
+    reading them from `layout` (ref_layout(b))."""
+    from fractions import Fraction
+
+    if b.schedule is None or not b.schedule.is_dyadic():
+        return "boundary"
+    level, slot, g = layout[n - 1]
+    eps = Fraction(b.schedule.eps1) * Fraction(b.schedule.ratio) ** (g - 1)
+    width = Fraction(1, 2 ** level)
+    tf = Fraction(t)
+    left = Fraction(0) if slot == 0 else slot * width - eps
+    right = Fraction(1) if slot == 2 ** level - 1 else (slot + 1) * width + eps
+    if left < tf < right or (slot == 0 and tf == 0) or (slot == 2 ** level - 1 and tf == 1):
+        return "inside"
+    if tf == left or tf == right:
+        return "boundary"
+    return "outside"
+
+
+SCHEDULES = (SCHED, EpsilonSchedule(2.0 ** -5, 0.5), EpsilonSchedule(0.01, 0.3))
+
+
+def leveled_bases(starts=(1, 2, 3), deepest=9, schedules=(SCHED,)):
+    for sched in schedules:
+        for i in starts:
+            for levels in range(1, deepest + 1):
+                b = build_leveled(i, schedule=sched, levels=levels)
+                yield b
+                if levels > 1:
+                    # a truncation that ends inside its last level
+                    yield b.truncated(b.n_max - 2 ** (i + levels - 1) + 3)
+
+
+@pytest.fixture(scope="module")
+def deep_bases():
+    return list(leveled_bases((1, 2, 3, 4), 10, SCHEDULES))
 
 
 class TestLevelMap:
-    def test_level_indices_match_the_old_scan(self):
-        for b in leveled_bases():
-            assert b.stored_levels == tuple(sorted(set(b.level_of)))
+    def test_level_indices_match_the_old_scan(self, deep_bases):
+        for b in deep_bases:
+            ref = ref_levels(b)
+            assert b.stored_levels == tuple(sorted(ref))
             for level in range(b.stored_levels[-1] + 2):
-                assert b.level_indices(level) == ref_level_indices(b, level)
+                assert b.level_indices(level) == ref.get(level, ())
 
     def test_cover_for_matches_the_old_search(self):
         deltas = np.concatenate([np.geomspace(1e-4, 1.5, 60), [0.5, 0.25, 0.125]])
         for b in leveled_bases():
+            levels = ref_levels(b)
             for delta in deltas:
-                ref = ref_cover_for(b, float(delta))
+                ref = ref_cover_for(b, levels, float(delta))
                 if ref is None:
                     with pytest.raises(ResolutionError):
                         b.cover_for(float(delta))
                 else:
                     assert b.cover_for(float(delta)) == ref
+
+    def test_exact_relation_matches_the_stored_layout(self, deep_bases):
+        for b in deep_bases:
+            layout = ref_layout(b)
+            # every index of the first 16, and the first two and last two
+            # of each stored level, where an off-by-one would show
+            ns = set(range(1, min(b.n_max, 16) + 1))
+            for idx in ref_levels(b).values():
+                ns.update(idx[:2] + idx[-2:])
+            for n in sorted(ns):
+                iv = b.intervals[n - 1]
+                for t in (0.0, 1.0, max(iv.left, 0.0), min(iv.right, 1.0), 0.5 * (iv.left + iv.right)):
+                    assert b._exact_relation(n, t) == ref_exact_relation(b, layout, n, t)
+
+    def test_a_base_stores_four_values(self):
+        import dataclasses
+
+        names = [f.name for f in dataclasses.fields(NeighborhoodBase)]
+        assert names == ["intervals", "param_i", "schedule", "has_tail"]
+        assert build_leveled(2, levels=2).kind == "leveled"
+        assert build_leveled(2, levels=3).truncated(5).kind == "leveled"
+        assert build_custom([Interval(0.0, 1.0)], has_tail=True).kind == "custom"
 
 
 class TestIsolation:
@@ -218,6 +286,11 @@ class TestCustomAndSpec:
     def test_parse_leveled_spec(self):
         b = parse_base_spec("leveled:i=2,eps1=0.015625,ratio=0.25,levels=3")
         assert b.param_i == 2 and len(b.stored_levels) == 3
+
+    @pytest.mark.parametrize("spec", ["leveled:i=1,level=12", "leveled:i=1,eps=0.01", "dyadic:I=2"])
+    def test_unknown_spec_key_refused(self, spec):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_base_spec(spec)
 
     def test_parse_custom_spec(self, tmp_path):
         import json

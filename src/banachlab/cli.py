@@ -232,14 +232,7 @@ def _run(args) -> tuple[dict | str, str]:
         raise ConfigError("grid_cells must be >= 1")
     if args.grid > MAX_GRID_CELLS:
         raise ConfigError(f"--grid must be at most {MAX_GRID_CELLS} cells")
-    seed = args.seed if args.seed is not None else 0
-    cfg = {
-        "base": args.base,
-        "tol": args.tol,
-        "budget": args.budget,
-        "seed": args.seed,
-        "grid": args.grid,
-    }
+    cfg = {key: getattr(args, key) for key in ("base", "tol", "budget", "seed", "grid")}
 
     if args.cmd == "norm":
         f = load_function(args.fn)
@@ -276,7 +269,7 @@ def _run(args) -> tuple[dict | str, str]:
         }
     elif args.cmd == "diam":
         sp = _set_from_json(ctx, args.set_spec, args.budget)
-        est = diameter_lower_bound(ctx, sp, args.budget, seed, grid_cells=args.grid)
+        est = diameter_lower_bound(ctx, sp, args.budget, args.seed, grid_cells=args.grid)
         if args.format == "csv":
             rows = [[i, v] for i, v in enumerate(est.pair_distances)]
             return reports.rows_to_csv(["pair_index", "distance_lo"], rows), "csv"
@@ -288,7 +281,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "combo-diam":
         cctx = _context(f"leveled:i={args.i},levels={args.levels}")
         slices, bound, cert = small_diameter_combo(
-            cctx, args.i, eta=args.eta, budget=args.budget, seed=seed
+            cctx, args.i, eta=args.eta, budget=args.budget, seed=args.seed
         )
         res = {
             "points": list(cert.points),
@@ -320,7 +313,8 @@ def _run(args) -> tuple[dict | str, str]:
         }
     elif args.cmd == "mlur-modulus":
         x = load_function(args.fn)
-        val = mlur_modulus(ctx, x, args.eps, args.budget, seed, norm=args.norm, grid_cells=args.grid)
+        val = mlur_modulus(ctx, x, args.eps, args.budget, args.seed, norm=args.norm,
+                           grid_cells=args.grid)
         res = {"modulus_upper": val, "norm": args.norm}
     elif args.cmd == "octa-local":
         x = load_function(args.fn)
@@ -332,7 +326,7 @@ def _run(args) -> tuple[dict | str, str]:
     elif args.cmd == "octa-gap":
         u = load_function(args.fn)
         v = load_function(args.fn2)
-        res = non_octahedral_gap(ctx, u, v, args.budget, seed)
+        res = non_octahedral_gap(ctx, u, v, args.budget, args.seed)
     elif args.cmd == "rigidity":
         u = load_function(args.fn)
         v = load_function(args.fn2)
@@ -343,15 +337,7 @@ def _run(args) -> tuple[dict | str, str]:
         if type(u) is not str or type(m) is not str:
             raise ConfigError('a projection file names its "u" and "m" files by strings')
         P = Rank1Projection(load_function(u), load_measure(m))
-        rep = ld2p_plus_projection_check(ctx, P, args.budget, seed)
-        res = {
-            "projection_norm": rep["projection_norm"],
-            "upper": rep["upper"],
-            "lower": rep["lower"],
-            "gap": rep["gap"],
-            "trajectory": rep["trajectory"],
-            "flip_seeded": rep["flip_seeded"],
-        }
+        res = ld2p_plus_projection_check(ctx, P, args.budget, args.seed)
     elif args.cmd == "c0-control":
         res = c0_model_control(args.dim, args.eps)
     elif args.cmd == "nested":
@@ -368,13 +354,8 @@ def _run(args) -> tuple[dict | str, str]:
             ys = [(1.0 - 1.0 / (k + 1)) * e1 for k in range(n)]
             res = wur_difference_extraction(sched, xs, ys, tol=0.25)
         else:
-            rep = large_slice_check(sched, args.m, args.eps)
-            res = {
-                "best_distance": rep["best_distance"],
-                "tail_product": rep["tail_product"],
-                "target": rep["target"],
-                "members": rep["members"],
-            }
+            res = large_slice_check(sched, args.m, args.eps)
+            del res["pair"]
     else:  # pragma: no cover - argparse guards
         raise BanachLabError(f"unknown subcommand {args.cmd}")
     return reports.build_report(args.cmd, cfg, res), "json"

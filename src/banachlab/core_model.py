@@ -2,9 +2,9 @@
 
 Everything in this module is closed-form arithmetic over machine floats:
 suprema of a PL function are attained at breakpoints, a product of two PL
-functions integrates exactly by Simpson's rule per merged piece, and |PL|
-splits pieces at zero crossings.  No grids and no tolerances enter here;
-downstream certificates rely on that.
+functions integrates exactly per merged piece from its two ends' values,
+and |PL| splits pieces at zero crossings.  No grids and no tolerances enter
+here; downstream certificates rely on that.
 """
 
 from __future__ import annotations
@@ -367,8 +367,9 @@ def integrate_many(f: PLFunction, m: Measure, lo: np.ndarray, hi: np.ndarray) ->
     First the atoms inside, each w·f(t), added in the atoms' order; an atom
     on an end counts only where the interval is all of [0, 1].  Then the
     density part, cut at the ends and at the breakpoints of f and of the
-    density strictly inside: on each piece f·density is quadratic, so
-    Simpson's rule is exact, and the pieces are added left to right.
+    density strictly inside: on each piece [a, b] both are linear, so its
+    integral is (b − a)/6·(f(a)(2ρ(a) + ρ(b)) + f(b)(ρ(a) + 2ρ(b))), from its
+    two ends alone, and the pieces are added left to right.
     """
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     _check_ranges(lo, hi)
@@ -385,9 +386,8 @@ def integrate_many(f: PLFunction, m: Measure, lo: np.ndarray, hi: np.ndarray) ->
         cuts, first = _interval_points(bx, lo[span], hi[span])
         fv = pl_eval(f.breakpoints, f.values, cuts)
         rv = pl_eval(rho.breakpoints, rho.values, cuts)
-        xm = 0.5 * (cuts[:-1] + cuts[1:])
-        pm = pl_eval(f.breakpoints, f.values, xm) * pl_eval(rho.breakpoints, rho.values, xm)
-        pieces = np.diff(cuts) / 6.0 * (fv[:-1] * rv[:-1] + 4.0 * pm + fv[1:] * rv[1:])
+        fa, fb, ra, rb = fv[:-1], fv[1:], rv[:-1], rv[1:]
+        pieces = np.diff(cuts) / 6.0 * (fa * (2.0 * ra + rb) + fb * (ra + 2.0 * rb))
         total[span] = _interval_sums(pieces, first, total[span])
     return total
 

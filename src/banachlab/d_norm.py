@@ -35,7 +35,7 @@ SPHERE_TOL = 0.05
 PROGRAM_TERMS = 64
 #: relative duality gap at which the program's sweeps stop
 PROGRAM_GAP = 1e-6
-#: width of the ramps between the program witness's cells
+#: width of the ramps of the program witness, at most a quarter of a cell's
 WITNESS_RAMP = 1e-6
 
 
@@ -396,8 +396,9 @@ def _split_program(ctx: DNormContext, m: Measure, budget: int):
 
 def _program_witness(m, s, edges, cell_in, edge_in, edge_w) -> PLFunction:
     """x = sign(m)·min over the closure members of s, as a PL function: each
-    edge takes its own members' minimum, and each cell at least 3 ramp
-    widths wide holds its value between ramps of WITNESS_RAMP."""
+    edge takes its own members' minimum, and each cell holds its value
+    between ramps of WITNESS_RAMP, or of a quarter of its width where that
+    is less, wherever the plateau's two ends are distinct floats inside it."""
 
     def lowest(members):
         v = np.where(members, s, np.inf).min(axis=1)
@@ -406,13 +407,15 @@ def _program_witness(m, s, edges, cell_in, edge_in, edge_w) -> PLFunction:
     a, b = edges[:-1], edges[1:]
     rho = m.density
     sign = np.zeros(a.size) if rho is None else np.sign(rho.eval(0.5 * (a + b)))
-    # an edge keeps the sign its cells share and is 0 between opposite
-    # signs; an atom's edge takes the atom's sign
+    # an edge takes the sign of its signed cells, and 0 between opposite
+    # signs, whose sum is 0; an atom's edge takes the atom's sign
     left, right = np.append(sign[:1], sign), np.append(sign, sign[-1:])
-    edge_sign = np.where(edge_w != 0.0, np.sign(edge_w), np.where(left == right, left, 0.0))
-    wide = b - a >= 3.0 * WITNESS_RAMP
+    edge_sign = np.where(edge_w != 0.0, np.sign(edge_w), np.sign(left + right))
+    ramp = np.minimum(WITNESS_RAMP, (b - a) / 4.0)
+    up, down = a + ramp, b - ramp
+    wide = (a < up) & (up < down) & (down < b)
     inner = (sign * lowest(cell_in))[wide]
-    bx = np.concatenate([edges, a[wide] + WITNESS_RAMP, b[wide] - WITNESS_RAMP])
+    bx = np.concatenate([edges, up[wide], down[wide]])
     by = np.concatenate([edge_sign * lowest(edge_in), inner, inner])
     o = np.argsort(bx, kind="stable")
     return PLFunction(bx[o], by[o])

@@ -126,17 +126,18 @@ class GridContext:
                       np.stack([w * (1.0 - th), w * th], axis=1).ravel())
         rho = m.density
         if rho is not None:
-            # Simpson's rule on every piece between consecutive grid nodes and
-            # density breakpoints; each piece sends its a, mid, b terms to the
-            # two nodes of the cell holding each point, added in that order by
-            # np.add.at.  A piece end b on a node lands in the next cell at
-            # fraction 0: the node gets the same term, the node after it +0.0
+            # integrate_many's two-end formula on every piece [a, b] between
+            # consecutive grid nodes and density breakpoints: its v(a) and v(b)
+            # terms go to the two nodes of the cell holding each end, added in
+            # that order by np.add.at.  A piece end b on a node lands in the
+            # next cell at fraction 0: the node gets the same term, the node
+            # after it +0.0
             edges = np.union1d(g, rho.breakpoints)
             a, b = edges[:-1], edges[1:]
-            t = np.stack([a, 0.5 * (a + b), b], axis=1)
-            kk, s = _kernels.locate(g, t)
-            rv = pl_eval(rho.breakpoints, rho.values, t)
-            scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
+            kk, s = _kernels.locate(g, np.stack([a, b], axis=1))
+            rv = pl_eval(rho.breakpoints, rho.values, edges)
+            ra, rb = rv[:-1], rv[1:]
+            scale = (b - a)[:, None] / 6.0 * np.stack([2.0 * ra + rb, ra + 2.0 * rb], axis=1)
             idx = np.stack([kk, kk + 1], axis=2)
             np.add.at(c, idx.ravel(), np.stack([scale * (1.0 - s), scale * s], axis=2).ravel())
         return c

@@ -19,58 +19,31 @@ from . import __version__
 from .core_model import Enclosure, Measure, PLFunction, function_to_dict, measure_to_dict
 
 
-def _convert(obj: Any) -> Any:
-    if isinstance(obj, Enclosure):
-        return {"lo": obj.lo, "hi": obj.hi}
-    if isinstance(obj, PLFunction):
-        return function_to_dict(obj)
-    if isinstance(obj, Measure):
-        return measure_to_dict(obj)
-    if isinstance(obj, dict):
-        return {str(k): _convert(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):
-            return list(obj)  # each item would convert to itself
-        return [_convert(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
-
-
 def _dump(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            out.append('"' + repr(obj) + '"')
-        else:
-            out.append(format(obj, ".17g"))
+    """Append obj's canonical JSON text to out, in one walk: Enclosure,
+    PLFunction and Measure as their dicts, arrays as their lists, tuples as
+    lists, dict keys str()'d and sorted, numpy scalars as Python's, non-finite
+    floats as the strings "nan", "inf" and "-inf", and anything else as its
+    str()."""
+    if isinstance(obj, Enclosure):
+        _dump({"lo": obj.lo, "hi": obj.hi}, out)
+    elif isinstance(obj, PLFunction):
+        _dump(function_to_dict(obj), out)
+    elif isinstance(obj, Measure):
+        _dump(measure_to_dict(obj), out)
     elif isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
         out.append("{")
-        for i, k in enumerate(sorted(obj)):
+        for i, k in enumerate(sorted(items)):
             if i:
                 out.append(",")
             _dump(k, out)
             out.append(":")
-            _dump(obj[k], out)
+            _dump(items[k], out)
         out.append("}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, np.ndarray):
+        _dump(obj.tolist(), out)
+    elif isinstance(obj, (list, tuple)):
         if all(type(v) is float and math.isfinite(v) for v in obj):
             # the bytes of the per-item path below, without its recursion
             out.append("[" + ",".join(map("{:.17g}".format, obj)) + "]")
@@ -81,13 +54,24 @@ def _dump(obj: Any, out: list[str]) -> None:
                 out.append(",")
             _dump(v, out)
         out.append("]")
-    else:  # pragma: no cover - _convert normalizes everything above
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)  # numpy 2's repr of np.float64(inf) names its type
+        out.append(format(x, ".17g") if math.isfinite(x) else '"' + repr(x) + '"')
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    else:
         _dump(str(obj), out)
 
 
 def canonical_json(obj: Any) -> str:
     out: list[str] = []
-    _dump(_convert(obj), out)
+    _dump(obj, out)
     return "".join(out)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -58,6 +60,39 @@ def ref_abs_integral(f, lo, hi):
     total = 0.0
     for k in range(cuts.size - 1):
         total += _ref_abs_piece_integral(cuts[k], cuts[k + 1], vals[k], vals[k + 1])
+    return total
+
+
+def thin_tent(t0, h):
+    """The density of a tent of half-width h peaked at t0, zero elsewhere."""
+    return PLFunction(np.array([0.0, t0 - h, t0, t0 + h, 1.0]), np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+
+
+def thin_tent_pairs(h, draws, seed=0):
+    """(f, rho) pairs: rho a thin tent at a random t0 that no short binary
+    fraction gives, f positive with three breakpoints inside the tent."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        t0 = rng.uniform(0.2, 0.8)
+        inner = np.sort(rng.uniform(t0 - h, t0 + h, 3))
+        f = PLFunction(np.concatenate([[0.0], inner, [1.0]]), rng.uniform(0.5, 1.5, 5))
+        yield f, thin_tent(t0, h)
+
+
+def _exact_at(f, x):
+    """f(x) in rationals: the linear interpolation of its breakpoint values."""
+    k = min(int(np.searchsorted(f.breakpoints, float(x), side="right")) - 1, f.breakpoints.size - 2)
+    x0, x1, y0, y1 = (Fraction(float(v)) for v in (*f.breakpoints[k : k + 2], *f.values[k : k + 2]))
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def exact_product_integral(f, rho):
+    """∫ f·rho over [0, 1] in rationals, piece by piece of the merged breakpoints."""
+    cuts = [Fraction(float(x)) for x in np.union1d(f.breakpoints, rho.breakpoints)]
+    total = Fraction(0)
+    for a, b in zip(cuts, cuts[1:]):
+        fa, fb, ra, rb = _exact_at(f, a), _exact_at(f, b), _exact_at(rho, a), _exact_at(rho, b)
+        total += (b - a) / 6 * (fa * (2 * ra + rb) + fb * (ra + 2 * rb))
     return total
 
 

@@ -705,7 +705,7 @@ class TestOneDualNormSolve:
          b'"results":{"evaluations":3,"feasible_samples":2,"value":1.9999988615027113}'),
         ({"kind": "combo", "slices": [{"eps": 0.3, "measure": LEBESGUE},
                                       {"eps": 0.3, "measure": {"atoms": [{"t": 0, "w": 1}, {"t": 1, "w": -1}]}}]},
-         2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448748534009}'),
+         2, b'"results":{"evaluations":2258,"feasible_samples":64,"value":1.0173448747939635}'),
     ])
     def test_diam_solves_each_slice_once(self, tmp_path, monkeypatch, spec, solves, results):
         from banachlab import gridsearch, slice_lab

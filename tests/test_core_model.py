@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from banachlab.core_model import (
 )
 from banachlab.errors import DomainError
 
-from conftest import pl_densities, random_pl, ref_abs_argmax, ref_abs_integral
+from conftest import (
+    exact_product_integral,
+    pl_densities,
+    random_pl,
+    ref_abs_argmax,
+    ref_abs_integral,
+    thin_tent_pairs,
+)
 
 
 class TestEval:
@@ -318,8 +326,9 @@ def test_lin_comb_pointwise_property(a, b, t, seed):
 
 
 def ref_integrate(f, m, lo=0.0, hi=1.0):
-    """The scalar per-atom and per-piece Simpson loop that integrate used to
-    run, with the lo/hi range it took then."""
+    """The scalar per-atom and per-piece loop of integrate, with the lo/hi
+    range it took then: each piece [a, b] from its two ends,
+    (b − a)/6·(f(a)(2ρ(a) + ρ(b)) + f(b)(ρ(a) + 2ρ(b)))."""
     full = lo == 0.0 and hi == 1.0
     total = 0.0
     for t, w in m.atoms:
@@ -331,10 +340,9 @@ def ref_integrate(f, m, lo=0.0, hi=1.0):
         cuts = cuts[(cuts >= lo) & (cuts <= hi)]
         fv, rv = f.eval(cuts), rho.eval(cuts)
         for k in range(cuts.size - 1):
-            x0, x1 = cuts[k], cuts[k + 1]
-            xm = 0.5 * (x0 + x1)
-            pm = f.eval(xm) * rho.eval(xm)
-            total += (x1 - x0) / 6.0 * (fv[k] * rv[k] + 4.0 * pm + fv[k + 1] * rv[k + 1])
+            ra, rb = rv[k], rv[k + 1]
+            total += (cuts[k + 1] - cuts[k]) / 6.0 * (fv[k] * (2.0 * ra + rb)
+                                                      + fv[k + 1] * (ra + 2.0 * rb))
     return total
 
 
@@ -403,6 +411,16 @@ def test_many_intervals_in_one_call(f, rho, atoms, data):
     assert integrate_many(f, m, lo, hi).tobytes() == ref.tobytes()
     ref = np.array([ref_abs_mass_on(m, a, b) for a, b in zip(lo, hi)], dtype=float)
     assert m.abs_mass_many(lo, hi).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_integrate_exact_on_thin_tents(h):
+    # each piece from its two ends: no rounded midpoint, whose error grew as
+    # ulp(t0)/h, to 6e-8 relative at h = 1e-9
+    for f, rho in thin_tent_pairs(h, draws=20):
+        exact = exact_product_integral(f, rho)
+        got = integrate_many(f, Measure(density=rho), np.zeros(1), np.ones(1))[0]
+        assert abs(Fraction(float(got)) - exact) <= 1e-15 * exact
 
 
 def test_many_intervals_outside_the_unit_interval():

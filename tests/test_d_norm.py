@@ -30,7 +30,7 @@ from banachlab.slice_lab import SliceSpec, norming_bump
 
 from banachlab.gridsearch import GridContext
 
-from conftest import pl_densities, random_pl, ref_abs_integral
+from conftest import pl_densities, random_pl, ref_abs_integral, thin_tent
 
 SCHED = EpsilonSchedule()
 
@@ -325,7 +325,9 @@ def ref_weighted_tv_upper(ctx, cells, m):
 
 
 def ref_functional_coeffs(gc, m):
-    """The per-cell, per-piece, per-point loop functional_coeffs used to run."""
+    """functional_coeffs as a per-cell, per-piece, per-end loop: each piece
+    [a, b] sends (b − a)/6·(2ρ(a) + ρ(b)) for v(a) and (b − a)/6·(ρ(a) + 2ρ(b))
+    for v(b) to the two nodes of its cell."""
     g = gc.nodes
     c = np.zeros(g.size)
     for t, w in m.atoms:
@@ -341,11 +343,10 @@ def ref_functional_coeffs(gc, m):
         h = x1 - x0
         for j in range(pieces.size - 1):
             a, b = pieces[j], pieces[j + 1]
-            mid = 0.5 * (a + b)
-            for t_eval, simpson_w in ((a, 1.0), (mid, 4.0), (b, 1.0)):
-                rv = rho.eval(float(t_eval))
+            ra, rb = rho.eval(float(a)), rho.eval(float(b))
+            for t_eval, term in ((a, 2.0 * ra + rb), (b, ra + 2.0 * rb)):
                 s = (t_eval - x0) / h
-                scale = (b - a) / 6.0 * simpson_w * rv
+                scale = (b - a) / 6.0 * term
                 c[k] += scale * (1.0 - s)
                 c[k + 1] += scale * s
     return c
@@ -513,6 +514,9 @@ atom_lists = st.lists(
 # a density of mass 2.5e-258 whose squared cell masses underflowed: the
 # witness got inf and nan values
 @example(rho=PLFunction(np.array([0.0, 5.08138134e-258, 1.0]), np.array([1.0, 0.0, 0.0])), atoms=[])
+# a tent narrower than the witness's ramps, between zero-mass cells: its
+# witness was 0 on the whole support, and the lower end 0
+@example(rho=thin_tent(0.3, 1e-7), atoms=[])
 def test_program_bracket_on_random_measures(ctx8, rho, atoms):
     m = Measure(tuple(atoms), rho)
     # a norm that underflows has no positive certified lower end; the
@@ -547,6 +551,10 @@ def test_program_sound_on_densities_of_tiny_mass(ctx8, monkeypatch):
         for k in range(5, 301):
             br = dual_norm(ctx8, tiny_mass(10.0 ** -k), budget=500)
             assert math.isfinite(br.upper) and 0.0 < br.lower <= br.upper
+            # the edge at e, next to the zero-mass cell, takes the density's
+            # sign: the witness fell to 0 there, and lower/upper read 2/3
+            # for e <= 2e-6
+            assert br.lower >= (1.0 - 1e-6) * br.upper
     # the program's own upper end, without the weighted total-variation
     # bound, dominates ∫x dm: its squared masses used to underflow, and at
     # e = 1e-160 it read 6.2712e-161 against ∫x dm = 6.2852e-161
@@ -557,6 +565,30 @@ def test_program_sound_on_densities_of_tiny_mass(ctx8, monkeypatch):
             br = dual_norm(ctx8, tiny_mass(10.0 ** -k), budget=500)
             assert math.isfinite(br.upper) and 0.0 < br.lower <= br.upper
             assert Fraction(br.upper) >= exact_integral(x, 10.0 ** -k)
+
+
+def test_program_tight_on_thin_tents(ctx8):
+    # one cell of mass between zero-mass cells, narrower than WITNESS_RAMP:
+    # its edges take its sign and it keeps a plateau between ramps of a
+    # quarter of its width, where the lower end read 0 for h <= 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(5, 16):
+            br = dual_norm(ctx8, Measure(density=thin_tent(0.3, 10.0 ** -k)), budget=500)
+            assert 0.0 < br.lower <= br.upper and br.lower >= (1.0 - 1e-6) * br.upper
+
+
+def test_program_witness_keeps_plateaus_on_thin_cells(ctx8):
+    # a tent of half-width h and its negative side by side: the witness is 0
+    # at the sign change, so each cell of width 2h keeps its value only on
+    # a plateau, between ramps of h/2, and ramps into the sign change lose
+    # 1/24 of the mass; with no plateau it falls linearly to 0 and loses 1/2
+    for k in range(6, 16):
+        h = 10.0 ** -k
+        bx = 0.3 + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        rho = PLFunction(np.concatenate([[0.0], bx, [1.0]]), np.array([0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0]))
+        br = dual_norm(ctx8, Measure(density=rho), budget=500)
+        assert br.lower >= 0.95 * br.upper
 
 
 def test_forged_upper_end_fails_the_consistency_check(ctx8, monkeypatch):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from banachlab.errors import DomainError
 from banachlab.gridsearch import GridContext
 from banachlab.neighborhood_base import build_leveled
 
-from conftest import pl_densities, random_pl
+from conftest import exact_product_integral, pl_densities, random_pl, thin_tent_pairs
 
 
 def ref_interval_geometry(nodes, lo, hi):
@@ -155,8 +157,9 @@ def test_random_bumps_match_the_loop(ctx8, count, seed):
 
 
 def ref_density_coeffs(gc, rho):
-    """The density path functional_coeffs ran before it shared _endpoint_data:
-    all three Simpson points of a piece go to the piece's own cell."""
+    """The density path of functional_coeffs with both ends of a piece sent
+    to the piece's own cell, where functional_coeffs sends an end on a node
+    to the next cell at fraction 0."""
     g = gc.nodes
     c = np.zeros(g.size)
     edges = np.union1d(g, rho.breakpoints)
@@ -164,10 +167,10 @@ def ref_density_coeffs(gc, rho):
     k = np.searchsorted(g, a, side="right") - 1
     x0 = g[k][:, None]
     h = g[k + 1][:, None] - x0
-    t = np.stack([a, 0.5 * (a + b), b], axis=1)
-    rv = pl_eval(rho.breakpoints, rho.values, t)
+    t = np.stack([a, b], axis=1)
+    ra, rb = pl_eval(rho.breakpoints, rho.values, t).T
     s = (t - x0) / h
-    scale = (b - a)[:, None] / 6.0 * np.array([1.0, 4.0, 1.0]) * rv
+    scale = (b - a)[:, None] / 6.0 * np.stack([2.0 * ra + rb, ra + 2.0 * rb], axis=1)
     kk = np.broadcast_to(k[:, None], t.shape)
     idx = np.stack([kk, kk + 1], axis=2)
     np.add.at(c, idx.ravel(), np.stack([scale * (1.0 - s), scale * s], axis=2).ravel())
@@ -181,6 +184,17 @@ def test_density_coeffs_match_the_piece_cells(ctx8, rho):
     for gc in (GridContext(ctx8, grid_cells=64), GridContext(ctx8, rho, grid_cells=64)):
         got = gc.functional_coeffs(Measure(density=rho))
         assert got.tolist() == ref_density_coeffs(gc, rho).tolist()
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_density_coeffs_exact_on_thin_tents(ctx8, h):
+    # two terms per piece, from its two ends: a rounded midpoint erred by
+    # up to 7e-8 relative at h = 1e-9
+    for f, rho in thin_tent_pairs(h, draws=20):
+        gc = GridContext(ctx8, f, rho, grid_cells=64)
+        got = gc.functional_coeffs(Measure(density=rho)) @ gc.sample_function(f)
+        exact = exact_product_integral(f, rho)
+        assert abs(Fraction(float(got)) - exact) <= 1e-15 * exact
 
 
 def ref_random_smooth(nodes, ys, coarse):

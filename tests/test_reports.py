@@ -1,5 +1,6 @@
 """canonical_json against the per-item serializer it had before its fast
-path for lists of finite floats: the bytes must not change."""
+path for lists of finite floats, which converted the whole payload to plain
+Python first and then wrote it: the one walk must write the same bytes."""
 
 import json
 import math
@@ -23,8 +24,8 @@ def ref_convert(obj):
         return {str(k): ref_convert(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [ref_convert(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [ref_convert(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # a 0-d array's tolist() is its scalar
+        return ref_convert(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -90,10 +91,39 @@ leaves = st.one_of(
     st.lists(scalars),
     scalars,
 )
+
+
+class Opaque:
+    """An object canonical_json knows nothing of: it writes its str()."""
+
+    def __str__(self):
+        return 'opaque "ß"'
+
+
+pl_functions = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=5).map(
+    lambda v: PLFunction(np.linspace(0.0, 1.0, len(v)), np.array(v)))
+enclosures = st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2).map(
+    lambda v: Enclosure(min(v), max(v)))
+measures = st.builds(
+    lambda atoms, rho: Measure(tuple(atoms.items()), rho),
+    st.dictionaries(st.floats(0.0, 1.0), st.floats(-5.0, 5.0), max_size=3),
+    st.none() | pl_functions,
+)
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).map(np.float64)
+objects = st.one_of(
+    st.booleans().map(np.bool_),
+    floats.map(np.array),  # 0-d arrays
+    st.lists(floats.map(np.float64) | non_finite, min_size=1).map(tuple),
+    enclosures,
+    pl_functions,
+    measures,
+    st.just(Opaque()),
+)
 payloads = st.recursive(
-    leaves,
+    leaves | objects,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+                            st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), inner,
+                                            max_size=4)),
     max_leaves=12,
 )
 
